@@ -380,13 +380,12 @@ func shardedBenchConfig(shards int) pliant.SchedConfig {
 	}
 }
 
-// BenchmarkSchedShardedDiurnal measures the sharded multi-engine runtime on
-// the 128-node day: "single" is the single-engine path with a serial episode
-// loop, "pool" the single-engine path with the per-window worker pool, and
-// "sharded" one shard per core advancing windows in parallel. All three
-// produce byte-identical results (TestGoldenShardInvariance); only the
-// wall-clock differs, so comparing ns/op across the sub-benchmarks measures
-// the speedup directly.
+// BenchmarkSchedShardedDiurnal measures the shard runtime on the 128-node
+// day: "single" is one shard, a serial episode loop on the coordinator, and
+// "sharded" one shard per core running windows in parallel. Both produce
+// byte-identical results (TestGoldenShardInvariance); only the wall-clock
+// differs, so comparing ns/op across the sub-benchmarks measures the
+// speedup directly.
 func BenchmarkSchedShardedDiurnal(b *testing.B) {
 	shards := runtime.GOMAXPROCS(0)
 	if shards < 2 {
@@ -404,11 +403,6 @@ func BenchmarkSchedShardedDiurnal(b *testing.B) {
 		b.ReportMetric(met/float64(b.N), "QoSMetFrac")
 	}
 	b.Run("single", func(b *testing.B) {
-		cfg := shardedBenchConfig(1)
-		cfg.Workers = 1
-		run(b, cfg)
-	})
-	b.Run("pool", func(b *testing.B) {
 		run(b, shardedBenchConfig(1))
 	})
 	b.Run("sharded", func(b *testing.B) {
@@ -490,40 +484,4 @@ func BenchmarkSchedTraceReplay(b *testing.B) {
 	b.ReportMetric(met/float64(b.N), "QoSMetFrac")
 	b.ReportMetric(float64(rows), "rows")
 	b.ReportMetric(float64(jobs), "jobs")
-}
-
-// BenchmarkSchedWorkers quantifies the node-simulation worker pool: the same
-// day on a nine-node cluster with one worker versus a full pool. Multi-node
-// runs should scale sublinearly with node count on multi-core — compare the
-// two timings.
-func BenchmarkSchedWorkers(b *testing.B) {
-	nineNodes := func() []pliant.ClusterNode {
-		var nodes []pliant.ClusterNode
-		for i := 0; i < 3; i++ {
-			nodes = append(nodes,
-				pliant.ClusterNode{Name: "cache", Service: pliant.Memcached, MaxApps: 3},
-				pliant.ClusterNode{Name: "web", Service: pliant.NGINX, MaxApps: 3},
-				pliant.ClusterNode{Name: "db", Service: pliant.MongoDB, MaxApps: 3},
-			)
-		}
-		return nodes
-	}
-	for _, workers := range []int{1, 0} { // 0 = GOMAXPROCS
-		name := "pool"
-		if workers == 1 {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := schedBenchConfig()
-				cfg.Policy = pliant.TelemetryAwarePlacement{}
-				cfg.Nodes = nineNodes()
-				cfg.JobsPerSec = 0.3
-				cfg.Workers = workers
-				if _, err := pliant.RunSched(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

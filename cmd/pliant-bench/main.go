@@ -26,7 +26,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		full    = flag.Bool("full", false, "paper-scale parameters (all 24 apps, real rates, all combinations)")
 		seed    = flag.Uint64("seed", 0, "override the root seed")
-		par     = flag.Int("par", 0, "parallel scenario workers (default GOMAXPROCS)")
+		par     = flag.Int("par", 0, "parallel scenario workers, and shards per scheduling run (default GOMAXPROCS)")
 		allApps = flag.Bool("allapps", false, "cover all 24 applications at the fast timescale")
 		jsonOut = flag.Bool("json", false, "run the perf-trajectory benchmark suite and write BENCH_<label>.json")
 		label   = flag.String("label", "dev", "label for the -json trajectory file")

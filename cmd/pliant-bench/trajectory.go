@@ -366,15 +366,14 @@ func runTrajectory(label string) error {
 	faultRec.Metrics["retries"] = float64(faultPlan.Retries())
 	t.Benchmarks = append(t.Benchmarks, faultRec)
 
-	// The sharded multi-engine runtime on a 128-node diurnal day, against
-	// the single-engine path on the same scenario. The sharded record
+	// The shard runtime on a 128-node diurnal day, one shard per core
+	// against one serial shard on the same scenario. The sharded record
 	// carries the speedup metadata (shards, cores, speedup) the -verify
 	// gate requires, so every trajectory point states the parallelism it
 	// was measured under — a speedup of ~1 on a one-core runner is expected
 	// and readable as such.
 	singleRec := record("SchedShardedDiurnal/single", testing.Benchmark(func(b *testing.B) {
 		cfg := shardedBenchConfig(1)
-		cfg.Workers = 1
 		for i := 0; i < b.N; i++ {
 			if _, err := pliant.RunSched(cfg); err != nil {
 				b.Fatal(err)

@@ -13,7 +13,7 @@
 //	pliant-sched -policy all -nodes memcached,nginx,mongodb,mongodb -rate 0.12
 //	pliant-sched -shape flash -peak 1.6 -timescale 16 -csv trace.csv
 //	pliant-sched -energy -autoscale approx-for-watts -policy telemetry
-//	pliant-sched -shards 8 -policy telemetry   # sharded multi-engine run
+//	pliant-sched -shards 8 -policy telemetry   # eight shards, whatever the core count
 //	pliant-sched -trace tasks.csv -trace-format google -trace-scale 180
 //	pliant-sched -trace vms.csv -trace-format azure -trace-jobs 48 -shape trace
 //	pliant-sched -policy telemetry -obs -trace-out trace.json -metrics-csv metrics.csv
@@ -52,9 +52,8 @@ func main() {
 		peak    = flag.Float64("peak", 1.6, "flash-crowd peak multiplier")
 		seed    = flag.Uint64("seed", 1, "simulation seed")
 		scale   = flag.Float64("timescale", 1, "request-timescale multiplier (16 = fast profile)")
-		workers = flag.Int("workers", 0, "node-simulation worker pool size (0 = GOMAXPROCS; single-engine path only)")
-		shards  = flag.Int("shards", 1,
-			"per-worker engine groups advancing windows in parallel (results are byte-identical for any value)")
+		shards  = flag.Int("shards", 0,
+			"node shards running each window's episodes in parallel (0 = GOMAXPROCS; results are byte-identical for any value)")
 		traceFile = flag.String("trace", "",
 			"replay a production cluster trace as the job stream (see -trace-format)")
 		traceFormat = flag.String("trace-format", "google", "trace schema: google (ClusterData task events), azure (VM rows)")
@@ -110,7 +109,6 @@ func main() {
 		PeriodSec:   *period,
 		Peak:        *peak,
 		TimeScale:   *scale,
-		Workers:     *workers,
 		Shards:      *shards,
 		Energy:      *useEnergy,
 		Autoscale:   *autoscaler,

@@ -54,7 +54,7 @@ const (
 
 	// goldenShard pins the sharded multi-engine runtime (PR 4): a six-node
 	// energy-managed day must export byte-identical JSON/CSV at every shard
-	// count. The constants are recorded from the single-engine path; the
+	// count. The constants are recorded from the one-shard path; the
 	// test replays the run at shards=2 and shards=4 against the same pins.
 	goldenShardJSON = "332c30a198c6cc23f1e1d4c351a114cc502b1229d7e535d9dc32caa2d6c78f13"
 	goldenShardCSV  = "e3b87b3f1cfd2722179806f89cb49e4a465658307c8f4c4caf049cfa634f225a"
@@ -63,7 +63,7 @@ const (
 	// schema-exact Google-format trace synthesized in memory, parsed through
 	// the streaming ingester, normalized (rebase, compress, down-sample),
 	// and replayed through the six-node energy-managed scheduler. The
-	// constants are recorded from the single-engine path; the test replays
+	// constants are recorded from the one-shard path; the test replays
 	// the identical run at shards=2 and shards=4 against the same pins.
 	goldenTraceJSON = "fe80b0d5b33952ad5ee2d1e3ce46118a14f284c817586e2891c4109f991feb2c"
 	goldenTraceCSV  = "e3c4845810be8268abc53c4855a9239ca8c47cf653c1765fe15407ba54612945"
@@ -223,7 +223,7 @@ func TestGoldenSched(t *testing.T) {
 
 // TestGoldenShardInvariance is the sharded runtime's acceptance golden:
 // sched.Run at shards=2 and shards=4 must produce byte-identical JSON and
-// CSV exports to the single-engine path (shards=1), pinned by hash so a
+// CSV exports to the one-shard path (shards=1), pinned by hash so a
 // divergence in any shard-merge order fails loudly. It runs in -short (and
 // so under the CI race job, where the shard goroutines' handoff is the
 // interesting surface).
@@ -250,18 +250,18 @@ func TestGoldenShardInvariance(t *testing.T) {
 		return
 	}
 	if got := sha(js1); got != goldenShardJSON {
-		t.Errorf("single-engine JSON hash = %s, golden %s", got, goldenShardJSON)
+		t.Errorf("one-shard JSON hash = %s, golden %s", got, goldenShardJSON)
 	}
 	if got := sha(csv1); got != goldenShardCSV {
-		t.Errorf("single-engine CSV hash = %s, golden %s", got, goldenShardCSV)
+		t.Errorf("one-shard CSV hash = %s, golden %s", got, goldenShardCSV)
 	}
 	for _, shards := range []int{2, 4} {
 		js, csv := export(shards)
 		if !bytes.Equal(js, js1) {
-			t.Errorf("shards=%d JSON differs from single-engine bytes", shards)
+			t.Errorf("shards=%d JSON differs from one-shard bytes", shards)
 		}
 		if !bytes.Equal(csv, csv1) {
-			t.Errorf("shards=%d CSV differs from single-engine bytes", shards)
+			t.Errorf("shards=%d CSV differs from one-shard bytes", shards)
 		}
 	}
 }
@@ -329,10 +329,10 @@ func TestGoldenTraceReplay(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		js, csv := export(shards)
 		if !bytes.Equal(js, js1) {
-			t.Errorf("shards=%d trace-replay JSON differs from single-engine bytes", shards)
+			t.Errorf("shards=%d trace-replay JSON differs from one-shard bytes", shards)
 		}
 		if !bytes.Equal(csv, csv1) {
-			t.Errorf("shards=%d trace-replay CSV differs from single-engine bytes", shards)
+			t.Errorf("shards=%d trace-replay CSV differs from one-shard bytes", shards)
 		}
 	}
 }
@@ -398,16 +398,16 @@ func TestGoldenObs(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		js, ch, pr, mc := export(shards)
 		if !bytes.Equal(js, js1) {
-			t.Errorf("shards=%d obs-on result JSON differs from single-engine bytes", shards)
+			t.Errorf("shards=%d obs-on result JSON differs from one-shard bytes", shards)
 		}
 		if !bytes.Equal(ch, ch1) {
-			t.Errorf("shards=%d chrome trace differs from single-engine bytes", shards)
+			t.Errorf("shards=%d chrome trace differs from one-shard bytes", shards)
 		}
 		if !bytes.Equal(pr, pr1) {
-			t.Errorf("shards=%d prometheus text differs from single-engine bytes", shards)
+			t.Errorf("shards=%d prometheus text differs from one-shard bytes", shards)
 		}
 		if !bytes.Equal(mc, mc1) {
-			t.Errorf("shards=%d metrics CSV differs from single-engine bytes", shards)
+			t.Errorf("shards=%d metrics CSV differs from one-shard bytes", shards)
 		}
 	}
 }
@@ -480,10 +480,10 @@ func TestGoldenFaultStorm(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		js, csv := export(shards, false)
 		if !bytes.Equal(js, js1) {
-			t.Errorf("shards=%d fault-storm JSON differs from single-engine bytes", shards)
+			t.Errorf("shards=%d fault-storm JSON differs from one-shard bytes", shards)
 		}
 		if !bytes.Equal(csv, csv1) {
-			t.Errorf("shards=%d fault-storm CSV differs from single-engine bytes", shards)
+			t.Errorf("shards=%d fault-storm CSV differs from one-shard bytes", shards)
 		}
 	}
 	jsObs, csvObs := export(1, true)

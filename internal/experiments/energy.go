@@ -115,7 +115,7 @@ func EnergyDiurnal(p Profile) (*EnergyResult, error) {
 			BaseLoad:   0.65,
 			Shape:      shape,
 			TimeScale:  p.TimeScale,
-			Workers:    p.parallelism(),
+			Shards:     p.parallelism(),
 			Energy:     &model,
 			Autoscaler: b.as,
 		}

@@ -147,7 +147,7 @@ func FaultStorm(p Profile) (*FaultResult, error) {
 			BaseLoad:   0.65,
 			Shape:      shape,
 			TimeScale:  p.TimeScale,
-			Workers:    p.parallelism(),
+			Shards:     p.parallelism(),
 			Energy:     &model,
 			Autoscaler: b.as,
 		}

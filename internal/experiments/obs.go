@@ -40,7 +40,7 @@ type ObsResult struct {
 	TraceSHA string
 
 	// ShardInvariant reports whether trace, Prometheus, and CSV exports were
-	// byte-identical between a single-engine and a sharded run.
+	// byte-identical between a one-shard and a multi-shard run.
 	ShardInvariant bool
 }
 
@@ -78,7 +78,6 @@ func obsDayConfig(p Profile, shards int, o *obs.Observer) sched.Config {
 		BaseLoad:   0.65,
 		Shape:      shape,
 		TimeScale:  p.TimeScale,
-		Workers:    p.parallelism(),
 		Shards:     shards,
 		Energy:     &model,
 		Autoscaler: autoscale.Consolidate{},
@@ -112,7 +111,7 @@ func obsExports(p Profile, shards int) (*obs.Observer, []byte, []byte, []byte, e
 }
 
 // ObsTrace runs the observability study: one energy-managed diurnal day
-// traced and metered, on a single engine and again across two shards, and
+// traced and metered, on one shard and again across two, and
 // checks the exports match byte for byte.
 func ObsTrace(p Profile) (*ObsResult, error) {
 	o1, trace1, prom1, csv1, err := obsExports(p, 1)

@@ -44,7 +44,8 @@ type Profile struct {
 	MaxRunSeconds int
 
 	// Parallelism is the number of scenarios run concurrently (each on its
-	// own engine); 0 means GOMAXPROCS.
+	// own engine) and the shard count of each scheduling run; 0 means
+	// GOMAXPROCS. Neither changes any simulated result.
 	Parallelism int
 }
 

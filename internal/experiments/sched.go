@@ -90,7 +90,7 @@ func SchedDiurnal(p Profile) (*SchedResult, error) {
 		BaseLoad:   0.65,
 		Shape:      shape,
 		TimeScale:  p.TimeScale,
-		Workers:    p.parallelism(),
+		Shards:     p.parallelism(),
 	}
 	results, err := sched.Compare(cfg,
 		sched.FirstFit{}, sched.BestFit{}, sched.TelemetryAware{})

@@ -66,7 +66,7 @@ func ShadowServe(p Profile) (*ShadowResult, error) {
 		HorizonSec: 120,
 		EpochSec:   12,
 		TimeScale:  p.TimeScale,
-		Workers:    p.parallelism(),
+		Shards:     p.parallelism(),
 	}
 	out, err := serve.ShadowReplay(sp)
 	if err != nil {

@@ -159,7 +159,7 @@ func TraceReplay(p Profile) (*TraceResult, error) {
 			BaseLoad:   0.65,
 			Shape:      shape,
 			TimeScale:  p.TimeScale,
-			Workers:    p.parallelism(),
+			Shards:     p.parallelism(),
 			Energy:     &model,
 			Autoscaler: b.as,
 		}

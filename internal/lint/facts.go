@@ -36,12 +36,14 @@ import (
 //   - interface dispatch, by method name: when a parallel function invokes
 //     a method through an interface value, every module method with that
 //     name joins the set (this is how sim.Engine.Run's h.OnEvent dispatch
-//     reaches the shard episode handlers);
+//     inside a shard's episodes reaches service.Instance.OnEvent and
+//     client.Generator.OnEvent);
 //   - higher-order calls: when a function's func-typed parameter is invoked
 //     from a parallel context, the function values passed as arguments at
-//     its call sites join the set (this is how the episode closure handed
-//     to runPool is classified without runPool itself being parallel —
-//     its sequential workers<=1 fallback stays serial).
+//     its call sites join the set. experiments.Profile.forEach has this
+//     shape: its workers invoke the fn parameter, so were its spawn a root,
+//     the closures handed to it would be classified without forEach itself
+//     being parallel — its sequential workers<=1 fallback stays serial.
 //
 // The closure is an over-approximation by construction: it can classify a
 // serial caller of a dual-use function as parallel, never the reverse.
@@ -53,8 +55,8 @@ import (
 // exclusively own everything they touch: one session pump per serve session
 // (the pump owns its Runner), one SSE writer per subscriber, one experiment
 // per worker. They are excluded from the shard-parallel roots; the remaining
-// spawn sites — the episode worker pool, the shard runtime, and the cluster
-// node fan-out — all share one live run across goroutines.
+// spawn sites — the shard runtime and the cluster node fan-out — share one
+// live run across goroutines.
 var runExclusiveSpawnFiles = map[string]bool{
 	"internal/serve/session.go":       true,
 	"internal/serve/sse.go":           true,

@@ -2,18 +2,18 @@ package lint
 
 import (
 	"go/ast"
+	"sort"
 	"strings"
 )
 
 // spawnAllowedFiles are the module-relative files sanctioned to start
-// goroutines. Each one sits behind a determinism discipline: the episode
-// worker pool and shard runtime merge at the window barrier in fixed order,
-// the serving layer's session pump and SSE writers touch only the serial
-// coordinator surface, and the experiment runner fans out independent
-// simulations. A `go` statement anywhere else is concurrency without a
-// merge discipline — the precise spot where nondeterminism enters.
+// goroutines. Each one sits behind a determinism discipline: the shard
+// runtime merges at the window barrier in fixed order, the serving layer's
+// session pump and SSE writers touch only the serial coordinator surface,
+// and the experiment runner fans out independent simulations. A `go`
+// statement anywhere else is concurrency without a merge discipline — the
+// precise spot where nondeterminism enters.
 var spawnAllowedFiles = map[string]bool{
-	"internal/sched/pool.go":          true,
 	"internal/sched/shard.go":         true,
 	"internal/serve/session.go":       true,
 	"internal/serve/sse.go":           true,
@@ -26,8 +26,8 @@ type ruleSpawn struct{}
 func (ruleSpawn) Name() string { return "spawn" }
 
 func (ruleSpawn) Doc() string {
-	return "go statements only in the sanctioned concurrency files (worker " +
-		"pool, shard runtime, session pump, SSE, experiment runner); new " +
+	return "go statements only in the sanctioned concurrency files (shard " +
+		"runtime, session pump, SSE, experiment runner); new " +
 		"goroutines need a merge discipline, not just a waitgroup"
 }
 
@@ -49,7 +49,7 @@ func (ruleSpawn) Check(p *Package) []Diagnostic {
 			}
 			out = append(out, p.diag("spawn", gs.Pos(),
 				"go statement outside the sanctioned concurrency files (%s); "+
-					"route the work through the worker pool or shard runtime, or "+
+					"route the work through the shard runtime, or "+
 					"annotate a deterministic fan-out with //pliant:allow",
 				strings.Join(sortedAllowFiles(), ", ")))
 			return true
@@ -58,14 +58,13 @@ func (ruleSpawn) Check(p *Package) []Diagnostic {
 	return out
 }
 
+// sortedAllowFiles lists spawnAllowedFiles in order, keeping the diagnostic
+// stable.
 func sortedAllowFiles() []string {
-	// Small fixed set: keep the diagnostic stable without importing sort
-	// state into every message.
-	return []string{
-		"internal/experiments/profile.go",
-		"internal/sched/pool.go",
-		"internal/sched/shard.go",
-		"internal/serve/session.go",
-		"internal/serve/sse.go",
+	files := make([]string, 0, len(spawnAllowedFiles))
+	for f := range spawnAllowedFiles {
+		files = append(files, f)
 	}
+	sort.Strings(files)
+	return files
 }

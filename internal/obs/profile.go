@@ -15,8 +15,8 @@ type Profiler struct {
 	shards []ShardProfile
 }
 
-// ShardProfile is one shard's wall-clock account. On the single-engine path
-// there is exactly one (shard 0), covering the worker pool.
+// ShardProfile is one shard's wall-clock account. Shard 0 is the shard the
+// coordinator runs itself; a one-shard run has only that one.
 type ShardProfile struct {
 	// Shard is the shard index.
 	Shard int

@@ -110,7 +110,7 @@ func TestEnergyAccountingObservationOnly(t *testing.T) {
 }
 
 // TestEnergyRunsDeterministic pins byte determinism of the energy figures:
-// two identical runs agree to the last bit, worker count included.
+// two identical runs agree to the last bit, shard count included.
 func TestEnergyRunsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full runs; skipped in -short")
@@ -125,7 +125,7 @@ func TestEnergyRunsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := cfg
-	serial.Workers = 1
+	serial.Shards = 1
 	c, err := Run(serial)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestEnergyRunsDeterministic(t *testing.T) {
 		t.Fatalf("reruns disagree:\n%s\n%s", key(a), key(b))
 	}
 	if key(a) != key(c) {
-		t.Fatalf("worker count perturbs energy:\n%s\n%s", key(a), key(c))
+		t.Fatalf("shard count perturbs energy:\n%s\n%s", key(a), key(c))
 	}
 }
 

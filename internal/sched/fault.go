@@ -3,13 +3,12 @@
 //
 // The determinism argument mirrors the obs layer's: every fault event is
 // consumed and applied on the coordinator's serial sections, never from shard
-// or worker goroutines. faultPrep runs before the window's episodes and
+// goroutines. faultPrep runs before the window's episodes and
 // precomputes the per-node crash instants; shard goroutines only READ that
 // scratch (to truncate a crashed node's episode), so the concurrent window
 // advance stays write-disjoint. applyFaults then mutates cluster state —
 // requeues, state flips, staleness windows — serially after the merge
-// barrier, in compiled event order, exactly where the single-engine path
-// applies them. Fault-injected runs are therefore byte-identical for any
+// barrier, in compiled event order, whatever the shard count. Fault-injected runs are therefore byte-identical for any
 // shard count, which TestGoldenFaultStorm pins.
 package sched
 
@@ -100,7 +99,7 @@ func (s *run) faultPrep(now sim.Time) {
 
 // applyFaults replays the window's fault events against the merged cluster
 // state, in compiled order, then takes the boundary fault census. Runs on
-// the coordinator after the shard barrier (or the worker-pool fold), before
+// the coordinator after the shard barrier, before
 // the energy accounting reads the recovery instants.
 func (s *run) applyFaults(now sim.Time) {
 	f := s.faults

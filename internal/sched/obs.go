@@ -1,7 +1,7 @@
 // Observability wiring: every emission into the obs subsystem happens here,
 // and every emission happens from the run's serial coordinator sections
 // (arrivals, boundary folds, lifecycle, autoscaling, placement) — never from
-// shard or worker goroutines. That single rule is the determinism argument:
+// shard goroutines. That single rule is the determinism argument:
 // the records and metric increments of a run are a pure function of its
 // virtual-time execution, which shard counts don't change, so obs outputs
 // are byte-identical for shards=1/2/4. The wall-clock profiler is the one
@@ -55,11 +55,7 @@ func (s *run) initObs() {
 		return
 	}
 	if o.Profile != nil {
-		shards := s.cfg.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		o.Profile.Ensure(shards)
+		o.Profile.Ensure(s.cfg.Shards)
 	}
 	if o.Metrics != nil {
 		r := o.Metrics

@@ -101,7 +101,7 @@ func TestObsEmissionConsistency(t *testing.T) {
 		t.Errorf("snapshots = %d, want one per window (%d)", got, wantWindows)
 	}
 
-	// The wall-clock profile covers the single-engine worker pool as shard 0.
+	// A one-shard run profiles the coordinator's inline shard as shard 0.
 	if len(res.ShardProfiles) != 1 {
 		t.Fatalf("profiles = %d, want 1", len(res.ShardProfiles))
 	}

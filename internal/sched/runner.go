@@ -15,7 +15,6 @@ import (
 	"github.com/approx-sched/pliant/internal/app"
 	"github.com/approx-sched/pliant/internal/autoscale"
 	"github.com/approx-sched/pliant/internal/cluster"
-	"github.com/approx-sched/pliant/internal/colocate"
 	"github.com/approx-sched/pliant/internal/sim"
 	"github.com/approx-sched/pliant/internal/stats"
 	"github.com/approx-sched/pliant/internal/workload"
@@ -36,8 +35,8 @@ type Runner struct {
 
 // NewRunner validates the config and builds the run in its pre-horizon
 // state: nodes initialized, arrival stream scheduled, boundary ticker armed,
-// clock at zero. The caller must Close (Finalize closes too) to release the
-// shard goroutines.
+// shard goroutines started, clock at zero. The caller must Close (Finalize
+// closes too) to release the shard goroutines.
 func NewRunner(cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -64,16 +63,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Faults != nil {
 		s.faults = newFaultRT(cfg)
 	}
-	if cfg.Shards > 1 {
-		// Sharded multi-engine runs own one scratch per shard; the worker
-		// pool (and its per-worker scratch) is bypassed entirely.
-		s.shards = newShardGroup(s, cfg.Shards)
-	} else {
-		s.scratch = make([]*colocate.Scratch, cfg.Workers)
-		for w := range s.scratch {
-			s.scratch[w] = &colocate.Scratch{}
-		}
-	}
 	s.initObs()
 
 	arrivals := cfg.Arrivals
@@ -83,12 +72,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		// trace's resource shapes so s.names[i] is exactly the i-th arrival.
 		ts, err := workload.NewTraceStream(cfg.Trace.ArrivalTimes())
 		if err != nil {
-			closeShards(s)
 			return nil, err
 		}
 		names, err := JobsFromTrace(cfg.Trace, cfg.JobNames)
 		if err != nil {
-			closeShards(s)
 			return nil, err
 		}
 		arrivals = ts
@@ -97,7 +84,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if arrivals == nil {
 		p, err := workload.NewPoisson(cfg.JobsPerSec)
 		if err != nil {
-			closeShards(s)
 			return nil, err
 		}
 		arrivals = p
@@ -120,19 +106,15 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	scheduleArrival()
 
+	// Shard goroutines start only once nothing above can fail, so no error
+	// return has goroutines to release.
+	s.shards = newShardGroup(s, cfg.Shards)
 	r := &Runner{
 		s:       s,
 		windows: int(cfg.Horizon / cfg.Epoch),
 	}
 	r.stopTick = s.eng.Ticker(cfg.Epoch, s.boundary)
 	return r, nil
-}
-
-// closeShards releases a half-built run's shard goroutines.
-func closeShards(s *run) {
-	if s.shards != nil {
-		s.shards.close()
-	}
 }
 
 // StepWindow advances the run through exactly one scheduling window —
@@ -301,5 +283,5 @@ func (r *Runner) Close() {
 	}
 	r.closed = true
 	r.stopTick()
-	closeShards(r.s)
+	r.s.shards.close()
 }

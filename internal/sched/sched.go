@@ -12,18 +12,16 @@
 // (epochs); within each window, every occupied node runs a real colocation
 // episode (internal/colocate, via cluster.RunNode) for the window's span,
 // resuming each job's remaining work and emitting mid-run telemetry. Node
-// episodes are independent simulations, so a bounded worker pool runs them
-// in parallel across cores; results are folded back in node order, keeping
-// runs bit-for-bit deterministic under a fixed seed. At 100+-node scale,
-// Config.Shards partitions the cluster into per-worker engine groups that
-// advance each window on their own clocks and merge deterministically at
-// window boundaries (see shard.go) — byte-identical for any shard count.
+// episodes are independent simulations, so Config.Shards partitions the
+// cluster into shards that run each window's episodes in parallel across
+// cores and merge deterministically at window boundaries (see shard.go),
+// keeping runs bit-for-bit deterministic under a fixed seed and
+// byte-identical for any shard count.
 package sched
 
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"github.com/approx-sched/pliant/internal/app"
 	"github.com/approx-sched/pliant/internal/autoscale"
@@ -168,20 +166,17 @@ type Config struct {
 	// in the repo; 1 = paper scale, 16 = fast profile.
 	TimeScale float64
 
-	// Workers bounds how many node episodes simulate concurrently on the
-	// single-engine path (default GOMAXPROCS). Ignored when Shards > 1:
-	// sharded runs take their parallelism from the shard count.
+	// Deprecated: ignored; parallelism is Shards.
 	Workers int
 
-	// Shards partitions the cluster into per-worker engine groups: nodes
-	// are assigned round-robin to S shards, each advancing every scheduling
-	// window on its own engine clock and scratch concurrently, with a
-	// deterministic merge barrier at window boundaries (pending jobs,
-	// autoscaler verdicts, telemetry roll-ups, and the energy ledger fold
-	// in a fixed order — see DESIGN.md). Results are byte-identical for
-	// every value. 0 or 1 selects the single-engine path, where node
-	// episodes parallelize across Workers instead; values above the node
-	// count are clamped.
+	// Shards is the run's parallelism: nodes are assigned round-robin to S
+	// shards, each running its nodes' episodes every scheduling window on
+	// its own scratch concurrently, with a deterministic merge barrier at
+	// window boundaries (pending jobs, autoscaler verdicts, telemetry
+	// roll-ups, and the energy ledger fold in a fixed order — see
+	// DESIGN.md). Results are byte-identical for every value. Values below
+	// 1 select GOMAXPROCS; values above the node count are clamped; 1 runs
+	// every episode serially on the coordinator.
 	Shards int
 
 	// Energy attaches a per-node power model (internal/energy): episodes
@@ -238,14 +233,8 @@ func (c Config) withDefaults() Config {
 	if c.TimeScale == 0 {
 		c.TimeScale = 1
 	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Workers < 1 {
-		c.Workers = 1 // negative means serial, as runPool has always treated it
-	}
 	if c.Shards < 1 {
-		c.Shards = 1
+		c.Shards = runtime.GOMAXPROCS(0)
 	}
 	if n := len(c.Nodes); n > 0 && c.Shards > n {
 		c.Shards = n
@@ -392,8 +381,8 @@ type Result struct {
 	// "watts.cluster", "nodes.active", and "nodes.parked" per window.
 	Trace *stats.Trace
 
-	// ShardProfiles is the wall-clock account of each shard (slot 0 covers
-	// the worker pool on the single-engine path), populated only when
+	// ShardProfiles is the wall-clock account of each shard (slot 0 is the
+	// shard the coordinator runs itself), populated only when
 	// Config.Obs carried a profiler. Wall time is non-deterministic, so the
 	// profiles are deliberately excluded from the JSON/CSV exports and every
 	// golden-pinned artifact.
@@ -458,8 +447,7 @@ type run struct {
 	// reused across windows (only busy slots are written and read).
 	results []episode
 
-	// shards is the sharded multi-engine runtime (nil on the single-engine
-	// path, cfg.Shards <= 1).
+	// shards runs every window's node episodes (see shard.go).
 	shards *shardGroup
 
 	// faults is the fault-injection runtime (nil without Config.Faults).
@@ -473,12 +461,6 @@ type run struct {
 	// metrics holds the run's registered obs instruments (all nil with
 	// cfg.Obs == nil or no registry — see obs.go).
 	metrics schedMetrics
-
-	// scratch[w] is worker w's reusable episode state: engine arenas and
-	// histograms recycled across the thousands of node-window episodes a run
-	// simulates. Workers never share a scratch, and reuse does not perturb
-	// results (see colocate.Scratch).
-	scratch []*colocate.Scratch
 }
 
 // Run executes one online scheduling study. It is the batch form of the
@@ -665,7 +647,7 @@ type episode struct {
 
 // runEpisode executes node i's colocation for the window starting at
 // winStart on the given scratch. It reads node and resident state but
-// mutates nothing — safe to call from any worker or shard goroutine as long
+// mutates nothing — safe to call from any shard goroutine as long
 // as the node's fold has not happened yet.
 func (s *run) runEpisode(i int, winStart float64, scratch *colocate.Scratch) episode {
 	n := s.nodes[i]
@@ -753,11 +735,9 @@ func (s *run) foldEpisode(i int, ep *episode, winStart float64, ws *cluster.Wind
 }
 
 // simulateWindow runs every occupied node's colocation for the window ending
-// at now — in parallel on the worker pool (single-engine path) or across the
-// per-shard engines (sharded path) — and merges the outcomes back into the
-// shared cluster state in a deterministic order.
+// at now across the shards and merges the outcomes back into the shared
+// cluster state in a deterministic order.
 func (s *run) simulateWindow(now sim.Time) {
-	winStart := now.Seconds() - s.cfg.Epoch.Seconds()
 	var busyIdx []int
 	for i, n := range s.nodes {
 		if len(n.resident) > 0 {
@@ -768,53 +748,21 @@ func (s *run) simulateWindow(now sim.Time) {
 		s.results = make([]episode, len(s.nodes))
 	}
 
-	var ws cluster.WindowStats
-	if s.shards != nil {
-		// Sharded path: every shard advances its engine clock through the
-		// window concurrently, running and folding its own nodes' episodes;
-		// shard roll-ups merge in fixed shard order at the barrier.
-		ws = s.shards.advance(now, busyIdx)
-		for _, i := range busyIdx {
-			if err := s.results[i].err; err != nil {
-				s.fail(fmt.Errorf("sched: node %s window %d: %w", s.nodes[i].node.Name, s.window, err))
-				return
-			}
-		}
-	} else {
-		// Single-engine path: episodes fan out over the worker pool, folds
-		// apply serially in node order. The pool's wall time charges to
-		// profile slot 0, mirroring what a shard accounts for itself.
-		var prof *obs.Profiler
-		if s.cfg.Obs != nil {
-			prof = s.cfg.Obs.Profile
-		}
-		var t0 time.Time
-		if prof != nil {
-			t0 = time.Now() //pliant:allow wallclock — profiler measures real pool runtime for obs; never feeds sim state
-		}
-		runPool(s.cfg.Workers, len(busyIdx), func(worker, k int) {
-			i := busyIdx[k]
-			s.results[i] = s.runEpisode(i, winStart, s.scratch[worker])
-		})
-		for _, i := range busyIdx {
-			ep := &s.results[i]
-			if ep.err != nil {
-				s.fail(fmt.Errorf("sched: node %s window %d: %w", s.nodes[i].node.Name, s.window, ep.err))
-				return
-			}
-			s.foldEpisode(i, ep, winStart, &ws)
-		}
-		if prof != nil {
-			//pliant:allow wallclock — closes the profiler span opened above; obs-only measurement
-			prof.AddEpisode(0, len(busyIdx), time.Since(t0).Nanoseconds())
+	// Every shard runs and folds its own nodes' episodes; shard roll-ups
+	// merge in fixed shard order at the barrier.
+	ws := s.shards.advance(now, busyIdx)
+	for _, i := range busyIdx {
+		if err := s.results[i].err; err != nil {
+			s.fail(fmt.Errorf("sched: node %s window %d: %w", s.nodes[i].node.Name, s.window, err))
+			return
 		}
 	}
 	s.obsEpisodes(now, busyIdx)
 	s.episodes += ws.Busy
 
 	// Fault events due in the elapsed window mutate cluster state here, on
-	// the coordinator, after the merge barrier — the same serial section on
-	// both execution paths, so fault-injected runs stay shard-invariant.
+	// the coordinator, after the merge barrier — a serial section, so
+	// fault-injected runs stay shard-invariant.
 	s.applyFaults(now)
 
 	// A node with no residents — idle all window, or just emptied by the
@@ -840,7 +788,7 @@ func (s *run) simulateWindow(now sim.Time) {
 // any early-finish remainder), idle active nodes the draw of their service
 // riding alone, parked nodes the suspend floor, waking nodes the idle floor
 // while they resume. Per-node sums accrue in node order, so totals stay
-// byte-deterministic regardless of worker count.
+// byte-deterministic regardless of shard count.
 func (s *run) accountWindow(now sim.Time, results []episode, busyIdx []int) {
 	if s.cfg.Energy == nil {
 		return

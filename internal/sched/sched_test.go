@@ -156,40 +156,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolInvariance proves parallel node simulation cannot perturb
-// results: one worker and many workers produce deeply equal outcomes.
-func TestWorkerPoolInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run comparison; skipped in -short")
-	}
-	seq := fastConfig(TelemetryAware{})
-	seq.Workers = 1
-	par := fastConfig(TelemetryAware{})
-	par.Workers = 8
-	a, err := Run(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("worker count changed results")
-	}
-}
-
-func TestNegativeWorkersRunsSerially(t *testing.T) {
-	// Workers < 0 has always meant the serial path; it must not panic on the
-	// per-worker scratch allocation.
-	cfg := fastConfig(FirstFit{})
-	cfg.Horizon = 20 * sim.Second
-	cfg.Workers = -1
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestArrivalOverrideAndJobNames(t *testing.T) {
 	cfg := fastConfig(FirstFit{})
 	cfg.Arrivals = workload.Uniform{QPS: 0.2}

@@ -1,25 +1,20 @@
-// Sharded multi-engine runtime: the scaling path for 100+-node clusters.
+// Shard runtime: the one execution path for a window's node episodes.
 //
-// The single-engine scheduler advances one cluster-horizon clock and fans
-// node episodes out to a per-window worker pool; everything between episodes
-// — completion folds, telemetry roll-ups — is serial. Sharded runs instead
-// partition the nodes round-robin into S shards, each owning a sim.Engine
-// clock (allocated as a sim.EngineGroup) and a colocate.Scratch, driven by a
-// persistent goroutine. Every scheduling window, all shard clocks advance
-// from the window start to its boundary concurrently: a shard schedules one
-// typed event per owned busy node at the window-start instant and runs its
-// engine to the boundary, so episodes within a shard execute in ascending
-// node order off the engine's FIFO tiebreak, and each fold touches only
+// The nodes are partitioned round-robin into S shards (Config.Shards), each
+// owning a colocate.Scratch. Every scheduling window, the coordinator hands
+// each shard its busy nodes; shards 1..S-1 run on persistent goroutines
+// while the coordinator runs shard 0 itself, so S = 1 is a plain serial loop
+// with no goroutine at all. A shard runs its nodes' episodes in ascending
+// node order and folds each one straight away; every fold touches only
 // shard-owned node and job state.
 //
 // At the window boundary the coordinator imposes a deterministic barrier:
 // per-shard telemetry roll-ups merge in fixed shard order (order-insensitive
 // by construction, see cluster.WindowStats), and the energy ledger,
 // lifecycle machine, autoscaler verdicts, and pending-job placement all run
-// serially over the merged snapshot in global node order — the same order
-// the single-engine path uses. Sharding therefore changes where episode work
-// executes, never what is computed: results are byte-identical for any shard
-// count, which the golden tests pin.
+// serially over the merged snapshot in global node order. Sharding therefore
+// changes where episode work executes, never what is computed: results are
+// byte-identical for any shard count, which the golden tests pin.
 package sched
 
 import (
@@ -32,11 +27,15 @@ import (
 	"github.com/approx-sched/pliant/internal/sim"
 )
 
-// shardGroup coordinates the per-shard engine runtimes of one run.
+// shardGroup coordinates the shards of one run.
 type shardGroup struct {
 	s      *run
 	shards []*shardRT
 	wg     sync.WaitGroup
+
+	// winStart is the current window's start in seconds, set by the
+	// coordinator before the shards run.
+	winStart float64
 
 	// prof is the run's wall-clock profiler (nil with obs off). Shards
 	// charge their own episode time concurrently; barrier waits are charged
@@ -45,57 +44,54 @@ type shardGroup struct {
 	prof *obs.Profiler
 }
 
-// shardRT is one shard: a partition of the cluster's nodes advancing on its
-// own engine clock, on its own goroutine.
+// shardRT is one shard: a partition of the cluster's nodes, run by the
+// coordinator (shard 0) or by its own goroutine (every other shard).
 type shardRT struct {
 	g       *shardGroup
 	id      int
-	eng     *sim.Engine
 	scratch *colocate.Scratch
 
-	// Per-window request and outputs. winStart and busy are set by the
-	// coordinator before the window broadcast; ws accumulates the shard's
-	// fold roll-up and is read by the coordinator after the barrier.
-	winStart float64
-	busy     []int
-	ws       cluster.WindowStats
+	// Per-window request and outputs. busy is set by the coordinator
+	// before the window starts; ws accumulates the shard's fold roll-up and
+	// is read by the coordinator after the barrier.
+	busy []int
+	ws   cluster.WindowStats
 
 	// busyNs is the shard's wall time running this window's episodes,
-	// written by the shard goroutine and read by the coordinator after the
-	// barrier (ordered by the WaitGroup). Only maintained when profiling.
+	// read by the coordinator after the barrier (ordered by the WaitGroup).
+	// Only maintained when profiling.
 	busyNs int64
 
-	req chan sim.Time // window-boundary instants; closed on shutdown
+	req chan struct{} // window requests; closed on shutdown (nil for shard 0)
 }
 
 // newShardGroup partitions the run's nodes into shards (node i belongs to
-// shard i mod shards) and starts one goroutine per shard.
+// shard i mod shards) and starts one goroutine per shard after the first.
 func newShardGroup(s *run, shards int) *shardGroup {
 	g := &shardGroup{s: s}
 	if s.cfg.Obs != nil {
 		g.prof = s.cfg.Obs.Profile
 	}
-	engines := sim.NewEngineGroup(shards)
 	for i := 0; i < shards; i++ {
-		sh := &shardRT{
-			g:       g,
-			id:      i,
-			eng:     engines.Engine(i),
-			scratch: &colocate.Scratch{},
-			req:     make(chan sim.Time),
-		}
+		sh := &shardRT{g: g, id: i, scratch: &colocate.Scratch{}}
 		g.shards = append(g.shards, sh)
-		go sh.loop()
+		if i > 0 {
+			sh.req = make(chan struct{})
+			go sh.loop()
+		}
 	}
 	return g
 }
 
-// close shuts the shard goroutines down. The group must not be advanced
-// afterwards.
+// close shuts the shard goroutines down and returns once they have left
+// their loops. The group must not be advanced afterwards.
 func (g *shardGroup) close() {
-	for _, sh := range g.shards {
+	others := g.shards[1:]
+	g.wg.Add(len(others))
+	for _, sh := range others {
 		close(sh.req)
 	}
+	g.wg.Wait()
 }
 
 // advance runs the window ending at now on every shard concurrently and
@@ -105,9 +101,8 @@ func (g *shardGroup) close() {
 // inside the owning shard. Callers must scan results for episode errors
 // after the merge.
 func (g *shardGroup) advance(now sim.Time, busyIdx []int) cluster.WindowStats {
-	winStart := now.Seconds() - g.s.cfg.Epoch.Seconds()
+	g.winStart = now.Seconds() - g.s.cfg.Epoch.Seconds()
 	for _, sh := range g.shards {
-		sh.winStart = winStart
 		sh.busy = sh.busy[:0]
 	}
 	for _, i := range busyIdx {
@@ -118,10 +113,12 @@ func (g *shardGroup) advance(now sim.Time, busyIdx []int) cluster.WindowStats {
 	if g.prof != nil {
 		t0 = time.Now() //pliant:allow wallclock — profiler measures the real barrier span for obs; never feeds sim state
 	}
-	g.wg.Add(len(g.shards))
-	for _, sh := range g.shards {
-		sh.req <- now
+	others := g.shards[1:]
+	g.wg.Add(len(others))
+	for _, sh := range others {
+		sh.req <- struct{}{}
 	}
+	g.shards[0].window()
 	g.wg.Wait()
 	if g.prof != nil {
 		// The barrier spans the slowest shard; every other shard's idle
@@ -140,50 +137,36 @@ func (g *shardGroup) advance(now sim.Time, busyIdx []int) cluster.WindowStats {
 	return ws
 }
 
-// loop is the shard goroutine: one window advance per request.
+// loop is a shard goroutine: one window per request, then one final Done
+// for close.
 func (sh *shardRT) loop() {
-	for now := range sh.req {
-		sh.window(now)
+	for range sh.req {
+		sh.window()
 		sh.g.wg.Done()
 	}
+	sh.g.wg.Done()
 }
 
-// window advances the shard's engine clock through one scheduling window:
-// every owned busy node's episode is scheduled at the window-start instant
-// and the engine runs to the boundary, leaving the shard clock aligned with
-// the cluster horizon. Today this is equivalent to a plain ascending loop
-// over sh.busy (every event carries the same timestamp, and the typed-event
-// path allocates nothing in steady state); the engine is kept as the
-// shard's dispatcher because the ROADMAP's multi-window pipelining
-// follow-on runs shard clocks ahead of the barrier, which needs real
-// per-shard time.
-func (sh *shardRT) window(now sim.Time) {
+// window runs and folds every owned busy node's episode in ascending node
+// order. Episode errors are left in the results slot for the coordinator's
+// in-node-order scan.
+func (sh *shardRT) window() {
 	prof := sh.g.prof
 	var t0 time.Time
 	if prof != nil {
 		t0 = time.Now() //pliant:allow wallclock — profiler measures real shard-window runtime for obs; never feeds sim state
 	}
 	sh.ws = cluster.WindowStats{}
-	start := now.Add(-sh.g.s.cfg.Epoch)
+	s, winStart := sh.g.s, sh.g.winStart
 	for _, i := range sh.busy {
-		sh.eng.ScheduleTyped(start, sh, uint64(i))
+		s.results[i] = s.runEpisode(i, winStart, sh.scratch)
+		if ep := &s.results[i]; ep.err == nil {
+			s.foldEpisode(i, ep, winStart, &sh.ws)
+		}
 	}
-	sh.eng.Run(now)
 	if prof != nil {
 		//pliant:allow wallclock — closes the profiler span opened above; obs-only measurement
 		sh.busyNs = time.Since(t0).Nanoseconds()
 		prof.AddEpisode(sh.id, len(sh.busy), sh.busyNs)
-	}
-}
-
-// OnEvent implements sim.EventHandler: one owned node's episode, run and
-// folded shard-locally. Episode errors are left in the results slot for the
-// coordinator's in-node-order scan.
-func (sh *shardRT) OnEvent(_ sim.Time, arg uint64) {
-	i := int(arg)
-	s := sh.g.s
-	s.results[i] = s.runEpisode(i, sh.winStart, sh.scratch)
-	if ep := &s.results[i]; ep.err == nil {
-		s.foldEpisode(i, ep, sh.winStart, &sh.ws)
 	}
 }

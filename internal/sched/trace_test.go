@@ -78,12 +78,13 @@ func TestJobsFromTrace(t *testing.T) {
 
 // TestSchedTraceReplay runs the scheduler on a replayed trace: every trace
 // job whose instant falls inside the horizon arrives exactly once, the run
-// is deterministic, and the sharded path reproduces the single-engine bytes.
+// is deterministic, and a two-shard run reproduces the one-shard bytes.
 func TestSchedTraceReplay(t *testing.T) {
 	tr := testTrace(t, 12, 50)
 	cfg := fastConfig(TelemetryAware{})
 	cfg.JobsPerSec = 0
 	cfg.Trace = tr
+	cfg.Shards = 1
 
 	res, err := Run(cfg)
 	if err != nil {
@@ -124,7 +125,7 @@ func TestSchedTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Jobs, sres.Jobs) || res.QoSMetFrac != sres.QoSMetFrac {
-		t.Error("sharded trace replay diverges from single-engine")
+		t.Error("two-shard trace replay diverges from one shard")
 	}
 }
 

@@ -412,6 +412,56 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBounds pins the submission decoder: a body past the 1 MiB
+// bound answers 413, an unknown field 400, and a normal batch still 202.
+func TestSubmitBodyBounds(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	sp := Spec{SubmitOnly: true, HorizonSec: 60, EpochSec: 12, TimeScale: 16, PaceMS: 100}
+	body, _ := json.Marshal(sp)
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st SessionStatus
+	json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	defer func() {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+st.ID, nil)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+
+	submit := func(payload []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+st.ID+"/jobs", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	name := app.Names()[0]
+	huge := make([]string, maxSubmitBytes/len(name)+1)
+	for i := range huge {
+		huge[i] = name
+	}
+	oversized, _ := json.Marshal(map[string][]string{"jobs": huge})
+	if code := submit(oversized); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: status %d, want 413", len(oversized), code)
+	}
+	if code := submit([]byte(`{"jobs":["` + name + `"],"priority":9}`)); code != http.StatusBadRequest {
+		t.Errorf("unknown field: status %d, want 400", code)
+	}
+	if code := submit([]byte(`{"jobs":["` + name + `"]}`)); code != http.StatusAccepted {
+		t.Errorf("normal submit: status %d, want 202", code)
+	}
+}
+
 // TestShadowReplayLibrary drives the non-HTTP shadow helper and checks the
 // verdict diffs are populated.
 func TestShadowReplayLibrary(t *testing.T) {

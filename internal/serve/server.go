@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -103,7 +104,7 @@ func (m *serverMetrics) writeProm(w io.Writer) error {
 //	GET    /v1/sessions                  list session statuses
 //	GET    /v1/sessions/{id}             one session's status
 //	DELETE /v1/sessions/{id}             stop (finalize truncated) a session
-//	POST   /v1/sessions/{id}/jobs        submit {"jobs":[names]} (429 when full)
+//	POST   /v1/sessions/{id}/jobs        submit {"jobs":[names]} (≤ 1 MiB; 429 when full)
 //	GET    /v1/sessions/{id}/events      Server-Sent Events stream
 //	GET    /v1/sessions/{id}/verdicts    per-window shadow verdicts
 //	GET    /v1/sessions/{id}/result      finalized result JSON (?policy=)
@@ -346,13 +347,25 @@ type submitBody struct {
 	Jobs []string `json:"jobs"`
 }
 
-// handleSubmit validates the batch against the catalog (400), then offers it
-// to the ingest queue: 202 accepted, 429 + Retry-After when the queue is
-// full, 409 when the session stopped accepting.
+// maxSubmitBytes bounds a POST .../jobs body. A batch of catalog names is a
+// few kilobytes; the bound keeps one request from buffering without limit.
+const maxSubmitBytes = 1 << 20
+
+// handleSubmit validates the batch against the catalog (400; 413 past
+// maxSubmitBytes), then offers it to the ingest queue: 202 accepted, 429 +
+// Retry-After when the queue is full, 409 when the session stopped
+// accepting.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var body submitBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad body: %v", err))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Sprintf("bad body: %v", err))
 		return
 	}
 	if len(body.Jobs) == 0 {

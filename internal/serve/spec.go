@@ -71,9 +71,8 @@ type Spec struct {
 	PeriodSec float64 `json:"period_sec,omitempty"`
 	Peak      float64 `json:"peak,omitempty"`
 
-	// TimeScale, Workers, Shards as the flags of the same names.
+	// TimeScale, Shards as the flags of the same names.
 	TimeScale float64 `json:"timescale,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
 	Shards    int     `json:"shards,omitempty"`
 
 	// Jobs cycles the catalog apps jobs draw from (default: seed-shuffled
@@ -244,7 +243,6 @@ func (sp Spec) Resolve() (Resolved, error) {
 		BaseLoad:   load,
 		Shape:      ls,
 		TimeScale:  scale,
-		Workers:    sp.Workers,
 		Shards:     sp.Shards,
 		JobNames:   sp.Jobs,
 	}
