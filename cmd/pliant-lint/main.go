@@ -2,24 +2,24 @@
 // analyzers (internal/lint) over Go packages and reports violations as
 // "file:line: [rule] message" lines (paths relative to the module root).
 //
-// The suite enforces the reproducibility contract as a source property.
-// Four syntactic rules: no wall-clock reads in virtual-time packages
+// The suite enforces the reproducibility contract as a source property,
+// one package at a time: no wall-clock reads in virtual-time packages
 // (wallclock), no global math/rand in internal/ (unseededrand), no
-// map-iteration order leaking into ordered output (maporder), and no
-// goroutines outside the sanctioned concurrency files (spawn). Four
-// dataflow rules over the two-phase fact engine: seed provenance
-// (seedflow), shard state ownership (sharedstate), float summation order
-// (floatorder), and the //pliant:hotpath allocation gate (hotpathalloc).
-// Findings are suppressed in place with reasoned
-// "//pliant:allow <rule> — reason" comments.
+// map-iteration order leaking into ordered output or float sums
+// (maporder), no goroutines outside the sanctioned concurrency files
+// (spawn), every RNG seed derived from a Seed-named value (seedflow), and
+// no allocation-forcing constructs in //pliant:hotpath functions
+// (hotpathalloc). Shard-state ownership is the race detector's job, not
+// this tool's. Findings are suppressed in place with reasoned
+// "//pliant:allow <rule> — reason" comments; an allow naming a rule that is
+// not in the catalog is itself a finding.
 //
 // Usage:
 //
 //	pliant-lint ./...                        # whole module (testdata skipped)
 //	pliant-lint ./internal/sched ./internal/sim
-//	pliant-lint -rules seedflow,sharedstate ./...
+//	pliant-lint -rules seedflow,hotpathalloc ./...
 //	pliant-lint -json ./... > lint.json      # sorted diagnostics + hotpath set
-//	pliant-lint -facts-debug ./internal/sched
 //	pliant-lint -catalog                     # print the rule catalog
 //
 // Exit status: 0 clean, 1 diagnostics found, 2 usage or load error.
@@ -41,7 +41,6 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit diagnostics as JSON")
 		ruleList    = flag.String("rules", "", "comma-separated rule names to run (default: all)")
 		catalog     = flag.Bool("catalog", false, "print the rule catalog and exit")
-		factsDebug  = flag.Bool("facts-debug", false, "dump the computed fact set instead of linting")
 		showVersion = flag.Bool("version", false, "print the build identity and exit")
 	)
 	flag.Parse()
@@ -103,13 +102,7 @@ func main() {
 		fatal(err)
 	}
 
-	facts := lint.ComputeFacts(pkgs)
-	if *factsDebug {
-		facts.DebugDump(os.Stdout)
-		return
-	}
-
-	diags := lint.RunWithFacts(pkgs, rules, facts)
+	diags := lint.Run(pkgs, rules)
 	if diags == nil {
 		diags = []lint.Diagnostic{} // a clean tree renders as [], not null
 	}
@@ -125,7 +118,7 @@ func main() {
 			Rules       []string          `json:"rules"`
 			Hotpaths    []string          `json:"hotpaths"`
 			Diagnostics []lint.Diagnostic `json:"diagnostics"`
-		}{len(pkgs), names, facts.Hotpaths(), diags}); err != nil {
+		}{len(pkgs), names, lint.Hotpaths(pkgs), diags}); err != nil {
 			fatal(err)
 		}
 	} else {

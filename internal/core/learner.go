@@ -119,7 +119,6 @@ func (p *LearnerPolicy) arm(app, variant int) *armEstimate {
 	a, ok := m[variant]
 	if !ok {
 		a = &armEstimate{}
-		//pliant:allow sharedstate — p.q is policy-instance state: each scenario constructs its own LearnerPolicy and drives it from its own event loop
 		m[variant] = a
 	}
 	return a

@@ -38,7 +38,6 @@ func VariantsFor(prof app.Profile) ([]approx.Effect, error) {
 		return nil, fmt.Errorf("dse: %s has no viable approximate variants", prof.Name)
 	}
 	v := res.Variants()
-	//pliant:allow sharedstate — guarded by variantsMu; the memo is deterministic per profile name, so any winner writes the same value
 	variantsCache[prof.Name] = v
 	return append([]approx.Effect(nil), v...), nil
 }

@@ -4,15 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 )
 
 // ruleHotpathAlloc is the source-level half of the zero-allocation gate.
 // Functions annotated //pliant:hotpath are the proven 0-alloc paths — the
 // sim typed-event dispatch, the stats histogram Record, cluster.Telemetry.
 // Observe, the energy accumulator, the service request path — each pinned
-// at runtime by a testing.AllocsPerRun test. The runtime pins catch a
-// regression after it lands; this rule flags the allocation-forcing
-// constructs themselves, at the line that introduces them:
+// at runtime by a testing.AllocsPerRun test. The pins cannot see amortized
+// growth: AllocsPerRun divides total allocations by runs as integers, so a
+// growing append that allocates 11 times over 1000 runs reads as 0 and the
+// pin passes. This rule flags the allocation-forcing constructs themselves,
+// at the line that introduces them, whether they allocate every call or
+// once in a hundred:
 //
 //   - make/new and slice/map composite literals (always allocate when they
 //     escape, and a hot path should not be constructing containers at all);
@@ -23,10 +28,18 @@ import (
 //   - fmt.* calls (interface boxing allocates even when the verb doesn't);
 //   - function literals (closures allocate their capture records).
 //
-// A construct the compiler provably keeps on the stack can carry a
-// reasoned //pliant:allow hotpathalloc; the AllocsPerRun pin remains the
-// ground truth either way.
+// A construct the compiler provably keeps on the stack, or a cap-guarded
+// append that never grows, can carry a reasoned //pliant:allow
+// hotpathalloc. The pins and the rule cover each other: the pin catches
+// per-call allocations the rule's grammar misses (escape through an
+// interface, a callee that allocates), the rule catches amortized growth
+// the pin truncates to zero.
 type ruleHotpathAlloc struct{}
+
+// hotpathDirective is the annotation marking a function as a proven
+// zero-allocation path; the rule gates its body and Hotpaths reports the
+// annotated set.
+const hotpathDirective = "pliant:hotpath"
 
 func (ruleHotpathAlloc) Name() string { return "hotpathalloc" }
 
@@ -52,6 +65,59 @@ func (ruleHotpathAlloc) Check(p *Package) []Diagnostic {
 		}
 	}
 	return out
+}
+
+// Hotpaths returns the sorted keys ("pkgpath.Func" or "pkgpath.Type.Method")
+// of every //pliant:hotpath-annotated function in pkgs: the set the CLI's
+// -json report publishes and CI asserts is non-empty.
+func Hotpaths(pkgs []*Package) []string {
+	out := []string{} // never nil: -json renders an empty set as [], not null
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || !hasHotpathDirective(fd.Doc) {
+					continue
+				}
+				key := p.Path + "."
+				if fd.Recv != nil && len(fd.Recv.List) > 0 {
+					key += recvTypeName(fd.Recv.List[0].Type) + "."
+				}
+				out = append(out, key+fd.Name.Name)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// hasHotpathDirective reports whether the doc group carries
+// //pliant:hotpath. Directive comments are read raw (CommentGroup.Text
+// strips them).
+func hasHotpathDirective(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, cmt := range doc.List {
+		text := strings.TrimSpace(strings.TrimPrefix(cmt.Text, "//"))
+		if strings.HasPrefix(text, hotpathDirective) {
+			return true
+		}
+	}
+	return false
+}
+
+// recvTypeName names a method receiver's base type: T for T, *T, and T[P].
+func recvTypeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return recvTypeName(e.X)
+	case *ast.Ident:
+		return e.Name
+	case *ast.IndexExpr: // generic receiver
+		return recvTypeName(e.X)
+	}
+	return "?"
 }
 
 func (p *Package) checkHotpathBody(f *ast.File, fd *ast.FuncDecl) []Diagnostic {

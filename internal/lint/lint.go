@@ -14,15 +14,12 @@
 // path (see Rule.Applies); diagnostics render as "file:line: [rule]
 // message" with paths relative to the module root.
 //
-// Analysis runs in two phases. Phase 1 computes per-package facts — the
-// function-level call graph, goroutine spawn sites, //pliant:hotpath
-// annotations — in parallel across packages (see facts.go). Phase 2
-// propagates cross-package facts (the shard-parallel function set) over the
-// fact cache, then applies the rules: syntactic rules see one package at a
-// time, dataflow rules (FactRule) additionally see the propagated FactSet.
-// Packages are checked concurrently and findings land in per-package slots,
-// so one total sort at the end makes output order independent of both walk
-// and scheduling order.
+// Analysis is one phase: every rule sees one package at a time. Packages
+// are checked concurrently and findings land in per-package slots, so one
+// total sort at the end makes output order independent of both walk and
+// scheduling order. Shard-state ownership is deliberately not a lint
+// property: the race detector over the short suite and the sharded goldens
+// catches every planted ownership bug (DESIGN.md §17).
 //
 // A finding can be suppressed in place with a reasoned comment:
 //
@@ -72,16 +69,7 @@ type Rule interface {
 	Check(p *Package) []Diagnostic
 }
 
-// FactRule is a dataflow rule: it consumes the propagated cross-package
-// FactSet in addition to the package under check. Its plain Check method is
-// never called by the runner (implementations return nil from it).
-type FactRule interface {
-	Rule
-	CheckFacts(p *Package, fs *FactSet) []Diagnostic
-}
-
-// DefaultRules returns the full analyzer suite in catalog order: the four
-// syntactic rules first, then the four dataflow rules.
+// DefaultRules returns the full analyzer suite in catalog order.
 func DefaultRules() []Rule {
 	return []Rule{
 		ruleWallclock{},
@@ -89,23 +77,16 @@ func DefaultRules() []Rule {
 		ruleMapOrder{},
 		ruleSpawn{},
 		ruleSeedflow{},
-		ruleSharedState{},
-		ruleFloatOrder{},
 		ruleHotpathAlloc{},
 	}
 }
 
-// Run computes facts over pkgs and applies rules: see RunWithFacts.
+// Run applies rules to every package, drops findings suppressed by
+// //pliant:allow comments, adds diagnostics for malformed or stale
+// suppression comments, and returns the remainder sorted by file, line,
+// column, rule. Packages are checked concurrently; the total sort makes the
+// output independent of scheduling order.
 func Run(pkgs []*Package, rules []Rule) []Diagnostic {
-	return RunWithFacts(pkgs, rules, ComputeFacts(pkgs))
-}
-
-// RunWithFacts applies rules to every package against a precomputed fact
-// set, drops findings suppressed by //pliant:allow comments, adds
-// diagnostics for malformed suppression comments, and returns the remainder
-// sorted by file, line, column, rule. Packages are checked concurrently;
-// the total sort makes the output independent of scheduling order.
-func RunWithFacts(pkgs []*Package, rules []Rule, fs *FactSet) []Diagnostic {
 	perPkg := make([][]Diagnostic, len(pkgs))
 	var wg sync.WaitGroup
 	for i, p := range pkgs {
@@ -113,7 +94,7 @@ func RunWithFacts(pkgs []*Package, rules []Rule, fs *FactSet) []Diagnostic {
 		//pliant:allow spawn — analyzer fan-out: per-package findings land in disjoint slots and merge after the wait
 		go func(i int, p *Package) {
 			defer wg.Done()
-			perPkg[i] = checkPackage(p, rules, fs)
+			perPkg[i] = checkPackage(p, rules)
 		}(i, p)
 	}
 	wg.Wait()
@@ -143,7 +124,7 @@ func RunWithFacts(pkgs []*Package, rules []Rule, fs *FactSet) []Diagnostic {
 
 // checkPackage runs every in-scope rule over one package and filters its
 // findings through the package's //pliant:allow comments.
-func checkPackage(p *Package, rules []Rule, fs *FactSet) []Diagnostic {
+func checkPackage(p *Package, rules []Rule) []Diagnostic {
 	var out []Diagnostic
 	allows := collectAllows(p)
 	for _, a := range allows {
@@ -153,19 +134,24 @@ func checkPackage(p *Package, rules []Rule, fs *FactSet) []Diagnostic {
 				Rule:    "allow",
 				Message: a.Malformed,
 			})
+			continue
+		}
+		for _, name := range a.Rules {
+			if !inCatalog(name) {
+				out = append(out, Diagnostic{
+					File: a.File, Line: a.Line, Col: a.Col,
+					Rule: "allow",
+					Message: fmt.Sprintf("pliant:allow names %q, which is not a rule in the catalog; "+
+						"a stale suppression guards nothing — delete it (see -catalog)", name),
+				})
+			}
 		}
 	}
 	for _, r := range rules {
 		if !r.Applies(p.Path) {
 			continue
 		}
-		var diags []Diagnostic
-		if fr, ok := r.(FactRule); ok {
-			diags = fr.CheckFacts(p, fs)
-		} else {
-			diags = r.Check(p)
-		}
-		for _, d := range diags {
+		for _, d := range r.Check(p) {
 			if suppressed(allows, d) {
 				continue
 			}
@@ -173,4 +159,16 @@ func checkPackage(p *Package, rules []Rule, fs *FactSet) []Diagnostic {
 		}
 	}
 	return out
+}
+
+// inCatalog reports whether name is a rule in DefaultRules. Allows are
+// checked against the whole catalog, not the rules selected for this run,
+// so a valid wallclock allow stays quiet under -rules seedflow.
+func inCatalog(name string) bool {
+	for _, r := range DefaultRules() {
+		if r.Name() == name {
+			return true
+		}
+	}
+	return false
 }

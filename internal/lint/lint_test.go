@@ -144,8 +144,6 @@ func TestMapOrderFixture(t *testing.T)     { checkFixture(t, "testdata/maporder/
 func TestSpawnFixture(t *testing.T)        { checkFixture(t, "testdata/spawn/pump") }
 func TestAllowFixture(t *testing.T)        { checkFixture(t, "testdata/allow/sim") }
 func TestSeedflowFixture(t *testing.T)     { checkFixture(t, "testdata/seedflow/gen") }
-func TestSharedStateFixture(t *testing.T)  { checkFixture(t, "testdata/sharedstate/shard") }
-func TestFloatOrderFixture(t *testing.T)   { checkFixture(t, "testdata/floatorder/obs") }
 func TestHotpathAllocFixture(t *testing.T) { checkFixture(t, "testdata/hotpathalloc/hot") }
 
 // fixtureDirs lists every leaf fixture package under testdata.
@@ -184,26 +182,16 @@ func TestFixturePackagesAreDirty(t *testing.T) {
 	}
 }
 
-// TestWallclockDiagnosticPosition pins the exact file:line of the planted
-// time.Now in the wallclock fixture, so diagnostic positions cannot
-// silently drift (the fixture and this constant must move together).
-func TestWallclockDiagnosticPosition(t *testing.T) {
-	const (
-		wantFile = "internal/lint/testdata/wallclock/sim/clock.go"
-		wantLine = 13 // the `t0 := time.Now()` plant in Stamp
-	)
-	for _, d := range lintDirs(t, "testdata/wallclock/sim") {
-		if d.File == wantFile && d.Line == wantLine && d.Rule == "wallclock" &&
-			strings.Contains(d.Message, "time.Now") {
-			return
-		}
-	}
-	t.Fatalf("no wallclock diagnostic for the planted time.Now at %s:%d", wantFile, wantLine)
+// positionDirs are the fixture packages the position pins and the
+// ordering pin lint together.
+var positionDirs = []string{
+	"testdata/wallclock/sim", "testdata/maporder/sched",
+	"testdata/seedflow/gen", "testdata/hotpathalloc/hot",
 }
 
-// positionPin pins the exact file:line of one planted violation per
-// dataflow rule, matching the wallclock convention: the fixture and the pin
-// must move together, so diagnostic positions cannot silently drift.
+// positionPin pins the exact file:line of one planted violation: the
+// fixture and the pin must move together, so diagnostic positions cannot
+// silently drift.
 type positionPin struct {
 	rule     string
 	file     string
@@ -211,18 +199,9 @@ type positionPin struct {
 	contains string
 }
 
-func TestDataflowDiagnosticPositions(t *testing.T) {
-	pins := []positionPin{
-		{"seedflow", "internal/lint/testdata/seedflow/gen/gen.go", 47, "rand.New"},
-		{"sharedstate", "internal/lint/testdata/sharedstate/shard/shard.go", 60, "package-level"},
-		{"floatorder", "internal/lint/testdata/floatorder/obs/obs.go", 15, "map-iteration"},
-		{"hotpathalloc", "internal/lint/testdata/hotpathalloc/hot/hot.go", 41, "fmt"},
-	}
-	dirs := []string{
-		"testdata/seedflow/gen", "testdata/sharedstate/shard",
-		"testdata/floatorder/obs", "testdata/hotpathalloc/hot",
-	}
-	diags := lintDirs(t, dirs...)
+// checkPins reports every pin with no matching diagnostic in diags.
+func checkPins(t *testing.T, diags []lint.Diagnostic, pins []positionPin) {
+	t.Helper()
 	for _, pin := range pins {
 		found := false
 		for _, d := range diags {
@@ -238,6 +217,25 @@ func TestDataflowDiagnosticPositions(t *testing.T) {
 	}
 }
 
+// TestWallclockDiagnosticPosition pins the exact file:line of the planted
+// time.Now in the wallclock fixture.
+func TestWallclockDiagnosticPosition(t *testing.T) {
+	checkPins(t, lintDirs(t, "testdata/wallclock/sim"), []positionPin{
+		{"wallclock", "internal/lint/testdata/wallclock/sim/clock.go", 13, "time.Now"},
+	})
+}
+
+// TestDataflowDiagnosticPositions pins one planted violation per rule that
+// follows values past a single call: map-order float accumulation, seed
+// flow and hot-path allocation.
+func TestDataflowDiagnosticPositions(t *testing.T) {
+	checkPins(t, lintDirs(t, positionDirs...), []positionPin{
+		{"maporder", "internal/lint/testdata/maporder/sched/floatsum.go", 9, "float accumulation"},
+		{"seedflow", "internal/lint/testdata/seedflow/gen/gen.go", 47, "rand.New"},
+		{"hotpathalloc", "internal/lint/testdata/hotpathalloc/hot/hot.go", 41, "fmt"},
+	})
+}
+
 // TestFindingsSortedAndOrderIndependent pins the output ordering contract:
 // packages parse and check in parallel, so the runner's total (file, line,
 // col, rule, message) sort is the only thing standing between pliant-lint
@@ -245,14 +243,10 @@ func TestDataflowDiagnosticPositions(t *testing.T) {
 // argument order must produce byte-identical findings, and the findings
 // must actually be sorted.
 func TestFindingsSortedAndOrderIndependent(t *testing.T) {
-	dirs := []string{
-		"testdata/seedflow/gen", "testdata/sharedstate/shard",
-		"testdata/floatorder/obs", "testdata/hotpathalloc/hot",
-	}
-	fwd := lintDirs(t, dirs...)
-	rev := make([]string, len(dirs))
-	for i, d := range dirs {
-		rev[len(dirs)-1-i] = d
+	fwd := lintDirs(t, positionDirs...)
+	rev := make([]string, len(positionDirs))
+	for i, d := range positionDirs {
+		rev[len(positionDirs)-1-i] = d
 	}
 	bwd := lintDirs(t, rev...)
 	if !reflect.DeepEqual(fwd, bwd) {
@@ -272,12 +266,10 @@ func TestFindingsSortedAndOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestDefaultRuleCatalog pins the suite's composition and order: four
-// syntactic rules, then the four dataflow rules.
+// TestDefaultRuleCatalog pins the suite's composition and order.
 func TestDefaultRuleCatalog(t *testing.T) {
 	want := []string{
-		"wallclock", "unseededrand", "maporder", "spawn",
-		"seedflow", "sharedstate", "floatorder", "hotpathalloc",
+		"wallclock", "unseededrand", "maporder", "spawn", "seedflow", "hotpathalloc",
 	}
 	rules := lint.DefaultRules()
 	if len(rules) != len(want) {
@@ -301,8 +293,7 @@ func TestHotpathAnnotationSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := lint.ComputeFacts(loadDirs(t, dirs...))
-	hot := fs.Hotpaths()
+	hot := lint.Hotpaths(loadDirs(t, dirs...))
 	if len(hot) < 5 {
 		t.Fatalf("repo has %d //pliant:hotpath annotations (%v), want at least 5", len(hot), hot)
 	}
@@ -342,14 +333,13 @@ func TestRuleScoping(t *testing.T) {
 		{"maporder", mod + "/internal/export", true},
 		{"maporder", mod + "/internal/obs", true},
 		{"maporder", mod + "/internal/app", false},
+		{"maporder", mod + "/internal/stats", false},
 		{"spawn", mod + "/internal/cluster", true},
 		{"spawn", mod + "/cmd/pliant-served", false},
 		{"seedflow", mod + "/internal/fault", true},
 		{"seedflow", mod + "/cmd/pliant-run", false},
-		{"sharedstate", mod + "/internal/sched", true},
-		{"sharedstate", mod + "/examples/cluster", false},
-		{"floatorder", mod + "/internal/stats", true},
-		{"floatorder", mod + "/cmd/pliant-bench", false},
+		{"seedflow", mod + "/internal/sched", true},
+		{"seedflow", mod + "/examples/cluster", false},
 		{"hotpathalloc", mod + "/internal/sim", true},
 		{"hotpathalloc", mod + "/cmd/pliant-sched", false},
 	}

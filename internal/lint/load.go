@@ -433,6 +433,18 @@ func (p *Package) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
+// unparen strips parentheses. (ast.Unparen postdates this module's language
+// version.)
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
 // pathSegments splits an import path into its elements.
 func pathSegments(path string) []string {
 	return strings.Split(path, "/")

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -19,24 +20,27 @@ var emitPrefixes = []string{"emit", "export", "write", "print", "fprint", "encod
 
 // ruleMapOrder flags `range` over a map in deterministic packages when the
 // loop body leaks iteration order into something ordered: appending to a
-// slice, writing a slice element, accumulating a string, or calling an
-// emit/export/write function. Map iteration order is deliberately
-// randomized per process, so any of these turns a pinned golden into a
-// coin flip.
+// slice, writing a slice element, accumulating a string or a float, or
+// calling an emit/export/write function. Map iteration order is
+// deliberately randomized per process, so any of these turns a pinned
+// golden into a coin flip. Float accumulation is a sink like the others:
+// float addition does not associate, so `sum += v` over a map produces
+// different last bits from process to process.
 //
 // Two shapes stay legal because they are order-independent or are the
 // sanctioned fix itself: writes keyed back into a map
 // (m2[k] = append(m2[k], v) builds per-key state, not a sequence), and the
 // canonical collect-then-sort idiom — a loop whose entire body appends only
-// the key to a slice, in a function that also sorts.
+// the key to a slice, in a function that also sorts. Integer sums stay
+// legal too: integer addition associates.
 type ruleMapOrder struct{}
 
 func (ruleMapOrder) Name() string { return "maporder" }
 
 func (ruleMapOrder) Doc() string {
 	return "no range over a map that feeds ordered output (append, slice " +
-		"write, string accumulation, emit/export calls) in deterministic " +
-		"packages; collect keys and sort first"
+		"write, string or float accumulation, emit/export calls) in " +
+		"deterministic packages; collect keys and sort first"
 }
 
 func (ruleMapOrder) Applies(pkgPath string) bool {
@@ -111,6 +115,10 @@ func (p *Package) orderEffect(rs *ast.RangeStmt) string {
 					return false
 				}
 			}
+			if acc, ok := p.floatAccumTarget(n); ok {
+				effect = fmt.Sprintf("float accumulation into %q", types.ExprString(acc))
+				return false
+			}
 		case *ast.CallExpr:
 			if name := calleeName(n); name != "" {
 				lower := strings.ToLower(name)
@@ -125,6 +133,41 @@ func (p *Package) orderEffect(rs *ast.RangeStmt) string {
 		return true
 	})
 	return effect
+}
+
+// floatAccumTarget reports whether as is a float accumulation — `x += e`,
+// `x -= e`, or `x = x ± e` — returning the accumulator expression.
+func (p *Package) floatAccumTarget(as *ast.AssignStmt) (ast.Expr, bool) {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil, false
+	}
+	lhs := as.Lhs[0]
+	if !p.isFloatExpr(lhs) {
+		return nil, false
+	}
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN:
+		return lhs, true
+	case token.ASSIGN:
+		bin, ok := unparen(as.Rhs[0]).(*ast.BinaryExpr)
+		if !ok || (bin.Op != token.ADD && bin.Op != token.SUB) {
+			return nil, false
+		}
+		want := types.ExprString(lhs)
+		if types.ExprString(unparen(bin.X)) == want || types.ExprString(unparen(bin.Y)) == want {
+			return lhs, true
+		}
+	}
+	return nil, false
+}
+
+func (p *Package) isFloatExpr(e ast.Expr) bool {
+	t := p.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 func (p *Package) isSliceIndex(ix *ast.IndexExpr) bool {

@@ -73,7 +73,6 @@ func tableFor(min, max float64, bpo, n int) *bucketTable {
 		return t.(*bucketTable)
 	}
 	t := buildTable(min, bpo, n)
-	//pliant:allow sharedstate — sync.Map memo of immutable bucket tables; LoadOrStore is idempotent and every racer builds the same table
 	actual, _ := tableCache.LoadOrStore(key, t)
 	return actual.(*bucketTable)
 }
