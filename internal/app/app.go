@@ -210,10 +210,9 @@ func NewInstance(eng *sim.Engine, rng *sim.RNG, prof Profile, variants []approx.
 // Profile returns the application's static description.
 func (a *Instance) Profile() Profile { return a.prof }
 
-// Variants returns the effect table (index 0 is precise).
-func (a *Instance) Variants() []approx.Effect {
-	return append([]approx.Effect(nil), a.variants...)
-}
+// Effect returns the effect of variant i (0 = precise) without copying the
+// table; i must lie in [0, MostApproximate()].
+func (a *Instance) Effect(i int) approx.Effect { return a.variants[i] }
 
 // VariantCount returns the number of approximate (non-precise) variants.
 func (a *Instance) VariantCount() int { return len(a.variants) - 1 }

@@ -2,6 +2,7 @@ package app
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -119,6 +120,126 @@ func TestByNameAndNames(t *testing.T) {
 	names := Names()
 	if len(names) != 24 || names[0] != "fluidanimate" {
 		t.Fatalf("Names() = %v", names[:3])
+	}
+}
+
+// scribble overwrites fields of p and of its first site, so a lookup that
+// shared storage with the catalog would see the change.
+func scribble(p *Profile) {
+	p.Name += "-edited"
+	p.NominalExecSec *= 3
+	p.LLCMB = -1
+	p.Sensitivity.LLC = 9
+	p.MaxVariants = 99
+	p.QualityMetric = "edited"
+	p.Sites[0].Name = "edited_loop"
+	p.Sites[0].QualityCoef = 42
+}
+
+func TestLookupsReturnPrivateCopies(t *testing.T) {
+	want, err := ByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = want.clone()
+
+	got, _ := ByName("canneal")
+	scribble(&got)
+	for _, p := range Catalog() {
+		scribble(&p)
+	}
+	cat := Catalog()
+	scribble(&cat[1])
+	for _, p := range BySuite(PARSEC) {
+		scribble(&p)
+	}
+	for _, p := range SortedByPressure() {
+		scribble(&p)
+	}
+
+	again, err := ByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.equal(want) {
+		t.Fatalf("ByName after mutation = %+v, want %+v", again, want)
+	}
+	if fresh := Catalog()[1]; !fresh.equal(want) {
+		t.Fatalf("Catalog()[1] after mutation = %+v, want %+v", fresh, want)
+	}
+	if !IsCatalog(again) {
+		t.Fatal("unmodified lookup is not recognized as the catalog profile")
+	}
+}
+
+func TestByNameAllocatesOnlyTheSitesCopy(t *testing.T) {
+	var sink Profile
+	avg := testing.AllocsPerRun(1000, func() {
+		sink, _ = ByName("streamcluster")
+	})
+	if avg > 1 {
+		t.Fatalf("ByName allocates %.1f times per call, want at most 1", avg)
+	}
+	if sink.Name != "streamcluster" {
+		t.Fatal(sink.Name)
+	}
+}
+
+// TestIsCatalogSeesEveryField changes one field at a time, through
+// reflection, so a field added to Profile but missing from equal fails here.
+func TestIsCatalogSeesEveryField(t *testing.T) {
+	base, _ := ByName("SNP")
+	if !IsCatalog(base) {
+		t.Fatal("catalog profile not recognized")
+	}
+	if IsCatalog(testProfile()) {
+		t.Fatal("a profile outside the catalog is recognized")
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		p := base.clone()
+		f := reflect.ValueOf(&p).Elem().Field(i)
+		if !perturb(f) {
+			t.Fatalf("test cannot perturb field %s of kind %v", typ.Field(i).Name, f.Kind())
+		}
+		if IsCatalog(p) {
+			t.Errorf("IsCatalog ignores a change to %s", typ.Field(i).Name)
+		}
+		if !IsCatalog(base) {
+			t.Fatalf("perturbing %s reached the catalog", typ.Field(i).Name)
+		}
+	}
+}
+
+// perturb changes v in place, recursing into the first field of a struct and
+// the first element of a slice; it reports whether it knew how.
+func perturb(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.Struct:
+		return perturb(v.Field(0))
+	case reflect.Slice:
+		return v.Len() > 0 && perturb(v.Index(0))
+	default:
+		return false
+	}
+	return true
+}
+
+func TestEffectReadsTheVariantTable(t *testing.T) {
+	a := newTestInstance(t, sim.NewEngine(), 8)
+	want := testVariants()
+	for i := 0; i <= a.MostApproximate(); i++ {
+		if a.Effect(i) != want[i] {
+			t.Fatalf("Effect(%d) = %+v, want %+v", i, a.Effect(i), want[i])
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/approx-sched/pliant/internal/approx"
@@ -34,10 +35,36 @@ func prec(name string, runtime, traffic, useful, qCoef, qExp float64) approx.Sit
 	}
 }
 
-// Catalog returns the profiles of all 24 approximate applications, in the
-// presentation order of the paper's Fig. 5: three PARSEC and three SPLASH-2
-// workloads, ten MineBench data-mining applications, and eight BioPerf
-// bioinformatics applications.
+// catalog is the built-in application set, built once per process because
+// the online scheduler looks profiles up on every node episode. It is
+// read-only after package initialization, so concurrent shards share it
+// without locks; every exported accessor hands out copies (with their own
+// Sites slices), never the entries themselves.
+var (
+	catalog      = buildCatalog()
+	catalogIndex = indexCatalog(catalog)
+)
+
+// indexCatalog maps each application name to its catalog position.
+func indexCatalog(cat []Profile) map[string]int {
+	idx := make(map[string]int, len(cat))
+	for i, p := range cat {
+		idx[p.Name] = i
+	}
+	return idx
+}
+
+// clone returns p with a private copy of its Sites, so the copy can be
+// mutated without reaching the catalog.
+func (p Profile) clone() Profile {
+	p.Sites = slices.Clone(p.Sites)
+	return p
+}
+
+// buildCatalog returns the profiles of all 24 approximate applications, in
+// the presentation order of the paper's Fig. 5: three PARSEC and three
+// SPLASH-2 workloads, ten MineBench data-mining applications, and eight
+// BioPerf bioinformatics applications.
 //
 // Profile parameters are calibrated to the paper's characterizations rather
 // than measured on hardware (see DESIGN.md §1): cache/bandwidth pressures
@@ -47,7 +74,7 @@ func prec(name string, runtime, traffic, useful, qCoef, qExp float64) approx.Sit
 // canneal) when approximated; MaxVariants pins the selected-variant counts
 // the paper reports for its highlighted applications (canneal 4, raytrace 2,
 // Bayesian 8, SNP 5, PLSA 8).
-func Catalog() []Profile {
+func buildCatalog() []Profile {
 	return []Profile{
 		// ---------------------------------------------------------- PARSEC
 		{
@@ -401,22 +428,52 @@ func Catalog() []Profile {
 	}
 }
 
-// ByName returns the profile with the given name (case-sensitive, as printed
-// in the paper's figures).
-func ByName(name string) (Profile, error) {
-	for _, p := range Catalog() {
-		if p.Name == name {
-			return p, nil
-		}
+// Catalog returns a copy of every catalog profile, in presentation order.
+// Each profile carries its own Sites slice, so callers may mutate the result
+// freely; the copy costs one allocation per profile plus the outer slice.
+func Catalog() []Profile {
+	out := make([]Profile, len(catalog))
+	for i, p := range catalog {
+		out[i] = p.clone()
 	}
-	return Profile{}, fmt.Errorf("app: unknown application %q", name)
+	return out
+}
+
+// ByName returns the profile with the given name (case-sensitive, as printed
+// in the paper's figures). It is a map lookup plus one allocation for the
+// copy's Sites slice: the returned value shares nothing with the catalog, so
+// callers may change any field (a resumed job scales NominalExecSec) or site.
+func ByName(name string) (Profile, error) {
+	i, ok := catalogIndex[name]
+	if !ok {
+		return Profile{}, fmt.Errorf("app: unknown application %q", name)
+	}
+	return catalog[i].clone(), nil
+}
+
+// IsCatalog reports whether p is exactly the catalog profile of its name,
+// every field and site equal. A custom profile that reuses a catalog name
+// (an edited copy, or one parsed from hints) is not.
+func IsCatalog(p Profile) bool {
+	i, ok := catalogIndex[p.Name]
+	return ok && p.equal(catalog[i])
+}
+
+// equal compares every field of two profiles, sites element by element.
+func (p Profile) equal(q Profile) bool {
+	return p.Name == q.Name && p.Suite == q.Suite &&
+		p.NominalExecSec == q.NominalExecSec && p.ParallelExp == q.ParallelExp &&
+		p.LLCMB == q.LLCMB && p.BWPerCoreGBs == q.BWPerCoreGBs &&
+		p.Sensitivity == q.Sensitivity && slices.Equal(p.Sites, q.Sites) &&
+		p.AcceptHints == q.AcceptHints && p.MaxVariants == q.MaxVariants &&
+		p.DynOverhead == q.DynOverhead && p.PhaseAmp == q.PhaseAmp &&
+		p.PhasePeriodSec == q.PhasePeriodSec && p.QualityMetric == q.QualityMetric
 }
 
 // Names returns all catalog application names in presentation order.
 func Names() []string {
-	cat := Catalog()
-	out := make([]string, len(cat))
-	for i, p := range cat {
+	out := make([]string, len(catalog))
+	for i, p := range catalog {
 		out[i] = p.Name
 	}
 	return out
@@ -425,9 +482,9 @@ func Names() []string {
 // BySuite returns the catalog applications of one suite, in catalog order.
 func BySuite(s Suite) []Profile {
 	var out []Profile
-	for _, p := range Catalog() {
+	for _, p := range catalog {
 		if p.Suite == s {
-			out = append(out, p)
+			out = append(out, p.clone())
 		}
 	}
 	return out
@@ -436,12 +493,11 @@ func BySuite(s Suite) []Profile {
 // MeanDynOverhead returns the average instrumentation overhead across the
 // catalog (paper Sec. 6.2: 3.8%).
 func MeanDynOverhead() float64 {
-	cat := Catalog()
 	sum := 0.0
-	for _, p := range cat {
+	for _, p := range catalog {
 		sum += p.DynOverhead
 	}
-	return sum / float64(len(cat))
+	return sum / float64(len(catalog))
 }
 
 // SortedByPressure returns catalog profiles ordered by descending combined

@@ -321,7 +321,10 @@ type scenario struct {
 	alloc *platform.Allocation
 	model *interference.Model
 
+	// tenants are the allocation IDs: the service first, then app i at
+	// index i+1. Built once in build, read by every contention refresh.
 	svcTenant platform.TenantID
+	tenants   []platform.TenantID
 	svc       *service.Instance
 	gen       *client.Generator
 	mon       *monitor.Monitor
@@ -334,6 +337,7 @@ type scenario struct {
 	maxYield  []int
 	histogram *stats.Histogram // whole-run latency
 	trace     *stats.Trace
+	demands   []interference.Demand // refreshContention's reused buffer
 
 	intervals    int
 	violations   int
@@ -381,11 +385,12 @@ func build(cfg Config) (*scenario, error) {
 
 	// Fair initial allocation: the service and every app get equal shares.
 	s.svcTenant = "svc"
-	tenants := []platform.TenantID{s.svcTenant}
+	s.tenants = make([]platform.TenantID, 0, len(cfg.AppNames)+1)
+	s.tenants = append(s.tenants, s.svcTenant)
 	for i, name := range cfg.AppNames {
-		tenants = append(tenants, platform.TenantID(fmt.Sprintf("app%d:%s", i, name)))
+		s.tenants = append(s.tenants, platform.TenantID(fmt.Sprintf("app%d:%s", i, name)))
 	}
-	if err := s.alloc.FairShare(tenants...); err != nil {
+	if err := s.alloc.FairShare(s.tenants...); err != nil {
 		return nil, err
 	}
 	fairSvcCores := s.alloc.Cores(s.svcTenant)
@@ -440,7 +445,7 @@ func build(cfg Config) (*scenario, error) {
 			// variant table is unaffected — effects are relative multipliers.
 			prof.NominalExecSec *= cfg.AppWorkScale[i]
 		}
-		cores := s.alloc.Cores(tenants[i+1])
+		cores := s.alloc.Cores(s.tenantOf(i))
 		inst, err := app.NewInstance(s.eng, s.rng.Split(uint64(10+i)), prof, variants, cores, s.appFinished)
 		if err != nil {
 			return nil, err
@@ -524,20 +529,17 @@ func (s *scenario) appFinished() {
 }
 
 // tenantOf returns the allocation tenant ID for app index i.
-func (s *scenario) tenantOf(i int) platform.TenantID {
-	return platform.TenantID(fmt.Sprintf("app%d:%s", i, s.appNames[i]))
-}
+func (s *scenario) tenantOf(i int) platform.TenantID { return s.tenants[i+1] }
 
 // refreshContention recomputes the interference model from current demands
 // and pushes slowdowns into the service and every app.
 func (s *scenario) refreshContention() {
 	now := s.eng.Now()
-	demands := make([]interference.Demand, 0, len(s.apps)+1)
-	demands = append(demands, s.svc.Demand(s.svcTenant))
+	s.demands = append(s.demands[:0], s.svc.Demand(s.svcTenant))
 	for i, proc := range s.apps {
-		demands = append(demands, proc.App().Demand(s.tenantOf(i), now))
+		s.demands = append(s.demands, proc.App().Demand(s.tenantOf(i), now))
 	}
-	res := s.model.Evaluate(demands)
+	res := s.model.Evaluate(s.demands)
 	s.svc.SetSlowdown(res.Slowdown(s.svcTenant) * s.freqSlow)
 	for i, proc := range s.apps {
 		proc.App().SetSlowdown(res.Slowdown(s.tenantOf(i)) * s.freqSlow)
@@ -646,10 +648,9 @@ func (s *scenario) appViews() []core.AppView {
 	views := make([]core.AppView, len(s.apps))
 	for i, proc := range s.apps {
 		a := proc.App()
-		variants := a.Variants()
 		quality := 0.0
 		if n := a.MostApproximate(); n > 0 {
-			quality = variants[n].Inaccuracy / float64(n)
+			quality = a.Effect(n).Inaccuracy / float64(n)
 		}
 		views[i] = core.AppView{
 			Name:            s.appNames[i],

@@ -21,15 +21,30 @@ var (
 	variantsCache = map[string][]approx.Effect{}
 )
 
-// VariantsFor returns the runtime variant table for a catalog application,
-// memoized: the paper performs this exploration once per application
-// ("unless the application design changes").
+// VariantsFor returns the runtime variant table for an application. Catalog
+// applications are memoized by name: the paper performs this exploration once
+// per application ("unless the application design changes"). Any other
+// profile — including a custom one that reuses a catalog name — is explored
+// afresh on every call, so it never receives another profile's table.
 func VariantsFor(prof app.Profile) ([]approx.Effect, error) {
+	if !app.IsCatalog(prof) {
+		return exploreVariants(prof)
+	}
 	variantsMu.Lock()
 	defer variantsMu.Unlock()
 	if v, ok := variantsCache[prof.Name]; ok {
 		return append([]approx.Effect(nil), v...), nil
 	}
+	v, err := exploreVariants(prof)
+	if err != nil {
+		return nil, err
+	}
+	variantsCache[prof.Name] = v
+	return append([]approx.Effect(nil), v...), nil
+}
+
+// exploreVariants runs the exploration and returns its variant table.
+func exploreVariants(prof app.Profile) ([]approx.Effect, error) {
 	res, err := ExploreApp(prof)
 	if err != nil {
 		return nil, err
@@ -37,7 +52,5 @@ func VariantsFor(prof app.Profile) ([]approx.Effect, error) {
 	if len(res.Selected) == 0 {
 		return nil, fmt.Errorf("dse: %s has no viable approximate variants", prof.Name)
 	}
-	v := res.Variants()
-	variantsCache[prof.Name] = v
-	return append([]approx.Effect(nil), v...), nil
+	return res.Variants(), nil
 }

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -199,6 +200,44 @@ func TestVariantsForMemoizes(t *testing.T) {
 	if c[0].Inaccuracy == 99 {
 		t.Fatal("VariantsFor exposes shared state")
 	}
+}
+
+// A custom profile that reuses a catalog name must get its own exploration,
+// not the catalog entry's memoized table, whichever of the two is looked up
+// first.
+func TestVariantsForCustomProfileSharingCatalogName(t *testing.T) {
+	catalog, _ := app.ByName("canneal")
+	custom := catalog
+	custom.MaxVariants = 1
+	fresh, err := ExploreApp(custom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCustom := fresh.Variants()
+	if len(wantCustom) != 2 {
+		t.Fatalf("custom canneal explores to %d entries, want precise + 1", len(wantCustom))
+	}
+
+	check := func(prof app.Profile, wantLen int) {
+		t.Helper()
+		got, err := VariantsFor(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != wantLen {
+			t.Fatalf("MaxVariants %d: got %d entries, want %d", prof.MaxVariants, len(got), wantLen)
+		}
+		if wantLen == len(wantCustom) && !slices.Equal(got, wantCustom) {
+			t.Fatalf("custom canneal got %v, want %v", got, wantCustom)
+		}
+	}
+	variantsMu.Lock()
+	delete(variantsCache, "canneal")
+	variantsMu.Unlock()
+	check(custom, 2) // before the catalog entry is memoized
+	check(catalog, 5)
+	check(custom, 2) // after
+	check(catalog, 5)
 }
 
 func TestDownsampleKeepsEndpoints(t *testing.T) {

@@ -71,7 +71,7 @@ func Launch(eng *sim.Engine, a *app.Instance, opts Options) (*Process, error) {
 		return nil, fmt.Errorf("dyninst: nil engine or app")
 	}
 	prof := a.Profile()
-	nVariants := len(a.Variants())
+	nVariants := a.VariantCount() + 1
 	if SigRTMin+nVariants-1 > SigRTMax {
 		return nil, fmt.Errorf("dyninst: %s has %d variants, exceeding the real-time signal range",
 			prof.Name, nVariants)
@@ -95,6 +95,7 @@ func Launch(eng *sim.Engine, a *app.Instance, opts Options) (*Process, error) {
 	// synthetic layout places variants at fixed strides, giving each
 	// function/variant pair a stable, unique address.
 	const textBase = 0x400000
+	p.table = make([]FunctionVersion, 0, len(prof.Sites)*nVariants)
 	for si, site := range prof.Sites {
 		for v := 0; v < nVariants; v++ {
 			p.table = append(p.table, FunctionVersion{
@@ -130,7 +131,7 @@ func (p *Process) ActiveAddress(function string) (uint64, error) {
 
 // SignalFor returns the signal mapped to a variant index.
 func (p *Process) SignalFor(variant int) (int, error) {
-	if variant < 0 || variant >= len(p.app.Variants()) {
+	if variant < 0 || variant > p.app.VariantCount() {
 		return 0, fmt.Errorf("dyninst: %s has no variant %d", p.app.Profile().Name, variant)
 	}
 	return SigRTMin + variant, nil
@@ -139,7 +140,7 @@ func (p *Process) SignalFor(variant int) (int, error) {
 // VariantFor returns the variant index a signal requests.
 func (p *Process) VariantFor(signal int) (int, error) {
 	v := signal - SigRTMin
-	if v < 0 || v >= len(p.app.Variants()) {
+	if v < 0 || v > p.app.VariantCount() {
 		return 0, fmt.Errorf("dyninst: signal %d not mapped for %s", signal, p.app.Profile().Name)
 	}
 	return v, nil

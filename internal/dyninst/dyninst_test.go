@@ -61,7 +61,7 @@ func TestFunctionTableShape(t *testing.T) {
 	eng := sim.NewEngine()
 	p := launchCanneal(t, eng)
 	prof := p.App().Profile()
-	nVariants := len(p.App().Variants())
+	nVariants := p.App().VariantCount() + 1
 	table := p.Table()
 	if len(table) != len(prof.Sites)*nVariants {
 		t.Fatalf("table has %d entries, want %d sites × %d variants",
@@ -95,7 +95,7 @@ func TestFunctionTableShape(t *testing.T) {
 func TestSignalMappingRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	p := launchCanneal(t, eng)
-	n := len(p.App().Variants())
+	n := p.App().VariantCount() + 1
 	for v := 0; v < n; v++ {
 		sig, err := p.SignalFor(v)
 		if err != nil {
@@ -114,6 +114,17 @@ func TestSignalMappingRoundTrip(t *testing.T) {
 	}
 	if _, err := p.VariantFor(SigRTMin - 1); err == nil {
 		t.Fatal("unmapped signal accepted")
+	}
+}
+
+func TestSignalMappingAllocFree(t *testing.T) {
+	p := launchCanneal(t, sim.NewEngine())
+	most := p.App().MostApproximate()
+	if avg := testing.AllocsPerRun(1000, func() { _, _ = p.SignalFor(most) }); avg != 0 {
+		t.Fatalf("SignalFor allocates %.1f times per call", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { _, _ = p.VariantFor(SigRTMin + most) }); avg != 0 {
+		t.Fatalf("VariantFor allocates %.1f times per call", avg)
 	}
 }
 

@@ -24,7 +24,7 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Format selects one of the supported trace schemas.
@@ -360,8 +360,18 @@ func finishTrace(source string, rows, dropped int, jobs []Job) (*Trace, error) {
 	}
 	// Stable sort by arrival: real exports are usually time-ordered already,
 	// but pairing SUBMIT/FINISH events can emit jobs out of order, and equal
-	// instants must keep their file order for determinism.
-	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].ArrivalSec < jobs[b].ArrivalSec })
+	// instants must keep their file order for determinism. The comparator is
+	// built from "<": the parsers drop non-finite timestamps, so "<" is a
+	// strict weak order and equal arrivals compare 0.
+	slices.SortStableFunc(jobs, func(a, b Job) int {
+		switch {
+		case a.ArrivalSec < b.ArrivalSec:
+			return -1
+		case b.ArrivalSec < a.ArrivalSec:
+			return 1
+		}
+		return 0
+	})
 
 	// Fill unknown durations (terminal event never appeared — the trace was
 	// cut, or the task outlived it) with the mean observed duration, so the
