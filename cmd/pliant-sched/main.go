@@ -20,6 +20,7 @@
 //	pliant-sched -policy telemetry -mttf 120 -mttr 15 -retries 2   # seeded crash churn
 //	pliant-sched -outage 80:1:40 -fault-domain 2 -autoscale degrade-under-loss
 //	pliant-sched -trace tasks.csv -trace-faults   # replay the trace's failure rate
+//	pliant-sched -policy telemetry -cpuprofile cpu.prof -memprofile mem.prof
 //
 // SIGINT/SIGTERM stops the run at the next window boundary: the partial
 // result still renders and still flushes to -json/-csv, marked truncated.
@@ -30,6 +31,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 
@@ -82,6 +85,8 @@ func main() {
 			"per-job retry budget after a crash (0 = the default 3, negative = drop on first crash)")
 		traceFaults = flag.Bool("trace-faults", false,
 			"derive the crash rate from the -trace's failure-shaped terminal causes (EVICT/FAIL/KILL/LOST)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file on exit")
 		showVer = flag.Bool("version", false, "print the build identity and exit")
 	)
 	flag.Parse()
@@ -89,6 +94,9 @@ func main() {
 	if *showVer {
 		fmt.Println(pliant.Version())
 		return
+	}
+	if err := startProfiles(*cpuProf, *memProf); err != nil {
+		fail(err)
 	}
 
 	outages, err := parseOutages(*outageFlag)
@@ -233,6 +241,54 @@ func main() {
 			}
 		}
 	}
+	if err := stopProfiles(); err != nil {
+		fail(err)
+	}
+}
+
+// prof holds the -cpuprofile file while the CPU profile runs and the
+// -memprofile path until exit.
+var prof struct {
+	cpu     *os.File
+	memPath string
+}
+
+// startProfiles starts the CPU profile and remembers where the heap profile
+// goes; stopProfiles writes both.
+func startProfiles(cpuPath, memPath string) error {
+	prof.memPath = memPath
+	if cpuPath == "" {
+		return nil
+	}
+	f, err := os.Create(cpuPath)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	prof.cpu = f
+	return nil
+}
+
+// stopProfiles flushes the CPU profile and writes the heap profile. It runs
+// once, on every way out of main, so a failed run still leaves its profiles.
+func stopProfiles() error {
+	var err error
+	if f := prof.cpu; f != nil {
+		prof.cpu = nil
+		pprof.StopCPUProfile()
+		err = f.Close()
+	}
+	if path := prof.memPath; path != "" {
+		prof.memPath = ""
+		runtime.GC() // the heap profile shows the live heap as of the last GC
+		if werr := writeTo(path, func(w *os.File) error { return pprof.WriteHeapProfile(w) }); err == nil {
+			err = werr
+		}
+	}
+	return err
 }
 
 // runInterruptible drives one policy's run a window at a time, checking for
@@ -314,5 +370,8 @@ func writeTo(path string, fn func(*os.File) error) error {
 
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "pliant-sched: %v\n", err)
+	if perr := stopProfiles(); perr != nil {
+		fmt.Fprintf(os.Stderr, "pliant-sched: %v\n", perr)
+	}
 	os.Exit(1)
 }

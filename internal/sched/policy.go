@@ -11,7 +11,21 @@ import (
 // runs. Unlike the batch cluster.Policy it never sees the whole job stream:
 // it is offered one job at a time against the cluster's live state and may
 // defer (return -1) to keep the job queued — admission control when every
-// node is saturated. Implementations must only pick nodes with Free > 0.
+// node is saturated.
+//
+// The contract, which the scheduler enforces and relies on:
+//
+//   - Place is a pure function of its arguments. It returns -1 or the Index
+//     of a node whose offered Free > 0; any other node fails the run with an
+//     error naming the policy, the job and the node. Parked, draining,
+//     waking and down nodes, and the failed domain of a retried job, are
+//     offered with Free = 0.
+//   - Place must not keep nodes: the slice is reused and updated in place
+//     as jobs land.
+//   - Jobs are not offered while no node has a free slot. Such a job is
+//     deferred without a call, as if Place had returned -1: its Deferrals
+//     count goes up and, with obs attached, it gets a placement record with
+//     0 candidates.
 type Policy interface {
 	Name() string
 	Place(job Job, nodes []NodeState) int
@@ -25,10 +39,12 @@ type FirstFit struct{}
 func (FirstFit) Name() string { return "first-fit" }
 
 // Place implements Policy.
+//
+//pliant:hotpath
 func (FirstFit) Place(_ Job, nodes []NodeState) int {
-	for _, st := range nodes {
-		if st.Free > 0 {
-			return st.Index
+	for i := range nodes {
+		if nodes[i].Free > 0 {
+			return nodes[i].Index
 		}
 	}
 	return -1
@@ -43,9 +59,12 @@ type BestFit struct{}
 func (BestFit) Name() string { return "best-fit" }
 
 // Place implements Policy.
+//
+//pliant:hotpath
 func (BestFit) Place(_ Job, nodes []NodeState) int {
 	best, bestFree := -1, math.MaxInt
-	for _, st := range nodes {
+	for i := range nodes {
+		st := &nodes[i]
 		if st.Free > 0 && st.Free < bestFree {
 			best, bestFree = st.Index, st.Free
 		}
@@ -63,9 +82,12 @@ type Spread struct{}
 func (Spread) Name() string { return "spread-first" }
 
 // Place implements Policy.
+//
+//pliant:hotpath
 func (Spread) Place(_ Job, nodes []NodeState) int {
 	best, bestFree := -1, 0
-	for _, st := range nodes {
+	for i := range nodes {
+		st := &nodes[i]
 		if st.Free > bestFree {
 			best, bestFree = st.Index, st.Free
 		}
@@ -101,11 +123,17 @@ type TelemetryAware struct {
 // Name identifies the policy.
 func (TelemetryAware) Name() string { return "telemetry-aware" }
 
+// defaultTolerances is the tolerance table TelemetryAware uses when its own
+// is nil; built once and only ever read.
+var defaultTolerances = cluster.DefaultTolerances()
+
 // Place implements Policy.
+//
+//pliant:hotpath
 func (p TelemetryAware) Place(job Job, nodes []NodeState) int {
 	tol := p.Tolerance
 	if tol == nil {
-		tol = cluster.DefaultTolerances()
+		tol = defaultTolerances
 	}
 	admit := p.AdmitP99
 	if admit == 0 {
@@ -121,16 +149,14 @@ func (p TelemetryAware) Place(job Job, nodes []NodeState) int {
 	// co-runner pressure), minus resident pressure and what this job adds.
 	// Live telemetry gates admission: nodes whose recent tail breaches the
 	// threshold are only used once every healthy option is exhausted.
-	headOf := func(st NodeState) float64 {
-		return tol[st.Node.Service]/math.Max(st.LoadMult, 0.1) - st.Pressure - job.Pressure
-	}
 	best, bestHead := -1, math.Inf(-1)
 	fallback, fbHead := -1, math.Inf(-1)
-	for _, st := range nodes {
+	for i := range nodes {
+		st := &nodes[i]
 		if st.Free == 0 {
 			continue
 		}
-		head := headOf(st)
+		head := tol[st.Node.Service]/math.Max(st.LoadMult, 0.1) - st.Pressure - job.Pressure
 		if head > fbHead {
 			fallback, fbHead = st.Index, head
 		}

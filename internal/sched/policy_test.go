@@ -143,3 +143,31 @@ func TestSpreadPicksEmptiestNode(t *testing.T) {
 		t.Fatalf("spread tie-break picked %d, want 0", got)
 	}
 }
+
+// TestPoliciesAllocFree pins the four built-in policies' Place at zero
+// allocations over a 256-node cluster view — the runtime half of their
+// //pliant:hotpath annotations. Every node has residents and telemetry, so
+// TelemetryAware walks its whole ranking path.
+func TestPoliciesAllocFree(t *testing.T) {
+	free := make([]int, 256)
+	for i := range free {
+		free[i] = i % 4
+	}
+	nodes := states(free...)
+	for i := range nodes {
+		nodes[i].Resident = []string{"canneal"}
+		nodes[i].Pressure = 0.5
+		nodes[i].Telemetry = cluster.Telemetry{Reports: 1, P99OverQoS: 0.9 + float64(i%5)/10}
+	}
+	j := testJob(t, "canneal")
+	for _, p := range []Policy{FirstFit{}, BestFit{}, Spread{}, TelemetryAware{}} {
+		choice := -1
+		avg := testing.AllocsPerRun(100, func() { choice = p.Place(j, nodes) })
+		if avg != 0 {
+			t.Errorf("%s: %v allocs per Place, want 0", p.Name(), avg)
+		}
+		if choice < 0 {
+			t.Errorf("%s deferred on a cluster with free slots", p.Name())
+		}
+	}
+}

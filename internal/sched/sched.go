@@ -895,13 +895,14 @@ func (s *run) soloUtil(effLoad float64, freq int) float64 {
 // starting at now.
 func (s *run) nodeStates(now sim.Time) []NodeState {
 	mid := now.Seconds() + s.cfg.Epoch.Seconds()/2
+	loadMult := workload.ClampMultiplier(s.cfg.Shape.Multiplier(mid))
 	states := make([]NodeState, len(s.nodes))
 	for i, n := range s.nodes {
 		st := NodeState{
 			Index:     i,
 			Node:      n.node,
 			Free:      n.node.MaxApps - len(n.resident),
-			LoadMult:  workload.ClampMultiplier(s.cfg.Shape.Multiplier(mid)),
+			LoadMult:  loadMult,
 			Lifecycle: n.state,
 			FreqState: n.freq,
 		}
@@ -921,12 +922,16 @@ func (s *run) nodeStates(now sim.Time) []NodeState {
 
 // place drains the pending queue in arrival order through the policy. The
 // cluster snapshot is built once and updated incrementally as jobs land —
-// only the chosen node's state changes between offers.
+// only the chosen node's state changes between offers. free counts the
+// snapshot's nodes with a free slot; once it reaches 0 the Policy contract
+// leaves a policy no answer but -1, so the rest of the queue is deferred
+// without offers.
 func (s *run) place(now sim.Time) {
 	if len(s.pending) == 0 {
 		return
 	}
 	states := s.nodeStates(now)
+	free := freeCandidates(states)
 	obsOn := s.cfg.Obs != nil
 	f := s.faults
 	nowSec := now.Seconds()
@@ -938,48 +943,52 @@ func (s *run) place(now sim.Time) {
 			still = append(still, job)
 			continue
 		}
-		var choice int
-		if f != nil && job.lastDomain >= 0 && f.plan.DomainSize > 1 {
+		choice, err := -1, error(nil)
+		switch {
+		case free == 0:
+			// Nothing to offer: deferred exactly as a -1 answer would be.
+		case f != nil && job.lastDomain >= 0 && f.plan.DomainSize > 1:
 			// Anti-affinity: offer the retried job with its failed domain's
 			// free slots masked out, spreading retries away from the blast
 			// radius. A preference, not a constraint — if the rest of the
-			// cluster is full, the failed domain beats the queue.
+			// cluster is full, the failed domain beats the queue. With every
+			// free slot inside the domain the masked offer could only be
+			// answered -1, so it is not made.
 			lo, hi := f.plan.DomainNodes(job.lastDomain, len(s.nodes))
 			f.maskFree = f.maskFree[:0]
+			outside := free
 			for k := lo; k < hi; k++ {
 				f.maskFree = append(f.maskFree, states[k].Free)
+				if states[k].Free > 0 {
+					outside--
+				}
 				states[k].Free = 0
 			}
-			choice = s.cfg.Policy.Place(*job, states)
+			if outside > 0 {
+				choice, err = s.offer(job, states)
+			}
 			for k := lo; k < hi; k++ {
 				states[k].Free = f.maskFree[k-lo]
 			}
-			if choice < 0 {
-				choice = s.cfg.Policy.Place(*job, states)
+			if err == nil && choice < 0 {
+				choice, err = s.offer(job, states)
 			}
-		} else {
-			choice = s.cfg.Policy.Place(*job, states)
+		default:
+			choice, err = s.offer(job, states)
+		}
+		if err != nil {
+			s.fail(err)
+			return
+		}
+		if obsOn {
+			s.obsPlacement(now, job, choice, free)
 		}
 		if choice < 0 {
-			if obsOn {
-				s.obsPlacement(now, job, -1, freeCandidates(states))
-			}
 			job.Deferrals++
 			still = append(still, job)
 			continue
 		}
-		if choice >= len(s.nodes) {
-			s.fail(fmt.Errorf("sched: policy %s placed job %d on unknown node %d", s.cfg.Policy.Name(), job.ID, choice))
-			return
-		}
 		n := s.nodes[choice]
-		if len(n.resident) >= n.node.MaxApps {
-			s.fail(fmt.Errorf("sched: policy %s overfilled node %s with job %d", s.cfg.Policy.Name(), n.node.Name, job.ID))
-			return
-		}
-		if obsOn {
-			s.obsPlacement(now, job, choice, freeCandidates(states))
-		}
 		job.Node = choice
 		if job.StartSec < 0 {
 			// A requeued job keeps its first start: the wait statistics
@@ -987,16 +996,37 @@ func (s *run) place(now sim.Time) {
 			job.StartSec = nowSec
 		}
 		n.resident = append(n.resident, job)
-		states[choice].Free--
-		states[choice].Resident = append(states[choice].Resident, job.App.Name)
-		states[choice].Pressure += job.Pressure
+		st := &states[choice]
+		st.Free--
+		if st.Free == 0 {
+			free--
+		}
+		st.Resident = append(st.Resident, job.App.Name)
+		st.Pressure += job.Pressure
 	}
 	s.pending = still
 }
 
-// freeCandidates counts the nodes a policy offer presented with free slots —
-// the denominator of the tracer's rejected-candidate accounting. Only
-// computed with obs attached.
+// offer asks the policy to place job and holds the answer to the Policy
+// contract: -1, or the Index of a node offered with a free slot. It is
+// checked against the slice the policy saw, so a node masked for
+// anti-affinity counts as full even if it has room.
+func (s *run) offer(job *Job, states []NodeState) (int, error) {
+	choice := s.cfg.Policy.Place(*job, states)
+	switch {
+	case choice < 0:
+		return -1, nil
+	case choice >= len(states):
+		return 0, fmt.Errorf("sched: policy %s placed job %d on unknown node %d", s.cfg.Policy.Name(), job.ID, choice)
+	case states[choice].Free <= 0:
+		return 0, fmt.Errorf("sched: policy %s placed job %d on node %s, which was offered with no free slot",
+			s.cfg.Policy.Name(), job.ID, s.nodes[choice].node.Name)
+	}
+	return choice, nil
+}
+
+// freeCandidates counts the nodes with a free slot — place's starting
+// count, and the tracer's candidate denominator.
 func freeCandidates(states []NodeState) int {
 	c := 0
 	for i := range states {

@@ -397,11 +397,17 @@ type (
 	SchedResult = sched.Result
 	// SchedJobOutcome is one job's record in a SchedResult.
 	SchedJobOutcome = sched.JobOutcome
-	// SchedPolicy decides placement at every scheduling window.
+	// SchedPolicy decides placement at every scheduling window. Place must
+	// be a pure function of its arguments that returns -1 or the Index of a
+	// node whose offered Free > 0, and must not keep nodes. Jobs are not
+	// offered while no node has a free slot: such a job is deferred with
+	// Deferrals++ and a placement record with 0 candidates.
 	SchedPolicy = sched.Policy
 	// SchedJob is the job view offered to policies.
 	SchedJob = sched.Job
-	// SchedNodeState is the live node view offered to policies.
+	// SchedNodeState is the live node view offered to policies. A
+	// SchedPolicy may pick only a node offered with Free > 0; parked,
+	// draining, waking and down nodes are offered with Free = 0.
 	SchedNodeState = sched.NodeState
 	// NodeTelemetry is the Pliant runtime feedback a node feeds the
 	// scheduler.
