@@ -7,6 +7,7 @@
 //	pliant-served                         # listen on :8077
 //	pliant-served -addr 127.0.0.1:9090    # custom listen address
 //	pliant-served -max-sessions 4         # bound concurrently live sessions
+//	pliant-served -pprof 127.0.0.1:6060   # runtime profiles on a second listener
 //	pliant-served -version                # print the build identity
 //
 // Quickstart (see README.md for the full tour):
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -40,6 +42,7 @@ func main() {
 		addr        = flag.String("addr", ":8077", "listen address")
 		maxSessions = flag.Int("max-sessions", 0, "bound on concurrently live sessions (0 = default 16)")
 		showVer     = flag.Bool("version", false, "print the build identity and exit")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address, apart from the API (off when empty)")
 	)
 	flag.Parse()
 
@@ -56,6 +59,21 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+
+	if *pprofAddr != "" {
+		// Profiles get their own listener and mux: the API handler never
+		// routes /debug/pprof/, so exposing the API exposes no profiles.
+		// Bound first, so its address is logged before the API's.
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pliant-served: pprof: %v\n", err)
+			os.Exit(1)
+		}
+		ps := &http.Server{Handler: pprofMux(), ReadHeaderTimeout: 10 * time.Second}
+		defer ps.Close()
+		go func() { _ = ps.Serve(pln) }()
+		fmt.Fprintf(os.Stderr, "pliant-served: pprof on %s\n", pln.Addr())
+	}
 
 	// Bind before serving so the logged address is the real one — with
 	// -addr :0 the kernel picks the port, and scripts (the CI smoke test)
@@ -89,4 +107,16 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// pprofMux serves the runtime profiles (heap, goroutine, CPU, trace, ...)
+// under /debug/pprof/ and nothing else.
+func pprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

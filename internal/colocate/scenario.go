@@ -153,9 +153,13 @@ type Config struct {
 	OnReport func(monitor.Report)
 
 	// Scratch, when set, supplies reusable episode state (engine arenas,
-	// histograms) owned by the caller's worker. Results are identical with or
-	// without it; it only removes per-episode allocations. Must not be shared
-	// by concurrent runs.
+	// histograms, the result trace, queue and contention buffers) owned by
+	// the caller's worker. Results are identical with or without it; it only
+	// removes per-episode allocations. Must not be shared by concurrent runs.
+	//
+	// Aliasing: with a Scratch, Result.Trace is the Scratch's own trace. It
+	// stays valid until the next episode run on the same Scratch, which
+	// resets and refills it; copy what must outlive that.
 	Scratch *Scratch
 }
 
@@ -267,7 +271,8 @@ type Result struct {
 
 	// Trace carries the per-interval series for the dynamic-behavior
 	// figures: "p99" (in QoS multiples), "svc.cores", and per app
-	// "variant.<name>" and "yielded.<name>".
+	// "variant.<name>" and "yielded.<name>". A run on a Config.Scratch
+	// returns the Scratch's trace, recycled by its next episode.
 	Trace *stats.Trace
 }
 
@@ -313,6 +318,11 @@ func resolveApp(cfg Config, name string) (app.Profile, error) {
 	return app.ByName(name)
 }
 
+// seriesKeys are one application's per-app trace series names.
+type seriesKeys struct {
+	variant, yielded string
+}
+
 // scenario holds the assembled simulation.
 type scenario struct {
 	cfg   Config
@@ -332,12 +342,18 @@ type scenario struct {
 
 	apps      []*dyninst.Process
 	appNames  []string
+	keys      []seriesKeys // per-app trace series names, made once in build
 	initCores []int
 	yielded   []int
 	maxYield  []int
 	histogram *stats.Histogram // whole-run latency
 	trace     *stats.Trace
-	demands   []interference.Demand // refreshContention's reused buffer
+
+	// Buffers reused across contention refreshes and policy reports:
+	// demands[0] and slow[0] are the service's, entry i+1 app i's.
+	demands []interference.Demand
+	slow    []float64
+	views   []core.AppView
 
 	intervals    int
 	violations   int
@@ -359,19 +375,16 @@ type scenario struct {
 }
 
 func build(cfg Config) (*scenario, error) {
+	sc := cfg.Scratch
 	s := &scenario{
-		cfg:   cfg,
-		rng:   sim.NewRNG(cfg.Seed),
-		trace: stats.NewTrace(),
+		cfg:          cfg,
+		rng:          sim.NewRNG(cfg.Seed),
+		eng:          sc.engine(),
+		histogram:    sc.latencyHist(),
+		trace:        sc.resultTrace(),
+		intervalP99s: sc.intervalBuf(),
 	}
-	if cfg.Scratch != nil {
-		s.eng = cfg.Scratch.engine()
-		s.histogram = cfg.Scratch.latencyHist()
-		s.intervalP99s = cfg.Scratch.intervalBuf()
-	} else {
-		s.eng = sim.NewEngine()
-		s.histogram = stats.NewLatencyHistogram()
-	}
+	s.demands, s.slow, s.views = sc.appBuffers(len(cfg.AppNames))
 
 	var err error
 	s.alloc, err = platform.NewAllocation(cfg.Platform)
@@ -415,6 +428,7 @@ func build(cfg Config) (*scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	sc.adoptQueue(s.svc)
 	qps := svcCfg.SaturationQPS(fairSvcCores) * cfg.LoadFraction
 	var arr workload.ArrivalProcess
 	if cfg.LoadShape != nil {
@@ -431,12 +445,17 @@ func build(cfg Config) (*scenario, error) {
 	}
 
 	// Approximate applications under the instrumentation substrate.
+	n := len(cfg.AppNames)
+	s.apps = make([]*dyninst.Process, 0, n)
+	s.appNames = make([]string, 0, n)
+	s.keys = make([]seriesKeys, 0, n)
+	s.initCores = make([]int, 0, n)
 	for i, name := range cfg.AppNames {
 		prof, err := resolveApp(cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		variants, err := dse.VariantsFor(prof)
+		variants, err := dse.VariantTable(prof)
 		if err != nil {
 			return nil, err
 		}
@@ -460,6 +479,7 @@ func build(cfg Config) (*scenario, error) {
 		}
 		s.apps = append(s.apps, proc)
 		s.appNames = append(s.appNames, name)
+		s.keys = append(s.keys, seriesKeys{variant: "variant." + name, yielded: "yielded." + name})
 		s.initCores = append(s.initCores, cores)
 	}
 	s.yielded = make([]int, len(s.apps))
@@ -491,9 +511,7 @@ func build(cfg Config) (*scenario, error) {
 	// Monitor on the service's QoS.
 	monCfg := monitor.DefaultConfig(svcCfg.QoS)
 	monCfg.Interval = cfg.DecisionInterval
-	if cfg.Scratch != nil {
-		monCfg.Scratch = cfg.Scratch.monitorHist()
-	}
+	monCfg.Scratch = sc.monitorHist()
 	s.mon, err = monitor.New(s.eng, monCfg, s.onReport)
 	if err != nil {
 		return nil, err
@@ -539,10 +557,10 @@ func (s *scenario) refreshContention() {
 	for i, proc := range s.apps {
 		s.demands = append(s.demands, proc.App().Demand(s.tenantOf(i), now))
 	}
-	res := s.model.Evaluate(s.demands)
-	s.svc.SetSlowdown(res.Slowdown(s.svcTenant) * s.freqSlow)
+	s.model.EvaluateInto(s.demands, s.slow)
+	s.svc.SetSlowdown(s.slow[0] * s.freqSlow)
 	for i, proc := range s.apps {
-		proc.App().SetSlowdown(res.Slowdown(s.tenantOf(i)) * s.freqSlow)
+		proc.App().SetSlowdown(s.slow[i+1] * s.freqSlow)
 	}
 }
 
@@ -572,8 +590,8 @@ func (s *scenario) onReport(r monitor.Report) {
 	s.trace.Series("p99").Append(t, float64(r.P99)/float64(r.QoS))
 	s.trace.Series("svc.cores").Append(t, float64(s.svc.Cores()))
 	for i, proc := range s.apps {
-		s.trace.Series("variant."+s.appNames[i]).Append(t, float64(proc.Variant()))
-		s.trace.Series("yielded."+s.appNames[i]).Append(t, float64(s.yielded[i]))
+		s.trace.Series(s.keys[i].variant).Append(t, float64(proc.Variant()))
+		s.trace.Series(s.keys[i].yielded).Append(t, float64(s.yielded[i]))
 	}
 
 	if s.policy == nil {
@@ -644,8 +662,11 @@ func (s *scenario) accountEnergy(r monitor.Report) monitor.Report {
 	return r
 }
 
+// appViews fills the reused view buffer with the policy's view of every app.
+// The buffer is rewritten at every report (core.Snapshot.Apps documents the
+// lending rule for policies).
 func (s *scenario) appViews() []core.AppView {
-	views := make([]core.AppView, len(s.apps))
+	views := s.views
 	for i, proc := range s.apps {
 		a := proc.App()
 		quality := 0.0
@@ -729,9 +750,7 @@ func (s *scenario) run() (Result, error) {
 	}
 	s.eng.Run(sim.Time(horizon))
 	s.advanceApps()
-	if s.cfg.Scratch != nil {
-		s.cfg.Scratch.keepIntervalBuf(s.intervalP99s)
-	}
+	s.cfg.Scratch.keep(s.intervalP99s, s.svc)
 
 	res := Result{
 		Service:        service.Preset(s.cfg.Service).Name,
@@ -763,6 +782,7 @@ func (s *scenario) run() (Result, error) {
 			res.MeanUtil = s.utilSum / float64(s.intervals)
 		}
 	}
+	res.Apps = make([]AppResult, 0, len(s.apps))
 	for i, proc := range s.apps {
 		a := proc.App()
 		prof := a.Profile()

@@ -30,7 +30,10 @@ type AppView struct {
 
 // Snapshot is everything a policy sees when deciding.
 type Snapshot struct {
-	Report       monitor.Report
+	Report monitor.Report
+	// Apps is valid only during Decide: the runtime rewrites the same
+	// backing array at the next report, so a policy that keeps the views
+	// across intervals must copy them (slices.Clone).
 	Apps         []AppView
 	ServiceCores int
 
@@ -79,6 +82,7 @@ func (a Action) String() string {
 
 // Policy decides the actions for one decision interval. Implementations are
 // deterministic given their construction-time seed and the snapshot stream.
+// The snapshot's Apps slice is lent for the call only; see Snapshot.Apps.
 type Policy interface {
 	Name() string
 	Decide(s Snapshot) []Action

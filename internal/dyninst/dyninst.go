@@ -44,13 +44,15 @@ type Process struct {
 	eng *sim.Engine
 	app *app.Instance
 
-	table   []FunctionVersion
-	active  map[string]uint64 // function -> active version address
+	// active is the variant every approximated function dispatches to:
+	// swapTo re-points all of them at once, so one index plus the site
+	// position determines each function's address (see versionAddress).
+	active  int
 	latency sim.Duration
 
 	signals  uint64
 	switches uint64
-	pending  *sim.Event
+	pending  sim.EventID // the in-flight swap, superseded by a newer signal
 }
 
 // Options tunes a Launch.
@@ -79,7 +81,6 @@ func Launch(eng *sim.Engine, a *app.Instance, opts Options) (*Process, error) {
 	p := &Process{
 		eng:     eng,
 		app:     a,
-		active:  make(map[string]uint64, len(prof.Sites)),
 		latency: DefaultSwitchLatency,
 	}
 	if opts.SwitchLatency > 0 {
@@ -90,43 +91,51 @@ func Launch(eng *sim.Engine, a *app.Instance, opts Options) (*Process, error) {
 		overhead = opts.OverheadOverride
 	}
 
-	// Read the program addresses of the precise and approximate versions of
-	// every approximated function, as DynamoRIO does at program start. The
-	// synthetic layout places variants at fixed strides, giving each
-	// function/variant pair a stable, unique address.
-	const textBase = 0x400000
-	p.table = make([]FunctionVersion, 0, len(prof.Sites)*nVariants)
-	for si, site := range prof.Sites {
-		for v := 0; v < nVariants; v++ {
-			p.table = append(p.table, FunctionVersion{
-				Function: site.Name,
-				Variant:  v,
-				Address:  textBase + uint64(si)*0x10000 + uint64(v)*0x100,
-			})
-		}
-		p.active[site.Name] = textBase + uint64(si)*0x10000 // precise
-	}
-
 	a.SetInstrumented(overhead)
 	return p, nil
+}
+
+// textBase is where the synthetic layout starts the aggregated binary's
+// text.
+const textBase = 0x400000
+
+// versionAddress is the program address of variant v of the function at
+// site index si, as DynamoRIO reads it at program start. The synthetic
+// layout places variants at fixed strides, giving each function/variant
+// pair a stable, unique address, so the table is derived, never stored.
+func versionAddress(si, v int) uint64 {
+	return textBase + uint64(si)*0x10000 + uint64(v)*0x100
 }
 
 // App returns the wrapped application instance.
 func (p *Process) App() *app.Instance { return p.app }
 
-// Table returns the recorded function version table.
+// Table returns the function version table: every version of every
+// approximated function, site by site, precise first. It is built on
+// demand; the process itself stores only the active variant.
 func (p *Process) Table() []FunctionVersion {
-	return append([]FunctionVersion(nil), p.table...)
+	sites := p.app.Profile().Sites
+	n := p.app.VariantCount() + 1
+	table := make([]FunctionVersion, 0, len(sites)*n)
+	for si, site := range sites {
+		for v := 0; v < n; v++ {
+			table = append(table, FunctionVersion{Function: site.Name, Variant: v, Address: versionAddress(si, v)})
+		}
+	}
+	return table
 }
 
 // ActiveAddress returns the program address the given function currently
-// dispatches to.
+// dispatches to. Profiles may repeat a site name; the last site of that
+// name owns it, as a name-keyed dispatch table would record.
 func (p *Process) ActiveAddress(function string) (uint64, error) {
-	addr, ok := p.active[function]
-	if !ok {
-		return 0, fmt.Errorf("dyninst: unknown function %q", function)
+	sites := p.app.Profile().Sites
+	for si := len(sites) - 1; si >= 0; si-- {
+		if sites[si].Name == function {
+			return versionAddress(si, p.active), nil
+		}
 	}
-	return addr, nil
+	return 0, fmt.Errorf("dyninst: unknown function %q", function)
 }
 
 // SignalFor returns the signal mapped to a variant index.
@@ -159,14 +168,20 @@ func (p *Process) Deliver(signal int) error {
 	if p.app.Done() {
 		return nil
 	}
-	if p.pending != nil {
-		p.eng.Cancel(p.pending)
-	}
-	p.pending = p.eng.After(p.latency, func() {
-		p.pending = nil
-		p.swapTo(variant)
-	})
+	p.eng.CancelID(p.pending)
+	p.pending = p.eng.AfterTyped(p.latency, (*swapEvent)(p), uint64(variant))
 	return nil
+}
+
+// swapEvent is the process seen as the typed event its trapped handler
+// fires, so a signal schedules its swap without allocating.
+type swapEvent Process
+
+// OnEvent lands the swap to the variant carried in arg.
+func (e *swapEvent) OnEvent(_ sim.Time, arg uint64) {
+	p := (*Process)(e)
+	p.pending = sim.EventID{}
+	p.swapTo(int(arg))
 }
 
 // SwitchTo requests the given variant, the convenience form the actuator
@@ -181,15 +196,13 @@ func (p *Process) SwitchTo(variant int) error {
 
 // swapTo performs the drwrap_replace-style pointer swap for every
 // approximated function, then switches the application model.
+//
+//pliant:hotpath
 func (p *Process) swapTo(variant int) {
 	if p.app.Done() {
 		return
 	}
-	for _, fv := range p.table {
-		if fv.Variant == variant {
-			p.active[fv.Function] = fv.Address
-		}
-	}
+	p.active = variant
 	if variant != p.app.Variant() {
 		p.switches++
 	}

@@ -253,3 +253,77 @@ func TestTooManyVariantsRejected(t *testing.T) {
 		t.Fatal("variant count exceeding signal range accepted")
 	}
 }
+
+// A signal schedules its swap as a typed event and the swap itself writes
+// one index, so actuation allocates nothing once the engine's arenas are
+// warm.
+func TestSwitchAndSwapAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	p := launchCanneal(t, eng)
+	v := 1
+	cycle := func() {
+		if err := p.SwitchTo(v); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(eng.Now() + sim.Time(2*DefaultSwitchLatency))
+		if p.Variant() != v {
+			t.Fatalf("variant %d after the swap, want %d", p.Variant(), v)
+		}
+		v = 3 - v // alternate 1 and 2 so every swap is effective
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("SwitchTo plus the swap allocates %.1f times", avg)
+	}
+	if p.Switches() == 0 {
+		t.Fatal("no swap landed")
+	}
+}
+
+// The derived dispatch keeps the name-keyed semantics for a profile that
+// repeats a site name: the last site of that name owns it, before and after
+// a swap.
+func TestActiveAddressDuplicateSiteName(t *testing.T) {
+	eng := sim.NewEngine()
+	site := approx.Site{Name: "f", Technique: approx.LoopPerforation,
+		RuntimeShare: 0.2, TrafficShare: 0.2, UsefulFrac: 0.5,
+		QualityCoef: 0.05, QualityExp: 1}
+	other := site
+	other.Name = "g"
+	prof := app.Profile{
+		Name: "dup", NominalExecSec: 10, ParallelExp: 1,
+		Sites: []approx.Site{site, other, site},
+	}
+	variants := []approx.Effect{approx.Precise(), {TimeScale: 0.8, TrafficScale: 0.8, Inaccuracy: 1}}
+	inst, err := app.NewInstance(eng, sim.NewRNG(1), prof, variants, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Launch(eng, inst, Options{OverheadOverride: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// want mirrors a name-keyed table filled site by site: later entries
+	// overwrite earlier ones of the same name.
+	want := func(variant int) map[string]uint64 {
+		m := map[string]uint64{}
+		for _, fv := range p.Table() {
+			if fv.Variant == variant {
+				m[fv.Function] = fv.Address
+			}
+		}
+		return m
+	}
+	check := func(variant int) {
+		t.Helper()
+		for fn, addr := range want(variant) {
+			got, err := p.ActiveAddress(fn)
+			if err != nil || got != addr {
+				t.Fatalf("variant %d: %s dispatches to %#x (%v), want %#x", variant, fn, got, err, addr)
+			}
+		}
+	}
+	check(0)
+	eng.Schedule(0, func() { _ = p.SwitchTo(1) })
+	eng.Run(sim.Time(sim.Second))
+	check(1)
+}

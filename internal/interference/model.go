@@ -111,7 +111,24 @@ func (r Result) Slowdown(t platform.TenantID) float64 {
 	return 1.0
 }
 
-// Evaluate computes the current slowdown for every tenant in demands.
+// Evaluate computes the current slowdown for every tenant in demands. A
+// tenant listed twice gets the slowdown of its last demand.
+func (m *Model) Evaluate(demands []Demand) Result {
+	slow := make([]float64, len(demands))
+	res := Result{
+		Pressure:  m.EvaluateInto(demands, slow),
+		slowdowns: make(map[platform.TenantID]float64, len(demands)),
+	}
+	for i, d := range demands {
+		res.slowdowns[d.Tenant] = slow[i]
+	}
+	return res
+}
+
+// EvaluateInto is Evaluate without the per-call map: it writes the slowdown
+// of demands[i] to slow[i] (slow must be at least as long as demands) and
+// returns the pressure. Callers that refresh contention many times per run
+// reuse one slow buffer and allocate nothing.
 //
 // Cache: tenants compete for LLC capacity. Each tenant's occupancy is its
 // demand scaled down proportionally when the sum exceeds capacity; its
@@ -121,7 +138,9 @@ func (r Result) Slowdown(t platform.TenantID) float64 {
 // Bandwidth: when the summed demand exceeds the achievable peak, memory
 // accesses queue; every tenant sees the same relative shortfall, weighted by
 // its bandwidth sensitivity.
-func (m *Model) Evaluate(demands []Demand) Result {
+//
+//pliant:hotpath
+func (m *Model) EvaluateInto(demands []Demand, slow []float64) Pressure {
 	var p Pressure
 	for _, d := range demands {
 		p.LLCDemandMB += nonneg(d.LLCMB)
@@ -132,11 +151,6 @@ func (m *Model) Evaluate(demands []Demand) Result {
 	}
 	if p.BWDemandGBs > m.spec.MemBWGBs {
 		p.BWOvercommit = p.BWDemandGBs/m.spec.MemBWGBs - 1
-	}
-
-	res := Result{
-		Pressure:  p,
-		slowdowns: make(map[platform.TenantID]float64, len(demands)),
 	}
 
 	// Fraction of each tenant's demand it effectively receives: full until
@@ -151,7 +165,7 @@ func (m *Model) Evaluate(demands []Demand) Result {
 		bwShare = effCap / p.BWDemandGBs
 	}
 
-	for _, d := range demands {
+	for i, d := range demands {
 		llcShort := 0.0
 		if d.LLCMB > 0 {
 			llcShort = 1 - llcShare
@@ -160,13 +174,13 @@ func (m *Model) Evaluate(demands []Demand) Result {
 		if d.MemBWGBs > 0 {
 			bwShort = 1 - bwShare
 		}
-		slow := 1 + d.Sensitivity.LLC*llcShort + d.Sensitivity.MemBW*bwShort
-		if slow < 1 {
-			slow = 1
+		s := 1 + d.Sensitivity.LLC*llcShort + d.Sensitivity.MemBW*bwShort
+		if s < 1 {
+			s = 1
 		}
-		res.slowdowns[d.Tenant] = slow
+		slow[i] = s
 	}
-	return res
+	return p
 }
 
 func nonneg(v float64) float64 {

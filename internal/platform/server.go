@@ -9,6 +9,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -194,20 +195,21 @@ func (a *Allocation) Move(from, to TenantID, n int) error {
 
 // FairShare splits the usable cores evenly across the given tenants (the
 // paper's starting state: "a fair allocation of cores"). Remainder cores go
-// to the earliest tenants. Existing assignments are replaced.
+// to the earliest tenants. Existing assignments are replaced, reusing the
+// allocation's storage.
 func (a *Allocation) FairShare(tenants ...TenantID) error {
 	if len(tenants) == 0 {
 		return fmt.Errorf("platform: FairShare needs at least one tenant")
 	}
-	seen := make(map[TenantID]bool, len(tenants))
-	for _, t := range tenants {
-		if seen[t] {
+	// A socket hosts a handful of tenants, so a pairwise duplicate check
+	// beats building a set.
+	for i, t := range tenants {
+		if slices.Contains(tenants[:i], t) {
 			return fmt.Errorf("platform: duplicate tenant %s", t)
 		}
-		seen[t] = true
 	}
-	a.counts = make(map[TenantID]int, len(tenants))
-	a.order = append([]TenantID(nil), tenants...)
+	clear(a.counts)
+	a.order = append(a.order[:0], tenants...)
 	a.used = 0
 	total := a.spec.UsableCores()
 	base := total / len(tenants)

@@ -172,6 +172,28 @@ func (r *reqRing) Pop() pendingRequest {
 	return req
 }
 
+// QueueBuf carries a pending-request queue's backing array from one
+// Instance to the next, so a caller running many short episodes grows the
+// queue once instead of once per episode. The zero value is empty.
+type QueueBuf struct {
+	buf []pendingRequest
+}
+
+// UseQueue makes the instance's queue, which must still be empty, store its
+// requests in b's array. b is left empty until ReleaseQueue refills it.
+func (s *Instance) UseQueue(b *QueueBuf) {
+	s.queue = reqRing{buf: b.buf}
+	b.buf = nil
+}
+
+// ReleaseQueue hands the queue's (possibly grown) array to b and empties the
+// queue. Call it once the instance's run is over: requests still queued are
+// discarded, not served.
+func (s *Instance) ReleaseQueue(b *QueueBuf) {
+	b.buf = s.queue.buf
+	s.queue = reqRing{}
+}
+
 // New creates a service instance bound to an engine. The latency callback
 // fires once per completed (or dropped) request with its end-to-end latency;
 // it stands in for the client-side measurement point of the paper's monitor.

@@ -178,3 +178,46 @@ func TestTrace(t *testing.T) {
 		t.Fatal("Has misbehaves")
 	}
 }
+
+// Reset empties a trace — names, Has, points — and a series recreated after
+// it starts empty, in the new creation order.
+func TestTraceReset(t *testing.T) {
+	tr := NewTrace()
+	tr.Series("a").Append(0, 1)
+	tr.Series("b").Append(0, 2)
+	tr.Reset()
+	if len(tr.Names()) != 0 || tr.Has("a") || tr.Has("b") {
+		t.Fatalf("after Reset: names %v", tr.Names())
+	}
+	tr.Series("b").Append(1, 3)
+	tr.Series("c").Append(1, 4)
+	tr.Series("a")
+	names := tr.Names()
+	if len(names) != 3 || names[0] != "b" || names[1] != "c" || names[2] != "a" {
+		t.Fatalf("Names after Reset = %v, want [b c a]", names)
+	}
+	if pts := tr.Series("b").Points; len(pts) != 1 || pts[0] != (Point{T: 1, V: 3}) {
+		t.Fatalf("recreated series holds %v", pts)
+	}
+	if tr.Series("a").Len() != 0 {
+		t.Fatal("series recreated by lookup kept its old points")
+	}
+}
+
+// A warmed trace records a run of the same shape after Reset without
+// allocating.
+func TestTraceResetReuseAllocFree(t *testing.T) {
+	tr := NewTrace()
+	names := []string{"p99", "svc.cores", "variant.canneal", "yielded.canneal"}
+	fill := func() {
+		for k := 0; k < 16; k++ {
+			for _, n := range names {
+				tr.Series(n).Append(float64(k), float64(k))
+			}
+		}
+	}
+	fill()
+	if avg := testing.AllocsPerRun(100, func() { tr.Reset(); fill() }); avg != 0 {
+		t.Fatalf("Reset plus refill allocates %.1f times", avg)
+	}
+}

@@ -77,6 +77,10 @@ func (s *Series) FractionAbove(threshold float64) float64 {
 type Trace struct {
 	series map[string]*Series
 	order  []string
+
+	// spare holds series emptied by Reset, by name, so a reused trace
+	// recreates them on their existing point buffers.
+	spare map[string]*Series
 }
 
 // NewTrace returns an empty trace.
@@ -84,11 +88,31 @@ func NewTrace() *Trace {
 	return &Trace{series: make(map[string]*Series)}
 }
 
+// Reset empties the trace — no series, Names() empty — but keeps each
+// series' point buffer: a series recreated under the same name reuses it, so
+// a trace reset between runs of one shape records without allocating.
+// Series handed out before the Reset are recycled; callers must be done
+// with them.
+func (tr *Trace) Reset() {
+	if tr.spare == nil {
+		tr.spare = make(map[string]*Series, len(tr.order))
+	}
+	for _, name := range tr.order {
+		s := tr.series[name]
+		s.Points = s.Points[:0]
+		tr.spare[name] = s
+	}
+	clear(tr.series)
+	tr.order = tr.order[:0]
+}
+
 // Series returns the series with the given name, creating it on first use.
 func (tr *Trace) Series(name string) *Series {
 	s, ok := tr.series[name]
 	if !ok {
-		s = &Series{Name: name}
+		if s, ok = tr.spare[name]; !ok {
+			s = &Series{Name: name}
+		}
 		tr.series[name] = s
 		tr.order = append(tr.order, name)
 	}

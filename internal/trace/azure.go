@@ -31,16 +31,23 @@ const (
 // trace was cut) get the mean observed lifetime (Trace.Defaulted counts
 // them). A header row, if present, is skipped.
 func ParseAzure(r io.Reader) (*Trace, error) {
+	rows, dropped, jobs, err := readAzure(r)
+	if err != nil {
+		return nil, err
+	}
+	return finishTrace("azure", rows, dropped, jobs)
+}
+
+// readAzure parses VM rows into jobs in file order.
+func readAzure(r io.Reader) (rows, dropped int, jobs []Job, err error) {
 	cr := newCSVReader(r)
-	var jobs []Job
-	rows, dropped := 0, 0
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("trace: azure row %d: %w", rows+1, err)
+			return 0, 0, nil, fmt.Errorf("trace: azure row %d: %w", rows+1, err)
 		}
 		rows++
 		if rows == 1 && len(rec) > aCreated && looksLikeHeader(rec[aCreated]) {
@@ -91,7 +98,7 @@ func ParseAzure(r io.Reader) (*Trace, error) {
 			Cause:       cause,
 		})
 	}
-	return finishTrace("azure", rows, dropped, jobs)
+	return rows, dropped, jobs, nil
 }
 
 // parseBucket normalizes an Azure bucket column (">24"-style open top bucket,

@@ -54,6 +54,16 @@ func Parse(r io.Reader, f Format) (*Trace, error) {
 // Tasks with no terminal event by EOF get the mean observed duration
 // (Trace.Defaulted counts them). A header row, if present, is skipped.
 func ParseGoogle(r io.Reader) (*Trace, error) {
+	rows, dropped, jobs, err := readGoogle(r)
+	if err != nil {
+		return nil, err
+	}
+	return finishTrace("google", rows, dropped, jobs)
+}
+
+// readGoogle parses task events into jobs in emission order: each task at
+// its terminal event, then the still-open tasks in SUBMIT order.
+func readGoogle(r io.Reader) (rows, dropped int, jobs []Job, err error) {
 	type open struct {
 		arrivalSec float64
 		cpu, mem   float64
@@ -65,15 +75,13 @@ func ParseGoogle(r io.Reader) (*Trace, error) {
 	// orphans run to run), and file order is what finishTrace's stable sort
 	// promises to preserve among equal arrivals.
 	var order []string
-	var jobs []Job
-	rows, dropped := 0, 0
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("trace: google row %d: %w", rows+1, err)
+			return 0, 0, nil, fmt.Errorf("trace: google row %d: %w", rows+1, err)
 		}
 		rows++
 		if rows == 1 && looksLikeHeader(rec[gTimestamp]) {
@@ -150,7 +158,7 @@ func ParseGoogle(r io.Reader) (*Trace, error) {
 			Mem:         clamp01(o.mem),
 		})
 	}
-	return finishTrace("google", rows, dropped, jobs)
+	return rows, dropped, jobs, nil
 }
 
 // causeOfEvent maps a ClusterData terminal event type to its Cause. The

@@ -358,20 +358,7 @@ func finishTrace(source string, rows, dropped int, jobs []Job) (*Trace, error) {
 		return nil, fmt.Errorf("trace: %s trace contained no usable jobs (%d rows, %d dropped)",
 			source, rows, dropped)
 	}
-	// Stable sort by arrival: real exports are usually time-ordered already,
-	// but pairing SUBMIT/FINISH events can emit jobs out of order, and equal
-	// instants must keep their file order for determinism. The comparator is
-	// built from "<": the parsers drop non-finite timestamps, so "<" is a
-	// strict weak order and equal arrivals compare 0.
-	slices.SortStableFunc(jobs, func(a, b Job) int {
-		switch {
-		case a.ArrivalSec < b.ArrivalSec:
-			return -1
-		case b.ArrivalSec < a.ArrivalSec:
-			return 1
-		}
-		return 0
-	})
+	sortByArrival(jobs)
 
 	// Fill unknown durations (terminal event never appeared — the trace was
 	// cut, or the task outlived it) with the mean observed duration, so the
@@ -386,6 +373,18 @@ func finishTrace(source string, rows, dropped int, jobs []Job) (*Trace, error) {
 	mean := 1.0
 	if known > 0 {
 		mean = sum / float64(known)
+		if math.IsInf(mean, 0) {
+			// Finite durations near the float64 ceiling overflowed the sum;
+			// an incremental mean stays within their range.
+			mean = 0
+			n := 0.0
+			for _, j := range jobs {
+				if j.DurationSec >= 0 {
+					n++
+					mean += (j.DurationSec - mean) / n
+				}
+			}
+		}
 	}
 	defaulted := 0
 	for i := range jobs {
@@ -406,6 +405,55 @@ func finishTrace(source string, rows, dropped int, jobs []Job) (*Trace, error) {
 		Causes:    countCauses(jobs),
 		Jobs:      jobs,
 	}, nil
+}
+
+// sortByArrival orders jobs by arrival, stably: pairing SUBMIT/FINISH events
+// can emit jobs out of order, and equal instants must keep their file order
+// for determinism.
+//
+// The sort runs over 16-byte (arrival, file position) keys rather than the
+// jobs themselves — the position breaks ties, so an unstable sort of the keys
+// is the stable sort of the jobs — and the jobs move once, along the
+// permutation's cycles. The comparisons are built from "<": the parsers drop
+// non-finite timestamps, so "<" is a strict weak order.
+func sortByArrival(jobs []Job) {
+	type key struct {
+		at  float64
+		pos int
+	}
+	keys := make([]key, len(jobs))
+	for i, j := range jobs {
+		keys[i] = key{j.ArrivalSec, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.at < b.at:
+			return -1
+		case b.at < a.at:
+			return 1
+		}
+		return a.pos - b.pos
+	})
+	// Position k takes the job at keys[k].pos. Walk each cycle once: hold
+	// its first job, shift the rest along, and mark every placed position
+	// by pointing its key at itself.
+	for i := range keys {
+		if keys[i].pos == i {
+			continue
+		}
+		held := jobs[i]
+		k := i
+		for {
+			src := keys[k].pos
+			keys[k].pos = k
+			if src == i {
+				jobs[k] = held
+				break
+			}
+			jobs[k] = jobs[src]
+			k = src
+		}
+	}
 }
 
 // clamp01 clamps a normalized resource request into [0, 1]; callers have

@@ -174,7 +174,9 @@ func FormatHints(prof AppProfile) string { return accept.Format(prof) }
 type (
 	// Policy decides actuation for each decision interval.
 	Policy = core.Policy
-	// PolicySnapshot is the per-interval controller input.
+	// PolicySnapshot is the per-interval controller input. Its Apps slice
+	// is valid only during Decide and is rewritten at the next report:
+	// copy it to keep it.
 	PolicySnapshot = core.Snapshot
 	// PolicyAction is one actuation step.
 	PolicyAction = core.Action
