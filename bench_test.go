@@ -9,7 +9,6 @@ package pliant_test
 import (
 	"bytes"
 	"math"
-	"runtime"
 	"testing"
 
 	pliant "github.com/approx-sched/pliant"
@@ -350,76 +349,11 @@ func BenchmarkSchedFaultStorm(b *testing.B) {
 	b.ReportMetric(crashes/float64(b.N), "crashes")
 }
 
-// shardedBenchConfig is the sharded-runtime scenario: one compressed diurnal
-// day on a 128-node cluster — the Sec. 6.4 study at the scale where a single
-// engine leaves cores idle.
-func shardedBenchConfig(shards int) pliant.SchedConfig {
-	shape, _ := pliant.NewDiurnalLoad(0.25, 120)
-	var nodes []pliant.ClusterNode
-	for i := 0; i < 128; i++ {
-		switch i % 3 {
-		case 0:
-			nodes = append(nodes, pliant.ClusterNode{Name: "cache", Service: pliant.Memcached, MaxApps: 3})
-		case 1:
-			nodes = append(nodes, pliant.ClusterNode{Name: "web", Service: pliant.NGINX, MaxApps: 3})
-		default:
-			nodes = append(nodes, pliant.ClusterNode{Name: "db", Service: pliant.MongoDB, MaxApps: 3})
-		}
-	}
-	return pliant.SchedConfig{
-		Seed:       42,
-		Nodes:      nodes,
-		Policy:     pliant.TelemetryAwarePlacement{},
-		Horizon:    120 * pliant.Second,
-		Epoch:      10 * pliant.Second,
-		JobsPerSec: 2.0,
-		BaseLoad:   0.65,
-		Shape:      shape,
-		TimeScale:  16,
-		Shards:     shards,
-	}
-}
-
-// BenchmarkSchedShardedDiurnal measures the shard runtime on the 128-node
-// day: "single" is one shard, a serial episode loop on the coordinator, and
-// "sharded" one shard per core running windows in parallel. Both produce
-// byte-identical results (TestGoldenShardInvariance); only the wall-clock
-// differs, so comparing ns/op across the sub-benchmarks measures the
-// speedup directly.
-func BenchmarkSchedShardedDiurnal(b *testing.B) {
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 2 {
-		shards = 2 // shard machinery still engaged on a one-core runner
-	}
-	run := func(b *testing.B, cfg pliant.SchedConfig) {
-		var met float64
-		for i := 0; i < b.N; i++ {
-			res, err := pliant.RunSched(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			met += res.QoSMetFrac
-		}
-		b.ReportMetric(met/float64(b.N), "QoSMetFrac")
-	}
-	b.Run("single", func(b *testing.B) {
-		run(b, shardedBenchConfig(1))
-	})
-	b.Run("sharded", func(b *testing.B) {
-		cfg := shardedBenchConfig(shards)
-		b.ReportMetric(float64(shards), "shards")
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-		run(b, cfg)
-	})
-}
-
 // traceReplayBenchConfig mirrors the "trace" experiment's telemetry bundle:
 // a synthesized multi-hour Google-format trace parsed through the production
 // ingestion path, compressed into the two-minute day, and replayed over the
-// five-node cluster while services ride the trace's damped rate curve. It
-// also returns the raw row count and replayed job count — the trajectory
-// metadata pliant-bench -verify requires on trace records.
-func traceReplayBenchConfig() (cfg pliant.SchedConfig, rows, jobs int, err error) {
+// five-node cluster while services ride the trace's damped rate curve.
+func traceReplayBenchConfig() (pliant.SchedConfig, error) {
 	raw := pliant.SynthesizeTrace(pliant.TraceSynthConfig{
 		Format:  pliant.GoogleTraceFormat,
 		Jobs:    240,
@@ -428,24 +362,24 @@ func traceReplayBenchConfig() (cfg pliant.SchedConfig, rows, jobs int, err error
 	})
 	parsed, err := pliant.ParseTrace(bytes.NewReader(raw), pliant.GoogleTraceFormat)
 	if err != nil {
-		return cfg, 0, 0, err
+		return pliant.SchedConfig{}, err
 	}
 	tr, err := parsed.Normalize(pliant.TraceOptions{TargetSpanSec: 108, MaxJobs: 24})
 	if err != nil {
-		return cfg, 0, 0, err
+		return pliant.SchedConfig{}, err
 	}
 	times, mult, err := tr.RateShape(8)
 	if err != nil {
-		return cfg, 0, 0, err
+		return pliant.SchedConfig{}, err
 	}
 	for i, m := range mult {
 		mult[i] = math.Sqrt(m)
 	}
 	shape, err := pliant.NewReplayLoad(times, mult)
 	if err != nil {
-		return cfg, 0, 0, err
+		return pliant.SchedConfig{}, err
 	}
-	cfg = pliant.SchedConfig{
+	return pliant.SchedConfig{
 		Seed: 42,
 		Nodes: []pliant.ClusterNode{
 			{Name: "cache-1", Service: pliant.Memcached, MaxApps: 3},
@@ -461,15 +395,13 @@ func traceReplayBenchConfig() (cfg pliant.SchedConfig, rows, jobs int, err error
 		BaseLoad:  0.65,
 		Shape:     shape,
 		TimeScale: 16,
-	}
-	return cfg, tr.Rows, len(tr.Jobs), nil
+	}, nil
 }
 
 // BenchmarkSchedTraceReplay measures one replayed production-shaped day —
-// the trace-ingestion pipeline plus the scheduler consuming its stream —
-// reporting the trace's row/job scale alongside QoS.
+// the trace-ingestion pipeline plus the scheduler consuming its stream.
 func BenchmarkSchedTraceReplay(b *testing.B) {
-	cfg, rows, jobs, err := traceReplayBenchConfig()
+	cfg, err := traceReplayBenchConfig()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -482,6 +414,4 @@ func BenchmarkSchedTraceReplay(b *testing.B) {
 		met += res.QoSMetFrac
 	}
 	b.ReportMetric(met/float64(b.N), "QoSMetFrac")
-	b.ReportMetric(float64(rows), "rows")
-	b.ReportMetric(float64(jobs), "jobs")
 }

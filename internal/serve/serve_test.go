@@ -412,8 +412,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSubmitBodyBounds pins the submission decoder: a body past the 1 MiB
-// bound answers 413, an unknown field 400, and a normal batch still 202.
+// TestSubmitBodyBounds pins the body decoders: a submission past the 1 MiB
+// bound and a session spec past maxSpecBytes answer 413, an unknown field
+// 400, and a normal batch still 202.
 func TestSubmitBodyBounds(t *testing.T) {
 	srv := NewServer(Options{})
 	ts := httptest.NewServer(srv)
@@ -459,6 +460,16 @@ func TestSubmitBodyBounds(t *testing.T) {
 	}
 	if code := submit([]byte(`{"jobs":["` + name + `"]}`)); code != http.StatusAccepted {
 		t.Errorf("normal submit: status %d, want 202", code)
+	}
+	hugeSpec := []byte(`{"trace":{"csv":"` + strings.Repeat("x", maxSpecBytes) + `"}}`)
+	resp, err = http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(hugeSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte spec: status %d, want 413", len(hugeSpec), resp.StatusCode)
 	}
 }
 

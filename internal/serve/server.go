@@ -311,13 +311,21 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, rest stri
 	}
 }
 
-// handleCreate builds a session from the Spec body.
+// maxSpecBytes bounds a POST /v1/sessions body. The largest part a Spec can
+// carry is an inline TraceSpec.CSV upload: a Google task-event export costs
+// about 150 bytes per job once JSON-escaped, so 32 MiB takes a 200k-job
+// trace, twice the 100k-job trace the storm benchmark parses. Past that the
+// decoder would buffer whatever a client sends.
+const maxSpecBytes = 32 << 20
+
+// handleCreate builds a session from the Spec body (400 on a bad spec, 413
+// past maxSpecBytes).
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var sp Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad spec: %v", err))
+		httpError(w, decodeStatus(err), fmt.Sprintf("bad spec: %v", err))
 		return
 	}
 	sess, err := s.CreateSession(sp)
@@ -331,6 +339,16 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, sess.Status())
+}
+
+// decodeStatus maps a request-body decode error to its status: 413 when the
+// body ran past its MaxBytesReader bound, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // handleList renders every session's status in creation order.
@@ -360,12 +378,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, sess *Sess
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, fmt.Sprintf("bad body: %v", err))
+		httpError(w, decodeStatus(err), fmt.Sprintf("bad body: %v", err))
 		return
 	}
 	if len(body.Jobs) == 0 {

@@ -164,8 +164,10 @@ func (t *bucketTable) index(v float64) int {
 // of buckets per powers-of-two octave. 32 buckets/octave keeps relative error
 // under ~2.2%, plenty for tail-latency ratios.
 func NewHistogram(min, max float64, bucketsPerOctave int) *Histogram {
-	if min <= 0 || max <= min {
-		panic("stats: histogram needs 0 < min < max")
+	// The top bucket boundary can reach twice max; past MaxFloat64/4 it
+	// would overflow while the table is built.
+	if !(min > 0 && max > min && max <= math.MaxFloat64/4) {
+		panic("stats: histogram needs 0 < min < max <= MaxFloat64/4")
 	}
 	if bucketsPerOctave <= 0 {
 		panic("stats: histogram needs positive buckets per octave")

@@ -58,6 +58,50 @@ func TestBucketIndexMatchesLegacyFormula(t *testing.T) {
 	}
 }
 
+// FuzzBucketIndex checks the bits-based bucket lookup against the legacy
+// Log2 formula over fuzzed configurations and values. Configurations
+// NewHistogram rejects are skipped, as are ones over 1<<14 buckets (their
+// tables cost more to build than one fuzz iteration should) and values the
+// legacy formula cannot place: NaN, which Record ignores, and values whose
+// ratio to min overflows. The shared table cache would keep every fuzzed
+// configuration, so tables first built here are evicted again.
+func FuzzBucketIndex(f *testing.F) {
+	f.Add(100.0, 1e12, 32, 123456.7) // NewLatencyHistogram
+	f.Add(1.0, 1e6, 8, 2.0)
+	f.Add(0.125, 17.3, 5, 17.3)
+	f.Add(3.7, 9_000.0, 64, 3.6)
+	f.Add(1e308, 1.7e308, 1, 1.5e308) // top boundary overflows: rejected
+	f.Fuzz(func(t *testing.T, min, max float64, bpo int, v float64) {
+		if n := math.Log2(max/min) * float64(bpo); !(n <= 1<<14) {
+			return
+		}
+		if math.IsNaN(v) || math.IsInf(v/min, 0) {
+			return
+		}
+		key := tableKey{min: min, max: max, bpo: bpo}
+		if _, cached := tableCache.Load(key); !cached {
+			defer tableCache.Delete(key)
+		}
+		h := newHistogramOrNil(min, max, bpo)
+		if h == nil {
+			return
+		}
+		if got, want := h.bucketIndex(v), legacyBucketIndex(h, v); got != want {
+			t.Fatalf("NewHistogram(%v, %v, %d): bucketIndex(%v) = %d, legacy %d", min, max, bpo, v, got, want)
+		}
+	})
+}
+
+// newHistogramOrNil is NewHistogram with its rejection panic turned into nil.
+func newHistogramOrNil(min, max float64, bpo int) (h *Histogram) {
+	defer func() {
+		if recover() != nil {
+			h = nil
+		}
+	}()
+	return NewHistogram(min, max, bpo)
+}
+
 func TestBucketValueMatchesLegacyFormula(t *testing.T) {
 	h := NewLatencyHistogram()
 	for i := range h.counts {
