@@ -473,6 +473,25 @@ func TestSubmitBodyBounds(t *testing.T) {
 	}
 }
 
+// TestSynthesizeJobsCap: a session spec asking the synthesizer for one job
+// past maxSynthJobs is a 400 that names the cap, which the spec check
+// returns before any trace bytes are made.
+func TestSynthesizeJobsCap(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Options{}))
+	defer ts.Close()
+	sp := Spec{HorizonSec: 60, TimeScale: 16, Trace: &TraceSpec{Synthesize: &SynthSpec{Jobs: maxSynthJobs + 1}}}
+	body, _ := json.Marshal(sp)
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "exceeds the cap") {
+		t.Errorf("%d-job synthesize: status %d %q, want 400 naming the cap", maxSynthJobs+1, resp.StatusCode, msg)
+	}
+}
+
 // TestShadowReplayLibrary drives the non-HTTP shadow helper and checks the
 // verdict diffs are populated.
 func TestShadowReplayLibrary(t *testing.T) {

@@ -13,7 +13,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
 
 	"github.com/approx-sched/pliant/internal/autoscale"
@@ -140,6 +142,7 @@ type TraceSpec struct {
 
 // SynthSpec tunes the fixture generator (trace.SynthConfig as JSON).
 type SynthSpec struct {
+	// Jobs is capped at 200,000 (maxSynthJobs); Resolve rejects more.
 	Jobs        int     `json:"jobs,omitempty"`
 	SpanSec     float64 `json:"span_sec,omitempty"`
 	Seed        uint64  `json:"seed,omitempty"`
@@ -470,6 +473,11 @@ func FaultPlanFor(fromTrace bool, tr *trace.Trace, horizonSec, mttf, mttr float6
 	return &plan, nil
 }
 
+// maxSynthJobs caps TraceSpec.Synthesize.Jobs at the largest trace an inline
+// CSV upload can carry (maxSpecBytes at about 150 bytes per job), so a
+// synthesize config cannot make a session build more than an upload could.
+const maxSynthJobs = 200_000
+
 // load parses and normalizes the trace spec for replay over the horizon,
 // mirroring the CLI's loadTrace.
 func (ts *TraceSpec) load(horizonSec float64, slots int) (*trace.Trace, error) {
@@ -481,12 +489,15 @@ func (ts *TraceSpec) load(horizonSec float64, slots int) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	text := ts.CSV
-	if ts.Synthesize != nil {
-		if text != "" {
-			return nil, fmt.Errorf("serve: trace csv and synthesize are mutually exclusive")
+	var raw io.Reader
+	switch {
+	case ts.Synthesize != nil && ts.CSV != "":
+		return nil, fmt.Errorf("serve: trace csv and synthesize are mutually exclusive")
+	case ts.Synthesize != nil:
+		if ts.Synthesize.Jobs > maxSynthJobs {
+			return nil, fmt.Errorf("serve: trace synthesize jobs %d exceeds the cap of %d", ts.Synthesize.Jobs, maxSynthJobs)
 		}
-		text = string(trace.Synthesize(trace.SynthConfig{
+		raw = bytes.NewReader(trace.Synthesize(trace.SynthConfig{
 			Format:      f,
 			Jobs:        ts.Synthesize.Jobs,
 			SpanSec:     ts.Synthesize.SpanSec,
@@ -494,11 +505,12 @@ func (ts *TraceSpec) load(horizonSec float64, slots int) (*trace.Trace, error) {
 			Orphans:     ts.Synthesize.Orphans,
 			FailureFrac: ts.Synthesize.FailureFrac,
 		}))
-	}
-	if text == "" {
+	case ts.CSV != "":
+		raw = strings.NewReader(ts.CSV)
+	default:
 		return nil, fmt.Errorf("serve: trace needs csv text or a synthesize config")
 	}
-	tr, err := trace.Parse(strings.NewReader(text), f)
+	tr, err := trace.Parse(raw, f)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Azure VM-trace-style columns (the vmtable schema: one row per VM).
@@ -40,9 +39,9 @@ func ParseAzure(r io.Reader) (*Trace, error) {
 
 // readAzure parses VM rows into jobs in file order.
 func readAzure(r io.Reader) (rows, dropped int, jobs []Job, err error) {
-	cr := newCSVReader(r)
+	rr := newRowReader(r, aMinCols)
 	for {
-		rec, err := cr.Read()
+		rec, err := rr.next()
 		if err == io.EOF {
 			break
 		}
@@ -58,14 +57,14 @@ func readAzure(r io.Reader) (rows, dropped int, jobs []Job, err error) {
 			dropped++
 			continue
 		}
-		created, err1 := strconv.ParseFloat(rec[aCreated], 64)
+		created, err1 := parseFloat(rec[aCreated])
 		if err1 != nil || created < 0 || !isFinite(created) {
 			dropped++
 			continue
 		}
 		dur := -1.0
-		if rec[aDeleted] != "" {
-			deleted, err := strconv.ParseFloat(rec[aDeleted], 64)
+		if len(rec[aDeleted]) > 0 {
+			deleted, err := parseFloat(rec[aDeleted])
 			if err != nil || !isFinite(deleted) {
 				dropped++
 				continue
@@ -89,8 +88,7 @@ func readAzure(r io.Reader) (rows, dropped int, jobs []Job, err error) {
 			cause = CauseFinish
 		}
 		jobs = append(jobs, Job{
-			// Clone: the CSV reader reuses its field buffer across rows.
-			ID:          strings.Clone(rec[aVMID]),
+			ID:          string(rec[aVMID]),
 			ArrivalSec:  created,
 			DurationSec: dur,
 			CPU:         cores,
@@ -104,15 +102,15 @@ func readAzure(r io.Reader) (rows, dropped int, jobs []Job, err error) {
 // parseBucket normalizes an Azure bucket column (">24"-style open top bucket,
 // plain numbers otherwise) against the schema ceiling into [0, 1]; -1 flags a
 // malformed cell.
-func parseBucket(field string, ceiling float64) float64 {
-	s := strings.TrimSpace(field)
-	if strings.HasPrefix(s, ">") {
+func parseBucket(field []byte, ceiling float64) float64 {
+	s := bytes.TrimSpace(field)
+	if len(s) > 0 && s[0] == '>' {
 		return 1
 	}
-	if s == "" {
+	if len(s) == 0 {
 		return 0
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := parseFloat(s)
 	if err != nil || !isFinite(v) || v < 0 {
 		return -1
 	}

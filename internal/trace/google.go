@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
@@ -36,8 +35,10 @@ const (
 )
 
 // Parse reads a trace in the given format. The reader is consumed
-// streaming: memory stays proportional to the number of concurrently open
-// tasks (Google) or emitted jobs, never to the file size.
+// streaming, never held whole: memory grows with the number of jobs (the job
+// list, and for Google the SUBMIT-order list and open-task map, take an entry
+// per task), not with the file's other rows or bytes, plus a 64 KiB read
+// buffer (on the encoding/csv fallback, a buffer of the longest row).
 func Parse(r io.Reader, f Format) (*Trace, error) {
 	switch f {
 	case Google:
@@ -65,18 +66,23 @@ func ParseGoogle(r io.Reader) (*Trace, error) {
 // its terminal event, then the still-open tasks in SUBMIT order.
 func readGoogle(r io.Reader) (rows, dropped int, jobs []Job, err error) {
 	type open struct {
+		id         string // the pending key, reused as Job.ID
 		arrivalSec float64
 		cpu, mem   float64
 	}
-	cr := newCSVReader(r)
+	rr := newRowReader(r, gMinCols)
+	// pending is looked up by the row's job/task bytes (pending[string(key)]
+	// does not allocate); a task's key string is made once, at the SUBMIT
+	// that opens it.
 	pending := map[string]open{}
+	var key []byte
 	// order records SUBMIT file order: tasks still open at EOF must emit in
 	// a deterministic order (map iteration would scramble equal-instant
 	// orphans run to run), and file order is what finishTrace's stable sort
 	// promises to preserve among equal arrivals.
 	var order []string
 	for {
-		rec, err := cr.Read()
+		rec, err := rr.next()
 		if err == io.EOF {
 			break
 		}
@@ -92,13 +98,13 @@ func readGoogle(r io.Reader) (rows, dropped int, jobs []Job, err error) {
 			dropped++
 			continue
 		}
-		ts, err1 := strconv.ParseFloat(rec[gTimestamp], 64)
-		event, err2 := strconv.Atoi(rec[gEventType])
+		ts, err1 := parseFloat(rec[gTimestamp])
+		event, err2 := strconv.Atoi(string(rec[gEventType]))
 		if err1 != nil || err2 != nil || ts < 0 || !isFinite(ts) {
 			dropped++
 			continue
 		}
-		key := rec[gJobID] + "/" + rec[gTaskIndex]
+		key = append(append(append(key[:0], rec[gJobID]...), '/'), rec[gTaskIndex]...)
 		sec := ts / 1e6
 		switch event {
 		case gSubmit:
@@ -108,26 +114,31 @@ func readGoogle(r io.Reader) (rows, dropped int, jobs []Job, err error) {
 				dropped++
 				continue
 			}
-			if _, ok := pending[key]; !ok {
-				order = append(order, key)
+			// A SUBMIT for a task still open overwrites its arrival and
+			// request in place, keeping its first SUBMIT position.
+			o, ok := pending[string(key)]
+			if !ok {
+				o.id = string(key)
+				order = append(order, o.id)
 			}
-			pending[key] = open{arrivalSec: sec, cpu: cpu, mem: mem}
+			o.arrivalSec, o.cpu, o.mem = sec, cpu, mem
+			pending[o.id] = o
 		case gFinish, gEvict, gFail, gKill, gLost:
-			o, ok := pending[key]
+			o, ok := pending[string(key)]
 			if !ok {
 				// Terminal event for a task whose SUBMIT predates the trace
 				// window — nothing to anchor an arrival to.
 				dropped++
 				continue
 			}
-			delete(pending, key)
+			delete(pending, o.id)
 			dur := sec - o.arrivalSec
 			if dur < 0 {
 				dropped++
 				continue
 			}
 			jobs = append(jobs, Job{
-				ID:          key,
+				ID:          o.id,
 				ArrivalSec:  o.arrivalSec,
 				DurationSec: dur,
 				CPU:         clamp01(o.cpu),
@@ -143,15 +154,16 @@ func readGoogle(r io.Reader) (rows, dropped int, jobs []Job, err error) {
 	}
 	// Tasks still open at EOF arrived but never terminated inside the
 	// window: keep them with an unknown duration for finishTrace to
-	// default, in SUBMIT file order.
-	for _, key := range order {
-		o, ok := pending[key]
+	// default, in SUBMIT file order. A task closed and submitted again
+	// emits at its key's first SUBMIT position.
+	for _, id := range order {
+		o, ok := pending[id]
 		if !ok {
 			continue // closed (possibly resubmitted and closed again)
 		}
-		delete(pending, key)
+		delete(pending, id)
 		jobs = append(jobs, Job{
-			ID:          key,
+			ID:          o.id,
 			ArrivalSec:  o.arrivalSec,
 			DurationSec: -1,
 			CPU:         clamp01(o.cpu),
@@ -181,32 +193,22 @@ func causeOfEvent(event int) Cause {
 	return CauseUnknown
 }
 
-// newCSVReader configures the shared reader: variable-width rows (real
-// exports differ in trailing columns) and no quote pedantry.
-func newCSVReader(r io.Reader) *csv.Reader {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	cr.LazyQuotes = true
-	return cr
-}
-
 // looksLikeHeader reports whether a first-column value is non-numeric — both
 // schemas are numeric in column 0 (timestamp, or the Azure vmid hash which
 // some exports emit as a header label).
-func looksLikeHeader(field string) bool {
-	_, err := strconv.ParseFloat(field, 64)
+func looksLikeHeader(field []byte) bool {
+	_, err := parseFloat(field)
 	return err != nil
 }
 
 // parseFraction reads a normalized resource column: empty cells (redacted in
 // real exports) mean zero, anything unparsable or non-finite is NaN so the
 // caller drops the row.
-func parseFraction(field string) float64 {
-	if field == "" {
+func parseFraction(field []byte) float64 {
+	if len(field) == 0 {
 		return 0
 	}
-	v, err := strconv.ParseFloat(field, 64)
+	v, err := parseFloat(field)
 	if err != nil || !isFinite(v) {
 		return math.NaN()
 	}

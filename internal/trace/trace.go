@@ -13,8 +13,8 @@
 //   - Azure VM-trace-style rows: one CSV row per VM (created/deleted
 //     timestamps, core and memory buckets).
 //
-// Parsing is streaming (constant memory beyond the open-task map), every row
-// is validated, and Normalize rebases, rescales, and deterministically
+// Parsing is streaming (memory grows with the number of jobs, not with the
+// file), every row is validated, and Normalize rebases, rescales, and deterministically
 // down-samples the stream so a multi-day production trace compresses into a
 // simulated day. Synthesize emits schema-exact fixtures for both formats, so
 // tests and benchmarks exercise the real parse path without shipping

@@ -453,3 +453,62 @@ func TestSynthesizeShape(t *testing.T) {
 		t.Errorf("burst stretch spans %.0fs vs %.0fs before it — want ≥2× denser", during, before)
 	}
 }
+
+// TestParseGoogleResubmitOpenTask pins a SUBMIT for a task that is still
+// open: it overwrites the task's arrival and request but keeps the task's
+// first SUBMIT position, which shows among equal arrivals.
+func TestParseGoogleResubmitOpenTask(t *testing.T) {
+	csv := strings.Join([]string{
+		"0,,9,0,7,0,u,0,0,0.50,0.50",       // submit C (anchors t=0)
+		"500000,,9,0,7,4,u,0,0,0.50,0.50",  // finish C
+		"1000000,,1,0,7,0,u,0,0,0.10,0.10", // submit A
+		"2000000,,2,0,7,0,u,0,0,0.20,0.20", // submit B
+		"2000000,,1,0,7,0,u,0,0,0.30,0.40", // resubmit A while open
+	}, "\n")
+	tr, err := ParseGoogle(strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Job{
+		{ID: "9/0", ArrivalSec: 0, DurationSec: 0.5, CPU: 0.5, Mem: 0.5, Cause: CauseFinish},
+		{ID: "1/0", ArrivalSec: 2, DurationSec: 0.5, CPU: 0.3, Mem: 0.4},
+		{ID: "2/0", ArrivalSec: 2, DurationSec: 0.5, CPU: 0.2, Mem: 0.2},
+	}
+	if len(tr.Jobs) != len(want) {
+		t.Fatalf("jobs = %+v, want %+v", tr.Jobs, want)
+	}
+	for i := range want {
+		if tr.Jobs[i] != want[i] {
+			t.Errorf("job %d = %+v, want %+v", i, tr.Jobs[i], want[i])
+		}
+	}
+}
+
+// TestParseGoogleResubmitClosedTask pins a task that is closed, submitted
+// again and still open at EOF: the orphan tail emits it at its key's first
+// SUBMIT position, so the SUBMIT order [A, B, A] yields A then B.
+func TestParseGoogleResubmitClosedTask(t *testing.T) {
+	csv := strings.Join([]string{
+		"1000000,,1,0,7,0,u,0,0,0.10,0.10", // submit A
+		"1000000,,1,0,7,4,u,0,0,0.10,0.10", // finish A
+		"1000000,,2,0,7,0,u,0,0,0.20,0.20", // submit B
+		"1000000,,1,0,7,0,u,0,0,0.30,0.30", // submit A again
+	}, "\n")
+	tr, err := ParseGoogle(strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		id    string
+		cpu   float64
+		cause Cause
+	}{{"1/0", 0.1, CauseFinish}, {"1/0", 0.3, CauseUnknown}, {"2/0", 0.2, CauseUnknown}}
+	if len(tr.Jobs) != len(want) {
+		t.Fatalf("jobs = %+v, want %d", tr.Jobs, len(want))
+	}
+	for i, w := range want {
+		if j := tr.Jobs[i]; j.ID != w.id || j.CPU != w.cpu || j.Cause != w.cause {
+			t.Errorf("job %d = %+v, want %s cpu %v cause %v", i, j, w.id, w.cpu, w.cause)
+		}
+	}
+}
