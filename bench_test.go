@@ -179,39 +179,6 @@ func BenchmarkExploreCatalog(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterPlacement measures the Sec. 6.4 scheduler-integration
-// study: a six-job batch placed across three service nodes, per policy.
-func BenchmarkClusterPlacement(b *testing.B) {
-	cfg := pliant.ClusterConfig{
-		Seed: 17,
-		Nodes: []pliant.ClusterNode{
-			{Name: "web-1", Service: pliant.NGINX, MaxApps: 3},
-			{Name: "cache-1", Service: pliant.Memcached, MaxApps: 3},
-			{Name: "db-1", Service: pliant.MongoDB, MaxApps: 3},
-		},
-		Jobs:      []string{"PLSA", "streamcluster", "canneal", "Bayesian", "raytrace", "Blast"},
-		TimeScale: 16,
-	}
-	for _, pol := range []pliant.PlacementPolicy{
-		pliant.RoundRobinPlacement{},
-		pliant.InterferenceAwarePlacement{},
-	} {
-		b.Run(pol.Name(), func(b *testing.B) {
-			var met float64
-			for i := 0; i < b.N; i++ {
-				c := cfg
-				c.Policy = pol
-				res, err := pliant.RunCluster(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				met += res.QoSMetFraction
-			}
-			b.ReportMetric(met/float64(b.N), "QoSMetFrac")
-		})
-	}
-}
-
 // schedBenchConfig is the diurnal-day online-scheduling scenario the sched
 // benches share: one compressed day on a three-service cluster.
 func schedBenchConfig() pliant.SchedConfig {

@@ -1,26 +1,20 @@
-// Package cluster implements the scheduler integration the paper closes its
-// evaluation with (Sec. 6.4): "This information can be incorporated in the
-// cluster scheduler when deciding which applications to place on the same
-// physical node." A cluster is a set of nodes, each hosting one interactive
-// service; incoming approximate jobs are placed by a pluggable policy, and
-// every node then runs its colocation under the Pliant runtime. Comparing a
-// naive placement against one that uses the per-application pressure and
-// per-service tolerance knowledge from the paper's Fig. 10 breakdown
-// quantifies how much the runtime's telemetry is worth to the scheduler.
+// Package cluster is the node-episode and telemetry layer under the online
+// scheduler (internal/sched), the form this repository gives the paper's
+// closing remark (Sec. 6.4) that the runtime's information "can be
+// incorporated in the cluster scheduler when deciding which applications to
+// place on the same physical node". A cluster is a set of nodes, each hosting
+// one interactive service; a node episode runs a set of approximate jobs on
+// one node under the Pliant runtime, and the monitor's reports fold into the
+// per-node Telemetry the scheduler's policies consume.
 package cluster
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"github.com/approx-sched/pliant/internal/app"
 	"github.com/approx-sched/pliant/internal/colocate"
 	"github.com/approx-sched/pliant/internal/energy"
 	"github.com/approx-sched/pliant/internal/monitor"
 	"github.com/approx-sched/pliant/internal/service"
 	"github.com/approx-sched/pliant/internal/sim"
-	"github.com/approx-sched/pliant/internal/stats"
 	"github.com/approx-sched/pliant/internal/workload"
 )
 
@@ -35,47 +29,15 @@ type Node struct {
 	MaxApps int
 }
 
-// Placement maps each job (by index) to a node (by index).
-type Placement []int
-
-// Policy decides where each incoming approximate job runs.
-type Policy interface {
-	Name() string
-	// Place assigns every job to a node, respecting node capacities. Jobs
-	// arrive in order; policies see the full batch, as cluster schedulers
-	// see their queues.
-	Place(nodes []Node, jobs []app.Profile) (Placement, error)
-}
-
-// Config describes one cluster scheduling study.
-type Config struct {
-	Seed      uint64
-	Nodes     []Node
-	Jobs      []string // catalog application names
-	Policy    Policy
-	TimeScale float64
-	// LoadFraction is the offered load on every node's service.
-	LoadFraction float64
-
-	// EnergyModel attaches per-node power accounting, for parity with the
-	// online scheduler (sched.Config.Energy): every busy node's episode
-	// meters its joules and the Result carries the cluster total. Empty
-	// nodes run no episode and so have no metered span — they report zero.
-	// Nil keeps energy accounting off and results identical to prior
-	// versions.
-	EnergyModel *energy.Model
-}
-
-// NodeSeed derives the deterministic per-node seed the batch study and the
-// online scheduler both use, so a node's random stream never depends on what
-// runs on other nodes.
+// NodeSeed derives the deterministic per-node seed the online scheduler
+// builds its episode seeds from, so a node's random stream never depends on
+// what runs on other nodes.
 func NodeSeed(seed uint64, node int) uint64 {
 	return seed ^ uint64(node+1)*0x9e3779b97f4a7c15
 }
 
-// NodeRun describes one node-colocation episode — the shared unit of
-// execution between the batch study (Run) and the online scheduler
-// (internal/sched): a set of approximate jobs on one node's service, run
+// NodeRun describes one node-colocation episode — the online scheduler's
+// unit of execution: a set of approximate jobs on one node's service, run
 // under the Pliant runtime for at most MaxDuration of virtual time.
 type NodeRun struct {
 	Seed         uint64
@@ -223,305 +185,8 @@ func (w *WindowStats) Merge(o WindowStats) {
 	}
 }
 
-// NodeResult is the outcome of one node's colocation run.
-type NodeResult struct {
-	Node       string
-	Service    string
-	Apps       []string
-	TypicalP99 float64 // relative to QoS
-	ViolFrac   float64
-	Inaccuracy []float64
-
-	// Joules and MeanWatts meter the node's episode when Config.EnergyModel
-	// is set (zero otherwise, and for empty nodes, which run no episode).
-	Joules    float64
-	MeanWatts float64
-}
-
-// Result aggregates a cluster run.
-type Result struct {
-	Policy string
-	Nodes  []NodeResult
-
-	// QoSMetFraction is the fraction of nodes whose steady-state p99 met
-	// QoS.
-	QoSMetFraction float64
-	// MeanInaccuracy averages quality loss across all placed jobs.
-	MeanInaccuracy float64
-	// WorstP99 is the worst node's steady-state p99/QoS.
-	WorstP99 float64
-
-	// Joules totals the busy nodes' metered energy (zero without
-	// Config.EnergyModel), summed in node order for byte determinism.
-	Joules float64
-}
-
-// Run places the jobs and executes every node's colocation concurrently.
-func Run(cfg Config) (Result, error) {
-	if len(cfg.Nodes) == 0 {
-		return Result{}, fmt.Errorf("cluster: no nodes")
-	}
-	if cfg.Policy == nil {
-		return Result{}, fmt.Errorf("cluster: no placement policy")
-	}
-	if cfg.TimeScale == 0 {
-		cfg.TimeScale = 1
-	}
-	if cfg.LoadFraction == 0 {
-		cfg.LoadFraction = 0.78
-	}
-	if cfg.EnergyModel != nil {
-		if err := cfg.EnergyModel.Validate(); err != nil {
-			return Result{}, err
-		}
-	}
-	jobs := make([]app.Profile, len(cfg.Jobs))
-	for i, name := range cfg.Jobs {
-		p, err := app.ByName(name)
-		if err != nil {
-			return Result{}, err
-		}
-		jobs[i] = p
-	}
-	placement, err := cfg.Policy.Place(cfg.Nodes, jobs)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := validatePlacement(cfg.Nodes, jobs, placement); err != nil {
-		return Result{}, err
-	}
-
-	perNode := make([][]string, len(cfg.Nodes))
-	for j, n := range placement {
-		perNode[n] = append(perNode[n], jobs[j].Name)
-	}
-
-	out := Result{Policy: cfg.Policy.Name(), Nodes: make([]NodeResult, len(cfg.Nodes))}
-	var wg sync.WaitGroup
-	errs := make([]error, len(cfg.Nodes))
-	for i, node := range cfg.Nodes {
-		i, node := i, node
-		wg.Add(1)
-		//pliant:allow spawn — deterministic fan-out: per-node seeds derive from (cfg.Seed, i) and results land in disjoint slots by node index
-		go func() {
-			defer wg.Done()
-			nr := NodeResult{Node: node.Name, Service: node.Service.String(), Apps: perNode[i]}
-			if len(perNode[i]) == 0 {
-				// An empty node trivially meets QoS; nothing to run.
-				nr.TypicalP99 = 0
-				out.Nodes[i] = nr
-				return
-			}
-			res, err := RunNode(NodeRun{
-				Seed:         NodeSeed(cfg.Seed, i),
-				Node:         node,
-				AppNames:     perNode[i],
-				LoadFraction: cfg.LoadFraction,
-				TimeScale:    cfg.TimeScale,
-				EnergyModel:  cfg.EnergyModel,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			nr.TypicalP99 = res.TypicalOverQoS()
-			nr.ViolFrac = res.ViolationFrac
-			nr.Joules = res.Joules
-			nr.MeanWatts = res.MeanWatts
-			for _, a := range res.Apps {
-				nr.Inaccuracy = append(nr.Inaccuracy, a.Inaccuracy)
-			}
-			out.Nodes[i] = nr
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	met := 0
-	var inaccs []float64
-	for _, nr := range out.Nodes {
-		if nr.TypicalP99 <= 1 {
-			met++
-		}
-		if nr.TypicalP99 > out.WorstP99 {
-			out.WorstP99 = nr.TypicalP99
-		}
-		out.Joules += nr.Joules
-		inaccs = append(inaccs, nr.Inaccuracy...)
-	}
-	out.QoSMetFraction = float64(met) / float64(len(out.Nodes))
-	out.MeanInaccuracy = stats.Mean(inaccs)
-	return out, nil
-}
-
-func validatePlacement(nodes []Node, jobs []app.Profile, p Placement) error {
-	if len(p) != len(jobs) {
-		return fmt.Errorf("cluster: placement covers %d of %d jobs", len(p), len(jobs))
-	}
-	counts := make([]int, len(nodes))
-	for j, n := range p {
-		if n < 0 || n >= len(nodes) {
-			return fmt.Errorf("cluster: job %d placed on unknown node %d", j, n)
-		}
-		counts[n]++
-	}
-	for i, c := range counts {
-		if max := nodes[i].MaxApps; max > 0 && c > max {
-			return fmt.Errorf("cluster: node %s over capacity (%d > %d)", nodes[i].Name, c, max)
-		}
-	}
-	return nil
-}
-
-// RoundRobin places jobs across nodes in arrival order, skipping full nodes —
-// the service-blind baseline.
-type RoundRobin struct{}
-
-// Name identifies the policy.
-func (RoundRobin) Name() string { return "round-robin" }
-
-// Place implements Policy.
-func (RoundRobin) Place(nodes []Node, jobs []app.Profile) (Placement, error) {
-	p := make(Placement, len(jobs))
-	counts := make([]int, len(nodes))
-	next := 0
-	for j := range jobs {
-		placed := false
-		for k := 0; k < len(nodes); k++ {
-			idx := (next + k) % len(nodes)
-			if nodes[idx].MaxApps == 0 || counts[idx] < nodes[idx].MaxApps {
-				p[j] = idx
-				counts[idx]++
-				next = idx + 1
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return nil, fmt.Errorf("cluster: no capacity for job %d", j)
-		}
-	}
-	return p, nil
-}
-
-// InterferenceAware places jobs using the knowledge Pliant's runtime gives
-// the scheduler: each application's shared-resource pressure (cache
-// footprint plus bandwidth appetite, net of what its most approximate
-// variant can shed) and each service's measured tolerance. Jobs are placed
-// heaviest-first onto the node with the most remaining tolerance — a greedy
-// bin-packing of interference rather than of slots.
-type InterferenceAware struct {
-	// Tolerance maps a service class to how much residual co-runner
-	// pressure it absorbs before needing core reclamation; derived from the
-	// Fig. 10 breakdown (MongoDB most tolerant, memcached least). Missing
-	// entries use DefaultTolerances.
-	Tolerance map[service.Class]float64
-}
-
-// DefaultTolerances reflects the paper's Fig. 10 ordering: the budget is in
-// the same units as pressureOf (MB-equivalents of shed-adjusted footprint).
-func DefaultTolerances() map[service.Class]float64 {
-	return map[service.Class]float64{
-		service.MongoDB:   95,
-		service.NGINX:     80,
-		service.Memcached: 65,
-	}
-}
-
-// Name identifies the policy.
-func (InterferenceAware) Name() string { return "interference-aware" }
-
-// PressureOf scores a job's residual pressure: the footprint its most
-// approximate variant retains, plus bandwidth weight. Both the batch
-// interference-aware policy and the online telemetry-aware scheduler rank
-// jobs by it.
-func PressureOf(p app.Profile) float64 {
-	// Best-case traffic scale from the sites (product of full-depth
-	// reductions), mirroring approx.Combine on maximal decisions without
-	// running the full DSE.
-	traffic := 1.0
-	for _, s := range p.Sites {
-		traffic *= 1 - s.TrafficShare*0.9
-	}
-	if traffic < 0.1 {
-		traffic = 0.1
-	}
-	return p.LLCMB*traffic + 4*p.BWPerCoreGBs
-}
-
-// Place implements Policy.
-func (ia InterferenceAware) Place(nodes []Node, jobs []app.Profile) (Placement, error) {
-	tol := ia.Tolerance
-	if tol == nil {
-		tol = DefaultTolerances()
-	}
-	remaining := make([]float64, len(nodes))
-	counts := make([]int, len(nodes))
-	for i, n := range nodes {
-		remaining[i] = tol[n.Service]
-	}
-	// Heaviest jobs first: they need the most tolerant nodes.
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return PressureOf(jobs[order[a]]) > PressureOf(jobs[order[b]])
-	})
-
-	p := make(Placement, len(jobs))
-	for _, j := range order {
-		best, bestRem := -1, 0.0
-		for i, n := range nodes {
-			if n.MaxApps > 0 && counts[i] >= n.MaxApps {
-				continue
-			}
-			if best == -1 || remaining[i] > bestRem {
-				best, bestRem = i, remaining[i]
-			}
-		}
-		if best == -1 {
-			return nil, fmt.Errorf("cluster: no capacity for job %d", j)
-		}
-		p[j] = best
-		counts[best]++
-		remaining[best] -= PressureOf(jobs[j])
-	}
-	return p, nil
-}
-
-// Compare runs the same job batch under several policies and returns results
-// in policy order — the Sec. 6.4 study in one call.
-func Compare(cfg Config, policies ...Policy) ([]Result, error) {
-	out := make([]Result, 0, len(policies))
-	for _, pol := range policies {
-		c := cfg
-		c.Policy = pol
-		res, err := Run(c)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: policy %s: %w", pol.Name(), err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// Render prints a comparison table.
-func Render(results []Result) string {
-	s := "cluster placement comparison\n"
-	s += fmt.Sprintf("  %-20s %10s %10s %12s\n", "policy", "QoS met", "worst p99", "mean inacc")
-	for _, r := range results {
-		s += fmt.Sprintf("  %-20s %9.0f%% %9.2fx %11.2f%%\n",
-			r.Policy, r.QoSMetFraction*100, r.WorstP99, r.MeanInaccuracy)
-	}
-	return s
-}
-
-// Seeded helper: deterministic shuffled job batches for studies.
+// ShuffledJobs returns the first n catalog names in a seeded shuffle —
+// deterministic job mixes for studies and benchmarks.
 func ShuffledJobs(seed uint64, n int) []string {
 	names := app.Names()
 	rng := sim.NewRNG(seed)

@@ -2,287 +2,11 @@ package cluster
 
 import (
 	"math"
-	"strings"
 	"testing"
 
-	"github.com/approx-sched/pliant/internal/app"
-	"github.com/approx-sched/pliant/internal/energy"
 	"github.com/approx-sched/pliant/internal/monitor"
-	"github.com/approx-sched/pliant/internal/platform"
-	"github.com/approx-sched/pliant/internal/service"
 	"github.com/approx-sched/pliant/internal/sim"
 )
-
-func testNodes() []Node {
-	return []Node{
-		{Name: "n0", Service: service.NGINX, MaxApps: 3},
-		{Name: "n1", Service: service.Memcached, MaxApps: 3},
-		{Name: "n2", Service: service.MongoDB, MaxApps: 3},
-	}
-}
-
-func jobProfiles(t *testing.T, names ...string) []app.Profile {
-	t.Helper()
-	out := make([]app.Profile, len(names))
-	for i, n := range names {
-		p, err := app.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = p
-	}
-	return out
-}
-
-func TestRoundRobinPlacement(t *testing.T) {
-	jobs := jobProfiles(t, "canneal", "SNP", "raytrace", "Bayesian")
-	p, err := RoundRobin{}.Place(testNodes(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Placement{0, 1, 2, 0}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("placement %v, want %v", p, want)
-		}
-	}
-}
-
-func TestRoundRobinRespectsCapacity(t *testing.T) {
-	nodes := []Node{
-		{Name: "tiny", Service: service.MongoDB, MaxApps: 1},
-		{Name: "big", Service: service.MongoDB, MaxApps: 3},
-	}
-	jobs := jobProfiles(t, "canneal", "SNP", "raytrace")
-	p, err := RoundRobin{}.Place(nodes, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count0 := 0
-	for _, n := range p {
-		if n == 0 {
-			count0++
-		}
-	}
-	if count0 > 1 {
-		t.Fatalf("tiny node got %d jobs", count0)
-	}
-	// Overfull batch errors.
-	many := jobProfiles(t, "canneal", "SNP", "raytrace", "Bayesian", "PLSA")
-	if _, err := (RoundRobin{}).Place(nodes, many); err == nil {
-		t.Fatal("over-capacity batch accepted")
-	}
-}
-
-func TestInterferenceAwareSendsHeavyToTolerant(t *testing.T) {
-	// PLSA is the heaviest pressure source; MongoDB the most tolerant
-	// service. The interference-aware policy must pair them.
-	jobs := jobProfiles(t, "PLSA", "raytrace", "Blast")
-	nodes := testNodes()
-	p, err := InterferenceAware{}.Place(nodes, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nodes[p[0]].Service != service.MongoDB {
-		t.Fatalf("PLSA placed on %v, want mongodb", nodes[p[0]].Service)
-	}
-}
-
-func TestInterferenceAwareCapacity(t *testing.T) {
-	nodes := []Node{{Name: "only", Service: service.NGINX, MaxApps: 1}}
-	jobs := jobProfiles(t, "canneal", "SNP")
-	if _, err := (InterferenceAware{}).Place(nodes, jobs); err == nil {
-		t.Fatal("over-capacity accepted")
-	}
-}
-
-func TestPressureOrdering(t *testing.T) {
-	plsa, _ := app.ByName("PLSA")
-	ray, _ := app.ByName("raytrace")
-	if PressureOf(plsa) <= PressureOf(ray) {
-		t.Fatalf("PLSA pressure %.1f not above raytrace %.1f", PressureOf(plsa), PressureOf(ray))
-	}
-}
-
-func TestRunValidates(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	if _, err := Run(Config{Nodes: testNodes()}); err == nil {
-		t.Fatal("missing policy accepted")
-	}
-	cfg := Config{
-		Nodes:  testNodes(),
-		Jobs:   []string{"no-such-app"},
-		Policy: RoundRobin{},
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("unknown job accepted")
-	}
-}
-
-func TestClusterRunEndToEnd(t *testing.T) {
-	cfg := Config{
-		Seed:      3,
-		Nodes:     testNodes(),
-		Jobs:      []string{"canneal", "SNP", "raytrace"},
-		Policy:    InterferenceAware{},
-		TimeScale: 16,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy != "interference-aware" {
-		t.Fatalf("policy %q", res.Policy)
-	}
-	if len(res.Nodes) != 3 {
-		t.Fatalf("nodes %d", len(res.Nodes))
-	}
-	if res.QoSMetFraction < 2.0/3.0 {
-		t.Fatalf("QoS met on only %.0f%% of nodes", res.QoSMetFraction*100)
-	}
-	if res.MeanInaccuracy <= 0 || res.MeanInaccuracy > 6 {
-		t.Fatalf("mean inaccuracy %.2f%%", res.MeanInaccuracy)
-	}
-}
-
-// TestClusterRunEnergyParity covers the batch layer's energy threading
-// (ROADMAP "Batch cluster layer energy"): with an EnergyModel the batch
-// study meters joules per busy node and totals them in the Result, without
-// perturbing any scheduling outcome; without one, all energy fields stay
-// zero.
-func TestClusterRunEnergyParity(t *testing.T) {
-	model := energy.ModelFor(platform.TablePlatform())
-	cfg := Config{
-		Seed:      3,
-		Nodes:     testNodes(),
-		Jobs:      []string{"canneal", "SNP", "raytrace", "Bayesian"},
-		Policy:    RoundRobin{},
-		TimeScale: 16,
-	}
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.EnergyModel = &model
-	metered, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if plain.Joules != 0 {
-		t.Errorf("energy-free run totaled %v J", plain.Joules)
-	}
-	if metered.Joules <= 0 {
-		t.Fatal("metered run totaled no energy")
-	}
-	if metered.QoSMetFraction != plain.QoSMetFraction || metered.WorstP99 != plain.WorstP99 ||
-		metered.MeanInaccuracy != plain.MeanInaccuracy {
-		t.Errorf("energy metering perturbed scheduling:\nmetered: %+v\nplain:   %+v", metered, plain)
-	}
-	sum := 0.0
-	for i, nr := range metered.Nodes {
-		if len(nr.Apps) > 0 && (nr.Joules <= 0 || nr.MeanWatts <= 0) {
-			t.Errorf("busy node %s metered %v J / %v W", nr.Node, nr.Joules, nr.MeanWatts)
-		}
-		if len(nr.Apps) == 0 && nr.Joules != 0 {
-			t.Errorf("empty node %s metered %v J", nr.Node, nr.Joules)
-		}
-		if plain.Nodes[i].Joules != 0 {
-			t.Errorf("energy-free node %s metered %v J", nr.Node, plain.Nodes[i].Joules)
-		}
-		sum += nr.Joules
-	}
-	if diff := math.Abs(sum - metered.Joules); diff > 1e-9 {
-		t.Errorf("node joules sum to %v, total %v", sum, metered.Joules)
-	}
-
-	// A malformed model is rejected up front.
-	broken := model
-	broken.FreqGHz = nil
-	cfg.EnergyModel = &broken
-	if _, err := Run(cfg); err == nil {
-		t.Error("invalid energy model accepted")
-	}
-}
-
-func TestCompareRendersBothPolicies(t *testing.T) {
-	cfg := Config{
-		Seed:      7,
-		Nodes:     testNodes(),
-		Jobs:      []string{"PLSA", "canneal", "raytrace"},
-		TimeScale: 16,
-	}
-	results, err := Compare(cfg, RoundRobin{}, InterferenceAware{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results %d", len(results))
-	}
-	out := Render(results)
-	if !strings.Contains(out, "round-robin") || !strings.Contains(out, "interference-aware") {
-		t.Fatalf("render missing policies:\n%s", out)
-	}
-	// The informed policy should not do worse on the worst node.
-	if results[1].WorstP99 > results[0].WorstP99*1.25 {
-		t.Fatalf("interference-aware worst p99 %.2f much worse than round-robin %.2f",
-			results[1].WorstP99, results[0].WorstP99)
-	}
-}
-
-// TestRenderTableShape pins Render's output contract on synthetic results:
-// one header block, one row per result, rows in input (policy) order, with
-// the three aggregate columns formatted.
-func TestRenderTableShape(t *testing.T) {
-	results := []Result{
-		{Policy: "round-robin", QoSMetFraction: 2.0 / 3.0, WorstP99: 1.42, MeanInaccuracy: 2.5},
-		{Policy: "interference-aware", QoSMetFraction: 1, WorstP99: 0.97, MeanInaccuracy: 3.1},
-	}
-	out := Render(results)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2+len(results) {
-		t.Fatalf("render has %d lines, want title + header + %d rows:\n%s", len(lines), len(results), out)
-	}
-	for _, col := range []string{"policy", "QoS met", "worst p99", "mean inacc"} {
-		if !strings.Contains(lines[1], col) {
-			t.Fatalf("header missing %q: %s", col, lines[1])
-		}
-	}
-	// Row order follows input order.
-	if !strings.Contains(lines[2], "round-robin") || !strings.Contains(lines[3], "interference-aware") {
-		t.Fatalf("rows out of order:\n%s", out)
-	}
-	// Formatted aggregates.
-	if !strings.Contains(lines[2], "67%") || !strings.Contains(lines[2], "1.42x") || !strings.Contains(lines[2], "2.50%") {
-		t.Fatalf("round-robin row mis-formatted: %s", lines[2])
-	}
-	if !strings.Contains(lines[3], "100%") || !strings.Contains(lines[3], "0.97x") {
-		t.Fatalf("interference-aware row mis-formatted: %s", lines[3])
-	}
-}
-
-// TestCompareOrderAndIsolation checks Compare returns results in policy
-// order and that each result carries its own policy's name.
-func TestCompareOrderAndIsolation(t *testing.T) {
-	cfg := Config{
-		Seed:      5,
-		Nodes:     testNodes(),
-		Jobs:      []string{"canneal", "raytrace"},
-		TimeScale: 16,
-	}
-	results, err := Compare(cfg, InterferenceAware{}, RoundRobin{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"interference-aware", "round-robin"}
-	for i, w := range want {
-		if results[i].Policy != w {
-			t.Fatalf("result %d is %q, want %q (policy order must be preserved)", i, results[i].Policy, w)
-		}
-	}
-}
 
 func TestNodeSeedIndependentPerNode(t *testing.T) {
 	if NodeSeed(1, 0) == NodeSeed(1, 1) {

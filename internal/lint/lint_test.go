@@ -327,7 +327,7 @@ func TestRuleScoping(t *testing.T) {
 		{"wallclock", mod + "/internal/serve", true},
 		{"wallclock", mod + "/internal/stats", false},
 		{"wallclock", mod + "/cmd/pliant-bench", false},
-		{"wallclock", mod + "/examples/cluster", false},
+		{"wallclock", mod + "/examples/quickstart", false},
 		{"unseededrand", mod + "/internal/stats", true},
 		{"unseededrand", mod + "/cmd/pliant-run", false},
 		{"maporder", mod + "/internal/export", true},
@@ -339,7 +339,7 @@ func TestRuleScoping(t *testing.T) {
 		{"seedflow", mod + "/internal/fault", true},
 		{"seedflow", mod + "/cmd/pliant-run", false},
 		{"seedflow", mod + "/internal/sched", true},
-		{"seedflow", mod + "/examples/cluster", false},
+		{"seedflow", mod + "/examples/quickstart", false},
 		{"hotpathalloc", mod + "/internal/sim", true},
 		{"hotpathalloc", mod + "/cmd/pliant-sched", false},
 	}

@@ -3,15 +3,14 @@ package sched
 import (
 	"math"
 
-	"github.com/approx-sched/pliant/internal/cluster"
+	"github.com/approx-sched/pliant/internal/app"
 	"github.com/approx-sched/pliant/internal/service"
 )
 
 // Policy decides, at every scheduling window, where the next pending job
-// runs. Unlike the batch cluster.Policy it never sees the whole job stream:
-// it is offered one job at a time against the cluster's live state and may
-// defer (return -1) to keep the job queued — admission control when every
-// node is saturated.
+// runs. It never sees the whole job stream: it is offered one job at a time
+// against the cluster's live state and may defer (return -1) to keep the
+// job queued — admission control when every node is saturated.
 //
 // The contract, which the scheduler enforces and relies on:
 //
@@ -97,17 +96,17 @@ func (Spread) Place(_ Job, nodes []NodeState) int {
 
 // TelemetryAware consumes the Pliant runtime's live feedback — each node's
 // recent p99/QoS and violation fraction, each resident job's residual
-// pressure — plus the per-service tolerance budgets of the batch policy, and
-// packs interference instead of slots: among nodes whose recent tail is
-// within the admission threshold, a job goes to the one with the most
-// tolerance headroom left after accounting for the upcoming window's load
-// (headroom ranks candidates; observed telemetry, not predicted pressure,
-// gates admission). When every free node's recent tail breaches the
+// pressure (PressureOf) — plus per-service tolerance budgets, and packs
+// interference instead of slots: among nodes whose recent tail is within
+// the admission threshold, a job goes to the one with the most tolerance
+// headroom left after accounting for the upcoming window's load (headroom
+// ranks candidates; observed telemetry, not predicted pressure, gates
+// admission). When every free node's recent tail breaches the
 // threshold the job is deferred, up to MaxDefer windows, after which it
 // takes the least-bad free slot rather than starving.
 type TelemetryAware struct {
 	// Tolerance maps service classes to co-runner pressure budgets; nil uses
-	// cluster.DefaultTolerances.
+	// defaultTolerances.
 	Tolerance map[service.Class]float64
 
 	// AdmitP99 is the recent p99/QoS ratio above which a node stops
@@ -124,8 +123,33 @@ type TelemetryAware struct {
 func (TelemetryAware) Name() string { return "telemetry-aware" }
 
 // defaultTolerances is the tolerance table TelemetryAware uses when its own
-// is nil; built once and only ever read.
-var defaultTolerances = cluster.DefaultTolerances()
+// is nil: how much residual co-runner pressure each service absorbs before
+// needing core reclamation, in PressureOf's units (MB-equivalents of
+// shed-adjusted footprint). The values follow the paper's Fig. 10 ordering:
+// MongoDB most tolerant, memcached least. Only ever read.
+var defaultTolerances = map[service.Class]float64{
+	service.MongoDB:   95,
+	service.NGINX:     80,
+	service.Memcached: 65,
+}
+
+// PressureOf scores a job's residual shared-resource pressure: the LLC
+// footprint its most approximate variant retains, plus bandwidth weight.
+// The scheduler precomputes it into Job.Pressure for policies, and trace
+// replay ranks catalog apps by it.
+func PressureOf(p app.Profile) float64 {
+	// Best-case traffic scale from the sites (product of full-depth
+	// reductions), mirroring approx.Combine on maximal decisions without
+	// running the full DSE.
+	traffic := 1.0
+	for _, s := range p.Sites {
+		traffic *= 1 - s.TrafficShare*0.9
+	}
+	if traffic < 0.1 {
+		traffic = 0.1
+	}
+	return p.LLCMB*traffic + 4*p.BWPerCoreGBs
+}
 
 // Place implements Policy.
 //

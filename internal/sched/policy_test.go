@@ -30,7 +30,15 @@ func testJob(t *testing.T, name string) Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Job{App: prof, Pressure: cluster.PressureOf(prof)}
+	return Job{App: prof, Pressure: PressureOf(prof)}
+}
+
+func TestPressureOrdering(t *testing.T) {
+	plsa, _ := app.ByName("PLSA")
+	ray, _ := app.ByName("raytrace")
+	if PressureOf(plsa) <= PressureOf(ray) {
+		t.Fatalf("PLSA pressure %.1f not above raytrace %.1f", PressureOf(plsa), PressureOf(ray))
+	}
 }
 
 func TestFirstFitPicksFirstFree(t *testing.T) {

@@ -162,7 +162,7 @@ func (r *Runner) Inject(names ...string) error {
 		j := &Job{
 			ID:         len(s.jobs),
 			App:        prof,
-			Pressure:   cluster.PressureOf(prof),
+			Pressure:   PressureOf(prof),
 			ArrivalSec: s.eng.Now().Seconds(),
 			StartSec:   -1,
 			FinishSec:  -1,

@@ -42,7 +42,7 @@ type Job struct {
 	App app.Profile
 
 	// Pressure is the job's residual shared-resource pressure
-	// (cluster.PressureOf), precomputed for policies.
+	// (PressureOf), precomputed for policies.
 	Pressure float64
 
 	ArrivalSec float64
@@ -496,7 +496,7 @@ func (s *run) arrive() {
 	j := &Job{
 		ID:         len(s.jobs),
 		App:        prof,
-		Pressure:   cluster.PressureOf(prof),
+		Pressure:   PressureOf(prof),
 		ArrivalSec: s.eng.Now().Seconds(),
 		StartSec:   -1,
 		FinishSec:  -1,

@@ -5,14 +5,13 @@ import (
 	"sort"
 
 	"github.com/approx-sched/pliant/internal/app"
-	"github.com/approx-sched/pliant/internal/cluster"
 	"github.com/approx-sched/pliant/internal/trace"
 )
 
 // JobsFromTrace maps a trace's job stream onto catalog applications for the
 // pending queue: trace jobs ranked by resource demand (CPU, then memory,
 // then duration) map onto the candidate apps ranked by residual pressure
-// (cluster.PressureOf), so a heavy trace row becomes a heavy catalog job and
+// (PressureOf), so a heavy trace row becomes a heavy catalog job and
 // the trace's demand mix survives the translation. The i-th returned name is
 // the app of the i-th arrival. Candidates default to the full catalog; the
 // mapping is a pure function of the trace and the candidate set.
@@ -35,7 +34,7 @@ func JobsFromTrace(tr *trace.Trace, candidates []string) ([]string, error) {
 	// Candidates light→heavy by pressure, name-tiebroken for determinism.
 	byPressure := append([]app.Profile(nil), profs...)
 	sort.SliceStable(byPressure, func(a, b int) bool {
-		pa, pb := cluster.PressureOf(byPressure[a]), cluster.PressureOf(byPressure[b])
+		pa, pb := PressureOf(byPressure[a]), PressureOf(byPressure[b])
 		if pa != pb {
 			return pa < pb
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/app"
-	"github.com/approx-sched/pliant/internal/cluster"
 	"github.com/approx-sched/pliant/internal/trace"
 	"github.com/approx-sched/pliant/internal/workload"
 )
@@ -47,7 +46,7 @@ func TestJobsFromTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cluster.PressureOf(p)
+		return PressureOf(p)
 	}
 	if pressure(names[1]) < pressure(names[0]) || pressure(names[1]) < pressure(names[2]) {
 		t.Errorf("heavy trace job mapped to %s (%.1f) below %s (%.1f)/%s (%.1f)",

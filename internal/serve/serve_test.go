@@ -492,6 +492,64 @@ func TestSynthesizeJobsCap(t *testing.T) {
 	}
 }
 
+// TestSpecBoundsRejected: a horizon or epoch past what sim.Duration holds,
+// and a nodes list past maxNodes, are 400s that name the field, instead of
+// wrapping negative or sizing a cluster by body length.
+func TestSpecBoundsRejected(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Options{}))
+	defer ts.Close()
+	cases := []struct {
+		name, body, want string
+	}{
+		{"horizon", `{"horizon_sec": 1e10}`, "horizon_sec"},
+		{"epoch", `{"epoch_sec": 1e10}`, "epoch_sec"},
+		{"nodes", `{"nodes": [` + strings.Repeat(`"nginx",`, maxNodes) + `"nginx"]}`, "nodes"},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.want) {
+			t.Errorf("%s: status %d %q, want 400 naming %s", c.name, resp.StatusCode, msg, c.want)
+		}
+	}
+}
+
+// TestCreateSessionLimitConcurrent: concurrent creates racing past the
+// MaxSessions check must not all succeed — the slot is reserved under the
+// server lock before the session is built.
+func TestCreateSessionLimitConcurrent(t *testing.T) {
+	srv := NewServer(Options{MaxSessions: 2})
+	defer srv.Drain()
+	sp := Spec{SubmitOnly: true, HorizonSec: 600, EpochSec: 12, TimeScale: 16, PaceMS: 250}
+	start := make(chan struct{})
+	errs := make(chan error, 16)
+	for i := 0; i < 16; i++ {
+		go func() {
+			<-start
+			_, err := srv.CreateSession(sp)
+			errs <- err
+		}()
+	}
+	close(start)
+	created := 0
+	for i := 0; i < 16; i++ {
+		switch err := <-errs; err {
+		case nil:
+			created++
+		case errTooManySessions:
+		default:
+			t.Errorf("create: %v", err)
+		}
+	}
+	if created != 2 {
+		t.Errorf("%d sessions created under MaxSessions = 2, want 2", created)
+	}
+}
+
 // TestShadowReplayLibrary drives the non-HTTP shadow helper and checks the
 // verdict diffs are populated.
 func TestShadowReplayLibrary(t *testing.T) {

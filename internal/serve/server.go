@@ -125,6 +125,9 @@ type Server struct {
 	order    []string
 	nextID   int
 	draining bool
+	// pending counts creates that passed the MaxSessions check and are
+	// still building their session outside the lock; they hold a slot.
+	pending int
 }
 
 // NewServer returns an empty session manager.
@@ -151,7 +154,7 @@ func (s *Server) CreateSession(sp Spec) (*Session, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("serve: draining, not accepting sessions")
 	}
-	live := 0
+	live := s.pending
 	for _, sess := range s.sessions {
 		if !sess.Done() {
 			live++
@@ -161,16 +164,19 @@ func (s *Server) CreateSession(sp Spec) (*Session, error) {
 		s.mu.Unlock()
 		return nil, errTooManySessions
 	}
+	s.pending++
 	s.nextID++
 	id := fmt.Sprintf("s%d", s.nextID)
 	s.mu.Unlock()
 
 	sess, err := NewSession(id, res, s.metrics)
+	s.mu.Lock()
+	s.pending--
 	if err != nil {
+		s.mu.Unlock()
 		return nil, err
 	}
 	s.metrics.onSessionCreated()
-	s.mu.Lock()
 	s.sessions[id] = sess
 	s.order = append(s.order, id)
 	s.mu.Unlock()

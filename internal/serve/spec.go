@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"github.com/approx-sched/pliant/internal/autoscale"
@@ -169,11 +170,24 @@ type Resolved struct {
 	PaceMS   int
 }
 
+// maxNodes bounds a spec's nodes list at 16× the 256-node cluster of
+// perfbench's storm-coordinator workload, the largest one benchmarked, so a
+// session spec cannot size a cluster (and its per-node runner state) by
+// body length alone.
+const maxNodes = 16 * 256
+
+// maxDurationSec is the longest span, in seconds, that sim.Duration's int64
+// nanoseconds can hold; a horizon or epoch at or past it would wrap negative.
+const maxDurationSec = math.MaxInt64 / float64(sim.Second)
+
 // Resolve lowers the spec exactly as the pliant-sched flags would.
 func (sp Spec) Resolve() (Resolved, error) {
 	nodeNames := sp.Nodes
 	if len(nodeNames) == 0 {
 		nodeNames = []string{"memcached", "nginx", "mongodb"}
+	}
+	if len(nodeNames) > maxNodes {
+		return Resolved{}, fmt.Errorf("serve: nodes lists %d entries, more than %d", len(nodeNames), maxNodes)
 	}
 	maxApps := sp.MaxApps
 	if maxApps == 0 {
@@ -191,6 +205,13 @@ func (sp Spec) Resolve() (Resolved, error) {
 	epoch := sp.EpochSec
 	if epoch == 0 {
 		epoch = 12
+	}
+	// Negated so NaN (reachable through the CLI flags) is refused too.
+	if !(horizon < maxDurationSec) {
+		return Resolved{}, fmt.Errorf("serve: horizon_sec %g exceeds the %.0f s a virtual-time span can hold", horizon, maxDurationSec)
+	}
+	if !(epoch < maxDurationSec) {
+		return Resolved{}, fmt.Errorf("serve: epoch_sec %g exceeds the %.0f s a virtual-time span can hold", epoch, maxDurationSec)
 	}
 
 	var tr *trace.Trace

@@ -19,11 +19,11 @@
 //     every table and figure of the paper's evaluation.
 //   - The paper's extension paths: ACCEPT-style hint files for user-provided
 //     applications (ParseHints, Sec. 6.5), an online variant-impact learner
-//     (RuntimeLearner, Sec. 6.5), batch cluster placement informed by the
-//     runtime's tolerance telemetry (RunCluster, Sec. 6.4), and an online,
-//     event-driven cluster scheduler (RunSched): jobs stream in over a
-//     horizon, services ride time-varying load shapes, and placement
-//     policies consume each node's live runtime telemetry.
+//     (RuntimeLearner, Sec. 6.5), and an online, event-driven cluster
+//     scheduler informed by the runtime's telemetry (RunSched, Sec. 6.4):
+//     jobs stream in over a horizon, services ride time-varying load
+//     shapes, and placement policies consume each node's live runtime
+//     telemetry.
 //   - An energy dimension behind all of it (EnergyModelFor,
 //     ScenarioConfig.EnergyModel, SchedConfig.Energy): per-node power curves
 //     derived from the platform spec, joules accumulated in virtual time,
@@ -53,14 +53,12 @@ import (
 	"github.com/approx-sched/pliant/internal/experiments"
 	"github.com/approx-sched/pliant/internal/export"
 	"github.com/approx-sched/pliant/internal/fault"
-	"github.com/approx-sched/pliant/internal/monitor"
 	"github.com/approx-sched/pliant/internal/obs"
 	"github.com/approx-sched/pliant/internal/platform"
 	"github.com/approx-sched/pliant/internal/sched"
 	"github.com/approx-sched/pliant/internal/serve"
 	"github.com/approx-sched/pliant/internal/service"
 	"github.com/approx-sched/pliant/internal/sim"
-	"github.com/approx-sched/pliant/internal/stats"
 	"github.com/approx-sched/pliant/internal/trace"
 	"github.com/approx-sched/pliant/internal/version"
 	"github.com/approx-sched/pliant/internal/workload"
@@ -72,8 +70,6 @@ func Version() string { return version.String() }
 
 // Core simulation types.
 type (
-	// Time is an instant of virtual time in nanoseconds.
-	Time = sim.Time
 	// Duration is a span of virtual time in nanoseconds.
 	Duration = sim.Duration
 )
@@ -123,9 +119,6 @@ func QoSOf(c ServiceClass) Duration { return service.QoSOf(c) }
 type (
 	// AppProfile statically describes one approximate application.
 	AppProfile = app.Profile
-	// ApproxSite is one approximable location (perforable loop, elidable
-	// lock, reducible-precision datum) in an application.
-	ApproxSite = approx.Site
 	// ApproxEffect is a variant's impact on time, traffic, and quality.
 	ApproxEffect = approx.Effect
 )
@@ -166,10 +159,6 @@ func VariantsFor(prof AppProfile) ([]ApproxEffect, error) { return dse.VariantsF
 // declares. Such profiles run in scenarios via ScenarioConfig.CustomApps.
 func ParseHints(r io.Reader) (AppProfile, error) { return accept.Parse(r) }
 
-// FormatHints renders a profile in the hints format, useful as a template
-// for user-provided applications.
-func FormatHints(prof AppProfile) string { return accept.Format(prof) }
-
 // Runtime policies.
 type (
 	// Policy decides actuation for each decision interval.
@@ -180,10 +169,6 @@ type (
 	PolicySnapshot = core.Snapshot
 	// PolicyAction is one actuation step.
 	PolicyAction = core.Action
-	// AppView is the controller's view of one colocated application.
-	AppView = core.AppView
-	// MonitorReport is the performance monitor's per-interval output.
-	MonitorReport = monitor.Report
 	// RuntimeKind selects a built-in runtime policy.
 	RuntimeKind = colocate.RuntimeKind
 )
@@ -211,12 +196,6 @@ type (
 	ScenarioConfig = colocate.Config
 	// ScenarioResult is the outcome of one run.
 	ScenarioResult = colocate.Result
-	// AppResult summarizes one application after a run.
-	AppResult = colocate.AppResult
-	// Series is a recorded per-interval metric.
-	Series = stats.Series
-	// Trace bundles the per-run series.
-	Trace = stats.Trace
 )
 
 // RunScenario executes one colocation scenario.
@@ -234,46 +213,10 @@ func WriteTraceCSV(w io.Writer, res ScenarioResult) error {
 	return export.WriteTraceCSV(w, res)
 }
 
-// Cluster scheduling (the paper's Sec. 6.4 scheduler integration).
-type (
-	// ClusterNode is one server in a cluster study.
-	ClusterNode = cluster.Node
-	// ClusterConfig describes a placement study.
-	ClusterConfig = cluster.Config
-	// ClusterResult aggregates a cluster run.
-	ClusterResult = cluster.Result
-	// PlacementPolicy decides where approximate jobs run.
-	PlacementPolicy = cluster.Policy
-	// RoundRobinPlacement is the service-blind baseline.
-	RoundRobinPlacement = cluster.RoundRobin
-	// InterferenceAwarePlacement uses per-app pressure and per-service
-	// tolerance, as the paper's Fig. 10 discussion suggests.
-	InterferenceAwarePlacement = cluster.InterferenceAware
-)
-
-// RunCluster places a batch of approximate jobs across nodes and runs every
-// node's colocation under the Pliant runtime.
-func RunCluster(cfg ClusterConfig) (ClusterResult, error) { return cluster.Run(cfg) }
-
-// CompareClusterPolicies runs the same batch under several placement
-// policies.
-func CompareClusterPolicies(cfg ClusterConfig, policies ...PlacementPolicy) ([]ClusterResult, error) {
-	return cluster.Compare(cfg, policies...)
-}
-
-// RenderClusterComparison formats a policy comparison table.
-func RenderClusterComparison(results []ClusterResult) string { return cluster.Render(results) }
-
 // Time-varying load shapes (cluster-horizon workloads).
 type (
-	// LoadShape is a deterministic time-varying load multiplier.
-	LoadShape = workload.Shape
-	// SteadyLoad is the constant shape (zero value = 1.0).
-	SteadyLoad = workload.Steady
 	// DiurnalLoad is a sinusoidal day: ±Amp around 1 over PeriodSec.
 	DiurnalLoad = workload.Diurnal
-	// FlashLoad is a step or flash crowd.
-	FlashLoad = workload.Flash
 	// ReplayLoad replays a recorded (time, multiplier) trace.
 	ReplayLoad = workload.Replay
 )
@@ -281,11 +224,6 @@ type (
 // NewDiurnalLoad returns a validated diurnal shape.
 func NewDiurnalLoad(amp, periodSec float64) (DiurnalLoad, error) {
 	return workload.NewDiurnal(amp, periodSec)
-}
-
-// NewFlashLoad returns a validated step/flash-crowd shape.
-func NewFlashLoad(base, peak, startSec, durationSec float64) (FlashLoad, error) {
-	return workload.NewFlash(base, peak, startSec, durationSec)
 }
 
 // NewReplayLoad returns a validated trace-replay shape.
@@ -300,8 +238,6 @@ func NewReplayLoad(timesSec, mult []float64) (ReplayLoad, error) {
 type (
 	// ClusterTrace is a parsed, validated, arrival-ordered trace.
 	ClusterTrace = trace.Trace
-	// TraceJob is one normalized trace row.
-	TraceJob = trace.Job
 	// TraceFormat selects a supported trace schema.
 	TraceFormat = trace.Format
 	// TraceOptions tunes trace normalization (span, rate/duration scaling,
@@ -309,10 +245,6 @@ type (
 	TraceOptions = trace.Options
 	// TraceSynthConfig tunes the schema-exact fixture generator.
 	TraceSynthConfig = trace.SynthConfig
-	// TraceArrivals replays a trace's arrival instants as an arrival
-	// process (workload.TraceStream); SchedConfig.Trace builds one
-	// internally, and custom consumers can drive it directly.
-	TraceArrivals = workload.TraceStream
 )
 
 // The supported trace schemas.
@@ -324,24 +256,9 @@ const (
 // ParseTrace reads a cluster trace in the given format, streaming.
 func ParseTrace(r io.Reader, f TraceFormat) (*ClusterTrace, error) { return trace.Parse(r, f) }
 
-// TraceFormatByName resolves "google" or "azure" to a TraceFormat.
-func TraceFormatByName(name string) (TraceFormat, error) { return trace.FormatByName(name) }
-
 // SynthesizeTrace emits a schema-exact CSV fixture for tests and demos — the
 // real parse path without gigabytes of trace data.
 func SynthesizeTrace(cfg TraceSynthConfig) []byte { return trace.Synthesize(cfg) }
-
-// NewTraceArrivals returns an arrival process replaying the given instants.
-func NewTraceArrivals(timesSec []float64) (*TraceArrivals, error) {
-	return workload.NewTraceStream(timesSec)
-}
-
-// JobsFromTrace maps a trace's jobs onto catalog applications by resource
-// shape — the translation SchedConfig.Trace applies internally, exposed for
-// custom pipelines.
-func JobsFromTrace(tr *ClusterTrace, candidates []string) ([]string, error) {
-	return sched.JobsFromTrace(tr, candidates)
-}
 
 // Energy modeling and autoscaling: the watts that approximation buys. A
 // power model derived from the platform spec attaches to scenarios
@@ -352,11 +269,6 @@ type (
 	// EnergyModel is a per-node power curve (idle/active over utilization,
 	// frequency ladder, wake cost) derived from a PlatformSpec.
 	EnergyModel = energy.Model
-	// EnergyAccumulator integrates power over virtual time into joules.
-	EnergyAccumulator = energy.Accumulator
-	// AutoscaleState is a node's lifecycle position (active, draining,
-	// parked, waking).
-	AutoscaleState = autoscale.State
 	// AutoscaleController decides lifecycle and frequency transitions at
 	// every scheduling boundary.
 	AutoscaleController = autoscale.Controller
@@ -372,19 +284,6 @@ type (
 	ApproxForWattsAutoscaler = autoscale.ApproxForWatts
 )
 
-// Node lifecycle states.
-const (
-	NodeActive   = autoscale.Active
-	NodeDraining = autoscale.Draining
-	NodeParked   = autoscale.Parked
-	NodeWaking   = autoscale.Waking
-	NodeDown     = autoscale.Down
-)
-
-// NoReserveSlots requests an explicit zero-slot reserve from
-// ConsolidateAutoscaler, whose zero value defaults to a two-slot headroom.
-const NoReserveSlots = autoscale.NoReserve
-
 // EnergyModelFor derives a power model from a server spec: peak draw
 // calibrated to the Table 1 part's TDP, a ~45%-of-peak idle floor, and a
 // three-state frequency ladder at 60/80/100% of base frequency.
@@ -397,8 +296,9 @@ type (
 	SchedConfig = sched.Config
 	// SchedResult aggregates an online scheduling run.
 	SchedResult = sched.Result
-	// SchedJobOutcome is one job's record in a SchedResult.
-	SchedJobOutcome = sched.JobOutcome
+	// ClusterNode is one server in a scheduling run (SchedConfig.Nodes),
+	// identified by the interactive service it hosts.
+	ClusterNode = cluster.Node
 	// SchedPolicy decides placement at every scheduling window. Place must
 	// be a pure function of its arguments that returns -1 or the Index of a
 	// node whose offered Free > 0, and must not keep nodes. Jobs are not
@@ -411,11 +311,6 @@ type (
 	// SchedPolicy may pick only a node offered with Free > 0; parked,
 	// draining, waking and down nodes are offered with Free = 0.
 	SchedNodeState = sched.NodeState
-	// NodeTelemetry is the Pliant runtime feedback a node feeds the
-	// scheduler.
-	NodeTelemetry = cluster.Telemetry
-	// SchedNodeEnergy is one node's share of a run's energy ledger.
-	SchedNodeEnergy = sched.NodeEnergy
 	// FirstFitPlacement is the telemetry-blind online baseline.
 	FirstFitPlacement = sched.FirstFit
 	// BestFitPlacement packs slots tightest-first.
@@ -461,8 +356,6 @@ func WriteSchedTraceCSV(w io.Writer, res SchedResult) error {
 type (
 	// SchedRunner is one open, step-driven online scheduling run.
 	SchedRunner = sched.Runner
-	// SchedSnapshot is a runner's live mid-run view.
-	SchedSnapshot = sched.Snapshot
 )
 
 // NewSchedRunner validates the config and opens a step-driven run.
@@ -486,28 +379,11 @@ type (
 	FaultOutage = fault.Outage
 	// FaultEvent is one compiled, typed fault event.
 	FaultEvent = fault.Event
-	// FaultEventKind discriminates fault events.
-	FaultEventKind = fault.EventKind
 	// DegradeUnderLossController wraps a normal autoscaler and, while crashed
 	// capacity leaves demand unmet, wakes every reserve and snaps survivors
 	// to nominal frequency instead of shedding jobs.
 	DegradeUnderLossController = fault.DegradeUnderLoss
 )
-
-// Fault event kinds.
-const (
-	FaultRecover        = fault.Recover
-	FaultCrash          = fault.Crash
-	FaultTelemetryStale = fault.TelemetryStale
-	FaultStraggle       = fault.Straggle
-)
-
-// FaultPlanFromTrace derives a fault plan from a parsed cluster trace's
-// observed failure fraction (jobs whose terminal cause was a failure,
-// eviction, kill, or loss), for replaying a production trace's fault rate.
-func FaultPlanFromTrace(tr *ClusterTrace, horizonSec float64) (FaultPlan, error) {
-	return fault.FromTrace(tr, horizonSec)
-}
 
 // CompileFaultPlan expands a plan into its deterministic event stream for
 // the given run seed, node count, and horizon — what the scheduler applies
@@ -537,8 +413,6 @@ type (
 	ObsRecordKind = obs.Kind
 	// ObsRegistry is the metrics registry (counters, gauges, histograms).
 	ObsRegistry = obs.Registry
-	// ObsLabel is one metric label pair.
-	ObsLabel = obs.Label
 	// ObsTraceMeta names the lanes of a Chrome trace export.
 	ObsTraceMeta = obs.TraceMeta
 	// ShardProfile is one shard's wall-clock account of a run.
@@ -581,9 +455,8 @@ func WriteMetricsCSV(w io.Writer, r *ObsRegistry) error { return obs.WriteMetric
 // goroutine — behind an HTTP API (cmd/pliant-served): JSON session specs,
 // bounded ingest queues with 429 backpressure, Server-Sent-Events decision
 // streams, and Prometheus metrics. A session with several candidate policies
-// is a shadow replay with per-window verdict diffs; ShadowReplay is its
-// offline, HTTP-free form. Sessions replayed through the daemon export
-// byte-identical JSON/CSV to batch RunSched.
+// is a shadow replay with per-window verdict diffs. Sessions replayed through
+// the daemon export byte-identical JSON/CSV to batch RunSched.
 type (
 	// ServeServer is the daemon: session manager + http.Handler.
 	ServeServer = serve.Server
@@ -594,22 +467,12 @@ type (
 	ServeSpec = serve.Spec
 	// ServeTraceSpec carries a production trace in a session spec.
 	ServeTraceSpec = serve.TraceSpec
-	// ServeSynthSpec tunes the spec's trace fixture generator.
-	ServeSynthSpec = serve.SynthSpec
 	// ServeOutageSpec is one scripted outage in a session spec.
 	ServeOutageSpec = serve.OutageSpec
 	// ServeResolved is a spec lowered onto the scheduler's native config.
 	ServeResolved = serve.Resolved
-	// ServeSession is one live session.
-	ServeSession = serve.Session
-	// ServeSessionStatus is a session's JSON status view.
-	ServeSessionStatus = serve.SessionStatus
-	// ShadowOutcome is a finished shadow replay: results + verdicts.
-	ShadowOutcome = serve.ShadowOutcome
 	// ShadowWindowVerdict is one window's cross-policy diff.
 	ShadowWindowVerdict = serve.WindowVerdict
-	// ShadowPolicyVerdict is one policy's slice of a window verdict.
-	ShadowPolicyVerdict = serve.PolicyVerdict
 )
 
 // NewServeServer returns an empty session manager; mount it on any net/http
@@ -619,11 +482,6 @@ func NewServeServer(opts ServeOptions) *ServeServer { return serve.NewServer(opt
 // ResolveServeSpec lowers a session spec exactly as the pliant-sched flags
 // would — the shared configuration surface of the CLI and the daemon.
 func ResolveServeSpec(sp ServeSpec) (ServeResolved, error) { return sp.Resolve() }
-
-// RunShadowReplay fans one arrival feed out to the spec's candidate policies
-// in lockstep and blocks until the horizon — a daemon session without the
-// daemon.
-func RunShadowReplay(sp ServeSpec) (*ShadowOutcome, error) { return serve.ShadowReplay(sp) }
 
 // Experiments.
 type (
