@@ -597,3 +597,111 @@ func TestGoldenEnergy(t *testing.T) {
 		t.Errorf("energy trace CSV hash = %s, golden %s", got, goldenEnergyCSV)
 	}
 }
+
+// goldenRuntimes pins one run of goldenRuntimeConfig per built-in runtime:
+// Served, Dropped, OverallP99 and the JSON/CSV export hashes.
+var goldenRuntimes = []struct {
+	runtime         pliant.RuntimeKind
+	served, dropped uint64
+	p99             int64
+	json, csv       string
+}{
+	{pliant.RuntimePliant, 1687714, 2104, 14139533, "85d0ecccbb78cb72f58c9dbab771484833f9a6a41aec7f225daec48d6e4c88d4", "c20ed552a5cda2ae87789282a9f84c44a33e401f50a1b66bdf74c9db6b9d0b65"},
+	{pliant.RuntimePrecise, 1413641, 160235, 19148541, "1a74a67c50463ede21067876f3cbe5107b564b3a37500372c218b7cd0103ecdc", "9577df16a9e4cbc5b9aa3ff3af765d47b576853ee3f3a1e3055228bb4ed563a3"},
+	{pliant.RuntimeStaticApprox, 777243, 106037, 18738227, "53c81e8d27ae3b9de95600ea70493aa9cf2efd77f22655d9bb0fe7b97bce8c7e", "528aa1910b9fbb7d3634425ec6aa937ebafee3e457e009a42ddf6152d591fa02"},
+	{pliant.RuntimeImpactAware, 1716871, 9085, 16454526, "88665e8cecfb932db9abc50c2046c08aaada86e5c0a5800d380a7217542726c5", "6e2f1a784f4decba9e0d9c46b218524bd98208844a6aff71d9e8c35290eb4897"},
+	{pliant.RuntimeLearner, 1716871, 9085, 16454526, "aff76a24f0d010e9f504acb0028b28f4e0fa30dad67ee44269076e63a0aec96a", "6e2f1a784f4decba9e0d9c46b218524bd98208844a6aff71d9e8c35290eb4897"},
+}
+
+// goldenRuntimeConfig is the all-runtimes golden scenario: memcached with
+// Bayesian and canneal, so arbitration between two apps matters, under a
+// flash crowd that drives the controller both ways.
+func goldenRuntimeConfig(rt pliant.RuntimeKind) pliant.ScenarioConfig {
+	flash, _ := pliant.NewReplayLoad([]float64{0, 20, 50}, []float64{1, 1.25, 0.8})
+	return pliant.ScenarioConfig{
+		Seed:         7,
+		Service:      pliant.Memcached,
+		AppNames:     []string{"Bayesian", "canneal"},
+		Runtime:      rt,
+		LoadFraction: 0.78,
+		LoadShape:    flash,
+		TimeScale:    16,
+	}
+}
+
+// runtimeMoves counts, across every app's variant and yielded-core series,
+// the interval-to-interval increases and decreases.
+type runtimeMoves struct{ up, down, reclaim, ret int }
+
+func countMoves(res pliant.ScenarioResult, apps []string) runtimeMoves {
+	var m runtimeMoves
+	for _, name := range apps {
+		v := res.Trace.Series("variant." + name).Points
+		for i := 1; i < len(v); i++ {
+			switch {
+			case v[i].V > v[i-1].V:
+				m.up++
+			case v[i].V < v[i-1].V:
+				m.down++
+			}
+		}
+		y := res.Trace.Series("yielded." + name).Points
+		for i := 1; i < len(y); i++ {
+			switch {
+			case y[i].V > y[i-1].V:
+				m.reclaim++
+			case y[i].V < y[i-1].V:
+				m.ret++
+			}
+		}
+	}
+	return m
+}
+
+// TestGoldenRuntimes pins every built-in runtime on one two-app colocation,
+// where the arbiter's choice of app matters. Each feedback runtime's trace
+// must also show at least one variant increase and decrease and one core
+// reclaim and return, so the scenario exercises every step the controller
+// and its arbiters can take.
+func TestGoldenRuntimes(t *testing.T) {
+	for _, g := range goldenRuntimes {
+		cfg := goldenRuntimeConfig(g.runtime)
+		res, err := pliant.RunScenario(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var js, csv bytes.Buffer
+		if err := pliant.WriteResultJSON(&js, res); err != nil {
+			t.Fatal(err)
+		}
+		if err := pliant.WriteTraceCSV(&csv, res); err != nil {
+			t.Fatal(err)
+		}
+		if os.Getenv("PLIANT_GOLDEN") == "print" {
+			t.Logf("%v: {served, dropped, p99, json, csv} = %d, %d, %d, %q, %q", g.runtime, res.Served, res.Dropped,
+				int64(res.OverallP99), sha(js.Bytes()), sha(csv.Bytes()))
+			continue
+		}
+		if res.Served != g.served {
+			t.Errorf("%v: Served = %d, golden %d", g.runtime, res.Served, g.served)
+		}
+		if res.Dropped != g.dropped {
+			t.Errorf("%v: Dropped = %d, golden %d", g.runtime, res.Dropped, g.dropped)
+		}
+		if int64(res.OverallP99) != g.p99 {
+			t.Errorf("%v: OverallP99 = %d, golden %d", g.runtime, int64(res.OverallP99), g.p99)
+		}
+		if got := sha(js.Bytes()); got != g.json {
+			t.Errorf("%v: result JSON hash = %s, golden %s", g.runtime, got, g.json)
+		}
+		if got := sha(csv.Bytes()); got != g.csv {
+			t.Errorf("%v: trace CSV hash = %s, golden %s", g.runtime, got, g.csv)
+		}
+		switch g.runtime {
+		case pliant.RuntimePliant, pliant.RuntimeImpactAware, pliant.RuntimeLearner:
+			if m := countMoves(res, cfg.AppNames); m.up == 0 || m.down == 0 || m.reclaim == 0 || m.ret == 0 {
+				t.Errorf("%v: moves %+v, want every kind at least once", g.runtime, m)
+			}
+		}
+	}
+}
