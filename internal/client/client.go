@@ -84,14 +84,3 @@ func (g *Generator) OnEvent(sim.Time, uint64) {
 	g.svc.Arrive()
 	g.scheduleNext()
 }
-
-// SetRate replaces the arrival process with a Poisson process at the given
-// QPS, effective from the next arrival. Used by load sweeps.
-func (g *Generator) SetRate(qps float64) error {
-	p, err := workload.NewPoisson(qps)
-	if err != nil {
-		return err
-	}
-	g.arrival = p
-	return nil
-}

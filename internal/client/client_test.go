@@ -105,24 +105,3 @@ func TestStartIsIdempotent(t *testing.T) {
 		t.Fatalf("sent = %d, want ~100 (double-start doubled load?)", gen.Sent())
 	}
 }
-
-func TestSetRate(t *testing.T) {
-	eng := sim.NewEngine()
-	svc := testService(eng, nil)
-	gen, _ := New(eng, sim.NewRNG(7), svc, workload.Uniform{QPS: 100})
-	gen.Start()
-	eng.Schedule(sim.Time(sim.Second), func() {
-		if err := gen.SetRate(10000); err != nil {
-			t.Errorf("SetRate: %v", err)
-		}
-	})
-	eng.Run(sim.Time(2 * sim.Second))
-	// ~100 in first second, ~10000 in the second.
-	got := float64(gen.Sent())
-	if got < 8000 || got > 12000 {
-		t.Fatalf("sent = %v, want ~10100", got)
-	}
-	if err := gen.SetRate(-1); err == nil {
-		t.Fatal("SetRate(-1) accepted")
-	}
-}

@@ -1,9 +1,11 @@
 package colocate
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/app"
+	"github.com/approx-sched/pliant/internal/core"
 	"github.com/approx-sched/pliant/internal/platform"
 	"github.com/approx-sched/pliant/internal/service"
 	"github.com/approx-sched/pliant/internal/sim"
@@ -264,5 +266,51 @@ func TestCustomAppProfile(t *testing.T) {
 	}
 	if res2.Duration > 20*sim.Second {
 		t.Fatalf("shadowed profile ignored: run took %v for a 5s app", res2.Duration)
+	}
+}
+
+// fixedPolicy returns the same actions at every report.
+type fixedPolicy []core.Action
+
+func (fixedPolicy) Name() string { return "fixed" }
+
+func (p fixedPolicy) Decide(core.Snapshot) []core.Action { return p }
+
+// TestPolicyContractViolationsFail checks that Run holds a custom policy to
+// the core.Action contract: an out-of-range variant or app index stops the
+// run with an error naming the policy, the action and the app, while a
+// reclaim at the core floor stays a quiet no-op.
+func TestPolicyContractViolationsFail(t *testing.T) {
+	for _, c := range []struct {
+		act  core.Action
+		want []string
+	}{
+		{core.Action{Kind: core.SwitchVariant, App: 0, To: 99}, []string{"policy fixed", "switch(app=0 → v99)", "canneal"}},
+		{core.Action{Kind: core.ReclaimCore, App: 5}, []string{"policy fixed", "reclaim(app=5)", "app 5"}},
+		{core.Action{Kind: core.ActionKind(7), App: 0}, []string{"policy fixed", "action(7)"}},
+	} {
+		cfg := fastCfg(service.Memcached, "canneal")
+		cfg.Policy = fixedPolicy{c.act}
+		_, err := Run(cfg)
+		if err == nil {
+			t.Errorf("%v: Run returned no error", c.act)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%v: error %q does not name %q", c.act, err, w)
+			}
+		}
+	}
+
+	cfg := fastCfg(service.Memcached, "canneal")
+	cfg.MinAppCores = 64
+	cfg.Policy = fixedPolicy{{Kind: core.ReclaimCore, App: 0}}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("reclaim at the core floor: %v", err)
+	}
+	if res.Apps[0].MaxYielded != 0 {
+		t.Fatalf("reclaim below the core floor yielded %d cores", res.Apps[0].MaxYielded)
 	}
 }

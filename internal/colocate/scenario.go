@@ -372,6 +372,10 @@ type scenario struct {
 	acc       energy.Accumulator
 	lastWatts float64
 	utilSum   float64
+
+	// err is the first policy action that broke the core.Action contract;
+	// it stops the run.
+	err error
 }
 
 func build(cfg Config) (*scenario, error) {
@@ -606,7 +610,11 @@ func (s *scenario) onReport(r monitor.Report) {
 		SlackThreshold: s.cfg.SlackThreshold,
 	}
 	for _, act := range s.policy.Decide(snapshot) {
-		s.apply(act)
+		if err := s.apply(act); err != nil {
+			s.err = fmt.Errorf("colocate: policy %s: %w", s.policy.Name(), err)
+			s.eng.Stop()
+			return
+		}
 	}
 	s.refreshContention()
 	s.emitReport(r)
@@ -686,22 +694,27 @@ func (s *scenario) appViews() []core.AppView {
 	return views
 }
 
-func (s *scenario) apply(act core.Action) {
+// apply actuates one policy action. An action outside the core.Action
+// contract (an app not in the snapshot, a variant the app lacks, an unknown
+// kind) is an error; a reclaim at the core floor, a return with nothing
+// yielded and a switch on a finished app are quiet no-ops.
+func (s *scenario) apply(act core.Action) error {
 	if act.App < 0 || act.App >= len(s.apps) {
-		return
+		return fmt.Errorf("%v names app %d, outside the colocation's %d apps", act, act.App, len(s.apps))
 	}
 	proc := s.apps[act.App]
 	switch act.Kind {
 	case core.SwitchVariant:
-		// Actuate through the substrate: deliver the mapped signal.
-		_ = proc.SwitchTo(act.To)
+		if err := proc.SwitchTo(act.To); err != nil {
+			return fmt.Errorf("%v on app %s: %w", act, s.appNames[act.App], err)
+		}
 	case core.ReclaimCore:
 		tenant := s.tenantOf(act.App)
 		if s.alloc.Cores(tenant) <= s.cfg.MinAppCores {
-			return
+			return nil
 		}
 		if err := s.alloc.Move(tenant, s.svcTenant, 1); err != nil {
-			return
+			return fmt.Errorf("%v: %w", act, err)
 		}
 		s.yielded[act.App]++
 		if s.yielded[act.App] > s.maxYield[act.App] {
@@ -711,16 +724,19 @@ func (s *scenario) apply(act core.Action) {
 		s.svc.SetCores(s.alloc.Cores(s.svcTenant))
 	case core.ReturnCore:
 		if s.yielded[act.App] == 0 {
-			return
+			return nil
 		}
 		tenant := s.tenantOf(act.App)
 		if err := s.alloc.Move(s.svcTenant, tenant, 1); err != nil {
-			return
+			return fmt.Errorf("%v: %w", act, err)
 		}
 		s.yielded[act.App]--
 		proc.App().SetCores(s.alloc.Cores(tenant))
 		s.svc.SetCores(s.alloc.Cores(s.svcTenant))
+	default:
+		return fmt.Errorf("%v has an unknown kind", act)
 	}
+	return nil
 }
 
 // physicsPeriod is how often app progress and phase-dependent contention are
@@ -751,6 +767,9 @@ func (s *scenario) run() (Result, error) {
 	s.eng.Run(sim.Time(horizon))
 	s.advanceApps()
 	s.cfg.Scratch.keep(s.intervalP99s, s.svc)
+	if s.err != nil {
+		return Result{}, s.err
+	}
 
 	res := Result{
 		Service:        service.Preset(s.cfg.Service).Name,

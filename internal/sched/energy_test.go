@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/autoscale"
@@ -106,43 +105,6 @@ func TestEnergyAccountingObservationOnly(t *testing.T) {
 		if ro.Trace.Series(series).Len() != 0 {
 			t.Errorf("series %q present with energy off", series)
 		}
-	}
-}
-
-// TestEnergyRunsDeterministic pins byte determinism of the energy figures:
-// two identical runs agree to the last bit, shard count included.
-func TestEnergyRunsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three full runs; skipped in -short")
-	}
-	cfg := energyConfig(7, TelemetryAware{}, approxForWatts())
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := cfg
-	serial.Shards = 1
-	c, err := Run(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := func(r Result) string {
-		s := fmt.Sprintf("%.17g|%.17g|%d|%d|%d", r.Joules, r.MeanWatts,
-			r.ParkedNodeWindows, r.LowFreqNodeWindows, r.Wakes)
-		for _, ne := range r.NodeJoules {
-			s += fmt.Sprintf("|%s=%.17g", ne.Node, ne.Joules)
-		}
-		return s
-	}
-	if key(a) != key(b) {
-		t.Fatalf("reruns disagree:\n%s\n%s", key(a), key(b))
-	}
-	if key(a) != key(c) {
-		t.Fatalf("shard count perturbs energy:\n%s\n%s", key(a), key(c))
 	}
 }
 

@@ -39,10 +39,11 @@ func TestShardInvariance(t *testing.T) {
 
 // TestShardInvarianceWithEnergy covers the merge barrier's full surface:
 // lifecycle transitions, autoscaler verdicts, frequency states, and the
-// per-node energy ledger must all be bit-identical across shard counts.
+// per-node energy ledger must all be bit-identical across shard counts and
+// across a rerun at the same count.
 func TestShardInvarianceWithEnergy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full energy runs; skipped in -short")
+		t.Skip("four full energy runs; skipped in -short")
 	}
 	base := energyConfig(7, TelemetryAware{}, approxForWatts())
 	base.Shards = 1
@@ -50,7 +51,7 @@ func TestShardInvarianceWithEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 5} {
+	for _, shards := range []int{2, 5, 2} {
 		cfg := base
 		cfg.Shards = shards
 		sharded, err := Run(cfg)
