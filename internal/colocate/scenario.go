@@ -473,11 +473,11 @@ func build(cfg Config) (*scenario, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := dyninst.Options{OverheadOverride: -1}
-		if !s.instrumented() {
-			opts.OverheadOverride = 0
+		overhead := 0.0
+		if s.instrumented() {
+			overhead = inst.Profile().DynOverhead
 		}
-		proc, err := dyninst.Launch(s.eng, inst, opts)
+		proc, err := dyninst.Launch(s.eng, inst, overhead)
 		if err != nil {
 			return nil, err
 		}
@@ -501,9 +501,9 @@ func build(cfg Config) (*scenario, error) {
 		case StaticApprox:
 			s.policy = core.StaticApproxPolicy{}
 		case ImpactAware:
-			s.policy = core.NewImpactAwarePolicy(s.rng.Split(3))
+			s.policy = core.NewImpactAwarePolicy()
 		case Learner:
-			s.policy = core.NewLearnerPolicy(s.rng.Split(3))
+			s.policy = core.NewLearnerPolicy()
 		default:
 			return nil, fmt.Errorf("colocate: unknown runtime %v", cfg.Runtime)
 		}

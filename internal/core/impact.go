@@ -1,116 +1,40 @@
 package core
 
-import "github.com/approx-sched/pliant/internal/sim"
-
-// ImpactAwarePolicy is the extension the paper sketches in Sec. 6.5:
+// NewImpactAwarePolicy returns the extension the paper sketches in Sec. 6.5:
 // instead of arbitrating among colocated approximate applications
 // round-robin, it considers the relative impact of approximation on each,
 // and adjusts quality/resources from the applications that are hurt the
-// least. Concretely, when penalizing it picks the application with the
-// lowest output-quality cost per variant step (stepping one level at a time
-// rather than jumping), and when reverting it restores the application whose
-// quality is suffering most.
-type ImpactAwarePolicy struct {
-	// SlackPatience mirrors PliantPolicy.SlackPatience: consecutive
-	// high-slack intervals required before each revert step.
-	SlackPatience int
+// least. Concretely, when penalizing it steps the application with the
+// lowest output-quality cost per variant step one level (rather than
+// jumping), reclaims cores from the largest application, and when reverting
+// restores the application whose quality is suffering most.
+func NewImpactAwarePolicy() Policy { return newController("impact-aware", impactAware{}) }
 
-	rng        *sim.RNG
-	yieldStack []int
-	slackRun   int
-}
+type impactAware struct{}
 
-// NewImpactAwarePolicy returns the Sec. 6.5 impact-aware arbiter.
-func NewImpactAwarePolicy(rng *sim.RNG) *ImpactAwarePolicy {
-	return &ImpactAwarePolicy{rng: rng, SlackPatience: DefaultSlackPatience}
-}
+func (impactAware) observe(Snapshot) {}
 
-// Name identifies the policy.
-func (p *ImpactAwarePolicy) Name() string { return "impact-aware" }
-
-// Decide implements Policy.
-func (p *ImpactAwarePolicy) Decide(s Snapshot) []Action {
-	active := activeApps(s)
-	if len(active) == 0 {
-		return nil
-	}
-	if s.Report.Violation {
-		p.slackRun = 0
-		// Deepen approximation on the app whose quality suffers least per
-		// step.
-		if idx, ok := p.cheapest(s, active, func(a AppView) bool {
-			return a.Variant < a.MostApproximate
-		}); ok {
-			return []Action{{Kind: SwitchVariant, App: idx, To: s.Apps[idx].Variant + 1}}
-		}
-		// Everyone saturated: reclaim a core from the app with the most
-		// cores (it loses the smallest relative share).
-		best, bestCores := -1, -1
-		for _, i := range active {
-			if s.Apps[i].Cores > s.MinAppCores && s.Apps[i].Cores > bestCores {
-				best, bestCores = i, s.Apps[i].Cores
-			}
-		}
-		if best >= 0 {
-			p.yieldStack = append(p.yieldStack, best)
-			return []Action{{Kind: ReclaimCore, App: best}}
-		}
-		return nil
-	}
-	if s.Report.Slack > s.SlackThreshold {
-		p.slackRun++
-		patience := p.SlackPatience
-		if patience < 1 {
-			patience = 1
-		}
-		if p.slackRun < patience {
-			return nil
-		}
-		p.slackRun = 0
-		for len(p.yieldStack) > 0 {
-			idx := p.yieldStack[len(p.yieldStack)-1]
-			p.yieldStack = p.yieldStack[:len(p.yieldStack)-1]
-			if s.Apps[idx].Done || s.Apps[idx].YieldedCores == 0 {
-				continue
-			}
-			return []Action{{Kind: ReturnCore, App: idx}}
-		}
-		// Restore quality where it hurts most per step.
-		if idx, ok := p.dearest(s, active, func(a AppView) bool {
-			return a.Variant > 0
-		}); ok {
-			return []Action{{Kind: SwitchVariant, App: idx, To: s.Apps[idx].Variant - 1}}
-		}
-		return nil
-	}
-	p.slackRun = 0
-	return nil
-}
-
-// cheapest returns the eligible app with the lowest quality cost per step.
-func (p *ImpactAwarePolicy) cheapest(s Snapshot, active []int, pred func(AppView) bool) (int, bool) {
-	best, bestCost := -1, 0.0
-	for _, i := range active {
-		a := s.Apps[i]
-		if !pred(a) {
-			continue
-		}
-		if best == -1 || a.QualityPerStep < bestCost {
-			best, bestCost = i, a.QualityPerStep
+// approximate steps the app with the cheapest quality cost per step.
+func (impactAware) approximate(s Snapshot) (int, int, bool) {
+	best := -1
+	for i, a := range s.Apps {
+		if !a.Done && a.Variant < a.MostApproximate && (best < 0 || a.QualityPerStep < s.Apps[best].QualityPerStep) {
+			best = i
 		}
 	}
-	return best, best >= 0
+	if best < 0 {
+		return 0, 0, false
+	}
+	return best, s.Apps[best].Variant + 1, true
 }
 
-// dearest returns the eligible app with the highest quality cost per step.
-func (p *ImpactAwarePolicy) dearest(s Snapshot, active []int, pred func(AppView) bool) (int, bool) {
+func (impactAware) reclaim(s Snapshot) (int, bool) { return largestApp(s) }
+
+// restore steps back the app with the dearest quality cost per step.
+func (impactAware) restore(s Snapshot) (int, bool) {
 	best, bestCost := -1, -1.0
-	for _, i := range active {
-		a := s.Apps[i]
-		if !pred(a) {
-			continue
-		}
-		if a.QualityPerStep > bestCost {
+	for i, a := range s.Apps {
+		if !a.Done && a.Variant > 0 && a.QualityPerStep > bestCost {
 			best, bestCost = i, a.QualityPerStep
 		}
 	}

@@ -1,44 +1,40 @@
 package core
 
-import (
-	"math"
+import "math"
 
-	"github.com/approx-sched/pliant/internal/sim"
+// The learner's tuning: the UCB optimism scale and the EMA weight of a new
+// observation.
+const (
+	explorationBonus = 0.5
+	learnerAlpha     = 0.4
 )
 
-// LearnerPolicy implements the runtime-learning extension the paper sketches
+// NewLearnerPolicy returns the runtime-learning extension the paper sketches
 // in Sec. 6.5 for public-cloud settings where offline profiling is
 // impossible: "the relative impact of approximate versions can be learned at
-// runtime". The policy knows only each application's variant *count* (the
-// signal map the dyninst substrate exposes) — not the variants' measured
-// time/traffic effects — and learns online how much tail-latency relief each
-// (app, variant) pair delivers, from the monitor reports that follow its own
-// actuations.
+// runtime". The policy knows only each application's variant count — not
+// the variants' measured time/traffic effects — and learns online how much
+// tail-latency relief each (app, variant) pair delivers, from the monitor
+// reports that follow its own actuations.
 //
 // Mechanics: after switching app a to variant v, the next report's
-// normalized p99 improvement is credited to Q[a][v] with an exponential
-// moving average. On violation the policy picks the (app, step-up) arm with
-// the best optimistic estimate (mean + exploration bonus, a UCB1-style
-// rule); core reclamation remains the fallback once all apps are saturated.
-// On sustained slack it steps back the arm with the worst learned relief, so
-// quality is restored where approximation demonstrably buys the least.
-type LearnerPolicy struct {
-	// SlackPatience mirrors PliantPolicy.SlackPatience.
-	SlackPatience int
+// normalized p99 improvement is credited to the (a, v) arm with an
+// exponential moving average. On violation the policy steps up the app whose
+// next arm has the best optimistic estimate (mean + exploration bonus, a
+// UCB1-style rule); core reclamation, from the largest app, remains the
+// fallback once all apps are saturated. On sustained slack it steps back the
+// app whose current arm has the worst learned relief, so quality is
+// restored where approximation demonstrably buys the least.
+func NewLearnerPolicy() Policy {
+	return newController("learner", &ucbLearner{explore: explorationBonus, q: make(map[[2]int]*armEstimate)})
+}
 
-	// ExplorationBonus scales the optimism term; 0 disables exploration.
-	ExplorationBonus float64
-
-	// Alpha is the EMA weight for new observations, in (0, 1].
-	Alpha float64
-
-	rng        *sim.RNG
-	q          map[int]map[int]*armEstimate // app -> target variant -> estimate
-	trials     int
-	lastAction *Action // the actuation awaiting credit
-	lastP99    float64 // p99/QoS before the pending actuation
-	yieldStack []int
-	slackRun   int
+type ucbLearner struct {
+	explore float64                 // optimism scale; 0 disables exploration
+	q       map[[2]int]*armEstimate // (app, target variant) -> estimate
+	trials  int                     // credited switches so far
+	pending *armEstimate            // the switched-to arm awaiting credit
+	lastP99 float64                 // p99/QoS at the previous report
 }
 
 type armEstimate struct {
@@ -46,163 +42,76 @@ type armEstimate struct {
 	visits int
 }
 
-// NewLearnerPolicy returns the Sec. 6.5 online-learning policy.
-func NewLearnerPolicy(rng *sim.RNG) *LearnerPolicy {
-	return &LearnerPolicy{
-		SlackPatience:    DefaultSlackPatience,
-		ExplorationBonus: 0.5,
-		Alpha:            0.4,
-		rng:              rng,
-		q:                make(map[int]map[int]*armEstimate),
+// observe credits the change in normalized p99 since the last report to the
+// arm switched to then, if any.
+func (l *ucbLearner) observe(s Snapshot) {
+	cur := 0.0
+	if s.Report.QoS > 0 {
+		cur = float64(s.Report.P99) / float64(s.Report.QoS)
 	}
-}
-
-// Name identifies the policy.
-func (p *LearnerPolicy) Name() string { return "learner" }
-
-// Decide implements Policy.
-func (p *LearnerPolicy) Decide(s Snapshot) []Action {
-	p.credit(s)
-
-	active := activeApps(s)
-	if len(active) == 0 {
-		return nil
-	}
-	if s.Report.Violation {
-		p.slackRun = 0
-		return p.escalate(s, active)
-	}
-	if s.Report.Slack > s.SlackThreshold {
-		p.slackRun++
-		patience := p.SlackPatience
-		if patience < 1 {
-			patience = 1
-		}
-		if p.slackRun < patience {
-			return nil
-		}
-		p.slackRun = 0
-		return p.relax(s, active)
-	}
-	p.slackRun = 0
-	return nil
-}
-
-// credit attributes the change in normalized p99 since the last actuation to
-// the arm that caused it.
-func (p *LearnerPolicy) credit(s Snapshot) {
-	cur := p99Norm(s)
-	if p.lastAction != nil && p.lastAction.Kind == SwitchVariant {
-		relief := p.lastP99 - cur // positive = the switch helped
-		arm := p.arm(p.lastAction.App, p.lastAction.To)
-		arm.mean = (1-p.Alpha)*arm.mean + p.Alpha*relief
+	if arm := l.pending; arm != nil {
+		relief := l.lastP99 - cur // positive = the switch helped
+		arm.mean = (1-learnerAlpha)*arm.mean + learnerAlpha*relief
 		arm.visits++
-		p.trials++
+		l.trials++
 	}
-	p.lastAction = nil
-	p.lastP99 = cur
+	l.pending = nil
+	l.lastP99 = cur
 }
 
-func p99Norm(s Snapshot) float64 {
-	if s.Report.QoS <= 0 {
-		return 0
-	}
-	return float64(s.Report.P99) / float64(s.Report.QoS)
-}
-
-func (p *LearnerPolicy) arm(app, variant int) *armEstimate {
-	m, ok := p.q[app]
-	if !ok {
-		m = make(map[int]*armEstimate)
-		p.q[app] = m
-	}
-	a, ok := m[variant]
+func (l *ucbLearner) arm(app, variant int) *armEstimate {
+	a, ok := l.q[[2]int{app, variant}]
 	if !ok {
 		a = &armEstimate{}
-		m[variant] = a
+		l.q[[2]int{app, variant}] = a
 	}
 	return a
 }
 
-// escalate picks the best learned (or most promising unexplored) step-up.
-func (p *LearnerPolicy) escalate(s Snapshot, active []int) []Action {
-	bestApp, bestScore := -1, math.Inf(-1)
-	for _, i := range active {
-		a := s.Apps[i]
-		if a.Variant >= a.MostApproximate {
-			continue
-		}
-		arm := p.arm(i, a.Variant+1)
-		score := arm.mean + p.bonus(arm.visits)
-		if score > bestScore {
-			bestApp, bestScore = i, score
-		}
-	}
-	if bestApp >= 0 {
-		act := Action{Kind: SwitchVariant, App: bestApp, To: s.Apps[bestApp].Variant + 1}
-		p.lastAction = &act
-		return []Action{act}
-	}
-	// Everyone saturated: fall back to core reclamation, round-robin-free
-	// (largest app first, as the impact-aware policy does).
-	best, bestCores := -1, -1
-	for _, i := range active {
-		if s.Apps[i].Cores > s.MinAppCores && s.Apps[i].Cores > bestCores {
-			best, bestCores = i, s.Apps[i].Cores
-		}
-	}
-	if best >= 0 {
-		p.yieldStack = append(p.yieldStack, best)
-		return []Action{{Kind: ReclaimCore, App: best}}
-	}
-	return nil
-}
-
 // bonus is the UCB-style optimism term: unvisited arms look attractive.
-func (p *LearnerPolicy) bonus(visits int) float64 {
-	if p.ExplorationBonus == 0 {
+func (l *ucbLearner) bonus(visits int) float64 {
+	if l.explore == 0 {
 		return 0
 	}
-	return p.ExplorationBonus * math.Sqrt(math.Log(float64(p.trials)+math.E)/float64(visits+1))
+	return l.explore * math.Sqrt(math.Log(float64(l.trials)+math.E)/float64(visits+1))
 }
 
-// relax returns cores first, then steps back the variant whose last step
-// delivered the least learned relief.
-func (p *LearnerPolicy) relax(s Snapshot, active []int) []Action {
-	for len(p.yieldStack) > 0 {
-		idx := p.yieldStack[len(p.yieldStack)-1]
-		p.yieldStack = p.yieldStack[:len(p.yieldStack)-1]
-		if s.Apps[idx].Done || s.Apps[idx].YieldedCores == 0 {
+// approximate steps up the app whose next arm scores best.
+func (l *ucbLearner) approximate(s Snapshot) (int, int, bool) {
+	best, bestScore := -1, math.Inf(-1)
+	for i, a := range s.Apps {
+		if a.Done || a.Variant >= a.MostApproximate {
 			continue
 		}
-		return []Action{{Kind: ReturnCore, App: idx}}
-	}
-	worstApp, worstScore := -1, math.Inf(1)
-	for _, i := range active {
-		a := s.Apps[i]
-		if a.Variant == 0 {
-			continue
-		}
-		arm := p.arm(i, a.Variant)
-		if arm.mean < worstScore {
-			worstApp, worstScore = i, arm.mean
+		arm := l.arm(i, a.Variant+1)
+		if score := arm.mean + l.bonus(arm.visits); score > bestScore {
+			best, bestScore = i, score
 		}
 	}
-	if worstApp >= 0 {
-		act := Action{Kind: SwitchVariant, App: worstApp, To: s.Apps[worstApp].Variant - 1}
-		p.lastAction = &act
-		return []Action{act}
+	if best < 0 {
+		return 0, 0, false
 	}
-	return nil
+	to := s.Apps[best].Variant + 1
+	l.pending = l.arm(best, to)
+	return best, to, true
 }
 
-// Estimate exposes the learned relief for an (app, variant) arm —
-// 0 and false if never observed. Useful for reporting and tests.
-func (p *LearnerPolicy) Estimate(app, variant int) (float64, bool) {
-	if m, ok := p.q[app]; ok {
-		if a, ok := m[variant]; ok && a.visits > 0 {
-			return a.mean, true
+func (l *ucbLearner) reclaim(s Snapshot) (int, bool) { return largestApp(s) }
+
+// restore steps back the app whose current arm delivered the least relief.
+func (l *ucbLearner) restore(s Snapshot) (int, bool) {
+	worst, worstScore := -1, math.Inf(1)
+	for i, a := range s.Apps {
+		if a.Done || a.Variant == 0 {
+			continue
+		}
+		if m := l.arm(i, a.Variant).mean; m < worstScore {
+			worst, worstScore = i, m
 		}
 	}
-	return 0, false
+	if worst < 0 {
+		return 0, false
+	}
+	l.pending = l.arm(worst, s.Apps[worst].Variant-1)
+	return worst, true
 }

@@ -25,10 +25,26 @@ func snapWithP99(p99OverQoS float64, apps ...AppView) Snapshot {
 	return s
 }
 
-func learner() *LearnerPolicy {
-	p := NewLearnerPolicy(sim.NewRNG(1))
-	p.SlackPatience = 1
-	return p
+// learnerUnderTest is a learner controller with its arbiter's state in
+// reach of the tests.
+type learnerUnderTest struct {
+	*controller
+	*ucbLearner
+}
+
+func learner() learnerUnderTest {
+	c := NewLearnerPolicy().(*controller)
+	c.patience = 1
+	return learnerUnderTest{c, c.arb.(*ucbLearner)}
+}
+
+// Estimate returns the learned relief for an (app, variant) arm — 0 and
+// false if never credited.
+func (p learnerUnderTest) Estimate(app, variant int) (float64, bool) {
+	if a, ok := p.q[[2]int{app, variant}]; ok && a.visits > 0 {
+		return a.mean, true
+	}
+	return 0, false
 }
 
 func TestLearnerEscalatesIncrementally(t *testing.T) {
@@ -60,7 +76,7 @@ func TestLearnerCreditsRelief(t *testing.T) {
 
 func TestLearnerPrefersProvenArm(t *testing.T) {
 	p := learner()
-	p.ExplorationBonus = 0 // pure exploitation for determinism
+	p.explore = 0 // pure exploitation for determinism
 	a := appView(0, 4, 4, 0)
 	b := appView(0, 4, 4, 0)
 
@@ -94,7 +110,7 @@ func TestLearnerReclaimsWhenSaturated(t *testing.T) {
 
 func TestLearnerRelaxesWorstArm(t *testing.T) {
 	p := learner()
-	p.ExplorationBonus = 0
+	p.explore = 0
 	a := appView(2, 4, 4, 0) // current variant 2
 	b := appView(2, 4, 4, 0)
 	p.arm(0, 2).mean = 1.5 // app0's current variant delivers big relief

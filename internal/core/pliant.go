@@ -1,143 +1,162 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/approx-sched/pliant/internal/sim"
 )
 
-// PliantPolicy is the paper's runtime algorithm (Fig. 3 and Sec. 4.3–4.4).
-//
-// On a QoS violation:
-//   - If some application is running below its most approximate variant,
-//     switch one application (round-robin; the first is chosen randomly)
-//     directly to its most approximate variant — jumping rather than
-//     stepping, "to avoid prolonged degraded performance".
-//   - Once every application runs at its most approximate variant, reclaim
-//     cores: one application and one core per interval, round-robin.
-//
-// When QoS is met with slack above the threshold (10%), revert the most
-// recent action class incrementally: first return reclaimed cores (one per
-// interval, most recently penalized application first), then step variants
-// back toward precise one level at a time.
-//
-// With slack at or below the threshold, hold state.
-type PliantPolicy struct {
-	rng *sim.RNG
-
-	// SlackPatience is how many consecutive high-slack intervals must pass
-	// before each revert step. The paper reverts on a single high-slack
-	// interval; on the simulated platform the core quantum is coarse
-	// relative to the queueing cliff, so immediate reverts ping-pong
-	// between violation and deep slack (exactly the failure mode Sec. 4.3
-	// predicts for too-low slack thresholds). A patience of 1 reproduces
-	// the paper's literal rule.
-	SlackPatience int
-
-	// cursor is the round-robin position for penalization.
-	cursor     int
-	seeded     bool
-	yieldStack []int // app indices in core-reclaim order (for LIFO return)
-	slackRun   int   // consecutive high-slack intervals observed
-}
-
 // DefaultSlackPatience is the number of consecutive high-slack intervals
-// before a revert step.
+// before each revert step. The paper reverts on a single high-slack
+// interval; on the simulated platform the core quantum is coarse relative to
+// the queueing cliff, so immediate reverts ping-pong between violation and
+// deep slack (exactly the failure mode Sec. 4.3 predicts for too-low slack
+// thresholds).
 const DefaultSlackPatience = 3
 
-// NewPliantPolicy returns the paper's policy. The RNG seeds the initial
-// round-robin position ("selected randomly", Sec. 4.4).
-func NewPliantPolicy(rng *sim.RNG) *PliantPolicy {
-	return &PliantPolicy{rng: rng, SlackPatience: DefaultSlackPatience}
+// arbiter picks which application the controller acts on. Only apps that
+// are not Done are eligible; each choice reports false when none qualifies.
+type arbiter interface {
+	// observe sees every report that has an app still running, before the
+	// controller asks for a choice.
+	observe(s Snapshot)
+	// approximate picks, on a violation, an app below its most approximate
+	// variant and the variant to switch it to.
+	approximate(s Snapshot) (app, to int, ok bool)
+	// reclaim picks, once no app can be approximated further, an app above
+	// MinAppCores to take a core from.
+	reclaim(s Snapshot) (app int, ok bool)
+	// restore picks, on sustained slack with no reclaimed core to return,
+	// an app above precise to step one variant back.
+	restore(s Snapshot) (app int, ok bool)
+}
+
+// controller is the paper's runtime algorithm (Fig. 3), one action per
+// interval at most, with an arbiter choosing the app:
+//
+//   - On a QoS violation, approximate one app further; once none can be,
+//     reclaim one core from one app for the service.
+//   - After patience consecutive intervals with slack above the threshold
+//     (10%), revert the most recent action class: return the last reclaimed
+//     core whose app still runs and holds it (LIFO), else step one app's
+//     variant back toward precise.
+//   - With slack at or below the threshold, hold state.
+type controller struct {
+	name       string
+	arb        arbiter
+	patience   int   // high-slack intervals before each revert
+	slackRun   int   // consecutive high-slack intervals observed
+	yieldStack []int // app indices in core-reclaim order
+}
+
+// NewPliantPolicy returns the paper's policy (Sec. 4.3–4.4): on a violation
+// it jumps one app straight to its most approximate variant, "to avoid
+// prolonged degraded performance", and both that choice and core reclaims
+// go round-robin from a position the RNG draws ("selected randomly").
+func NewPliantPolicy(rng *sim.RNG) Policy {
+	return newController("pliant", &roundRobin{rng: rng})
+}
+
+func newController(name string, arb arbiter) *controller {
+	return &controller{name: name, arb: arb, patience: DefaultSlackPatience}
 }
 
 // Name identifies the policy in traces and reports.
-func (p *PliantPolicy) Name() string { return "pliant" }
+func (c *controller) Name() string { return c.name }
 
 // Decide implements Policy.
-func (p *PliantPolicy) Decide(s Snapshot) []Action {
-	active := activeApps(s)
-	if len(active) == 0 {
+func (c *controller) Decide(s Snapshot) []Action {
+	if !slices.ContainsFunc(s.Apps, func(a AppView) bool { return !a.Done }) {
 		return nil
 	}
-	if !p.seeded {
-		p.cursor = p.rng.Intn(len(s.Apps))
-		p.seeded = true
-	}
+	c.arb.observe(s)
 
 	if s.Report.Violation {
-		p.slackRun = 0
-		return p.onViolation(s, active)
-	}
-	if s.Report.Slack > s.SlackThreshold {
-		p.slackRun++
-		patience := p.SlackPatience
-		if patience < 1 {
-			patience = 1
+		c.slackRun = 0
+		if i, to, ok := c.arb.approximate(s); ok {
+			return []Action{{Kind: SwitchVariant, App: i, To: to}}
 		}
-		if p.slackRun < patience {
-			return nil
+		if i, ok := c.arb.reclaim(s); ok {
+			c.yieldStack = append(c.yieldStack, i)
+			return []Action{{Kind: ReclaimCore, App: i}}
 		}
-		p.slackRun = 0
-		return p.onSlack(s, active)
+		return nil // nothing left to actuate
 	}
-	p.slackRun = 0
-	return nil // QoS met without excess slack: hold.
-}
-
-func (p *PliantPolicy) onViolation(s Snapshot, active []int) []Action {
-	// First pass: any app not yet at its most approximate variant is
-	// jumped there, one app per interval, round-robin.
-	if idx, ok := p.nextWhere(s, active, func(a AppView) bool {
-		return a.Variant < a.MostApproximate
-	}); ok {
-		return []Action{{Kind: SwitchVariant, App: idx, To: s.Apps[idx].MostApproximate}}
+	if s.Report.Slack <= s.SlackThreshold {
+		c.slackRun = 0
+		return nil // QoS met without excess slack: hold
 	}
-	// All at most approximate: reclaim one core from one app, round-robin,
-	// respecting the per-app core floor.
-	if idx, ok := p.nextWhere(s, active, func(a AppView) bool {
-		return a.Cores > s.MinAppCores
-	}); ok {
-		p.yieldStack = append(p.yieldStack, idx)
-		return []Action{{Kind: ReclaimCore, App: idx}}
+	if c.slackRun++; c.slackRun < c.patience {
+		return nil
 	}
-	return nil // nothing left to actuate
-}
-
-func (p *PliantPolicy) onSlack(s Snapshot, active []int) []Action {
-	// Revert core reclamation first (the most recent action class), most
-	// recently penalized app first.
-	for len(p.yieldStack) > 0 {
-		idx := p.yieldStack[len(p.yieldStack)-1]
-		p.yieldStack = p.yieldStack[:len(p.yieldStack)-1]
-		if s.Apps[idx].Done || s.Apps[idx].YieldedCores == 0 {
-			continue // finished or already restored through other means
+	c.slackRun = 0
+	for len(c.yieldStack) > 0 {
+		i := c.yieldStack[len(c.yieldStack)-1]
+		c.yieldStack = c.yieldStack[:len(c.yieldStack)-1]
+		if !s.Apps[i].Done && s.Apps[i].YieldedCores > 0 {
+			return []Action{{Kind: ReturnCore, App: i}}
 		}
-		return []Action{{Kind: ReturnCore, App: idx}}
 	}
-	// Then step approximation back toward precise, one level on one app per
-	// interval, round-robin so no app is favored.
-	if idx, ok := p.nextWhere(s, active, func(a AppView) bool {
-		return a.Variant > 0
-	}); ok {
-		return []Action{{Kind: SwitchVariant, App: idx, To: s.Apps[idx].Variant - 1}}
+	if i, ok := c.arb.restore(s); ok {
+		return []Action{{Kind: SwitchVariant, App: i, To: s.Apps[i].Variant - 1}}
 	}
 	return nil // everything precise at fair shares: steady state
 }
 
-// nextWhere scans apps round-robin from the cursor and returns the first
-// active app satisfying pred, advancing the cursor past it.
-func (p *PliantPolicy) nextWhere(s Snapshot, active []int, pred func(AppView) bool) (int, bool) {
+// roundRobin is the paper's arbiter (Sec. 4.4): every choice scans the apps
+// from a shared cursor and advances it past the app chosen, so no app is
+// penalized or restored twice while another qualifies.
+type roundRobin struct {
+	rng    *sim.RNG // draws the first cursor at the first report, then nil
+	cursor int
+}
+
+func (r *roundRobin) observe(s Snapshot) {
+	if r.rng != nil {
+		r.cursor = r.rng.Intn(len(s.Apps))
+		r.rng = nil
+	}
+}
+
+func (r *roundRobin) approximate(s Snapshot) (int, int, bool) {
+	i, ok := r.next(s, func(a AppView) bool { return a.Variant < a.MostApproximate })
+	if !ok {
+		return 0, 0, false
+	}
+	return i, s.Apps[i].MostApproximate, true
+}
+
+func (r *roundRobin) reclaim(s Snapshot) (int, bool) {
+	return r.next(s, func(a AppView) bool { return a.Cores > s.MinAppCores })
+}
+
+func (r *roundRobin) restore(s Snapshot) (int, bool) {
+	return r.next(s, func(a AppView) bool { return a.Variant > 0 })
+}
+
+// next returns the first running app from the cursor satisfying pred.
+func (r *roundRobin) next(s Snapshot, pred func(AppView) bool) (int, bool) {
 	n := len(s.Apps)
 	for k := 0; k < n; k++ {
-		idx := (p.cursor + k) % n
-		if s.Apps[idx].Done {
-			continue
-		}
-		if pred(s.Apps[idx]) {
-			p.cursor = (idx + 1) % n
-			return idx, true
+		i := (r.cursor + k) % n
+		if !s.Apps[i].Done && pred(s.Apps[i]) {
+			r.cursor = (i + 1) % n
+			return i, true
 		}
 	}
 	return 0, false
+}
+
+// largestApp returns the running app with the most cores among those above
+// MinAppCores (the first on a tie): it loses the smallest relative share.
+func largestApp(s Snapshot) (int, bool) {
+	best, bestCores := -1, -1
+	for i, a := range s.Apps {
+		if !a.Done && a.Cores > s.MinAppCores && a.Cores > bestCores {
+			best, bestCores = i, a.Cores
+		}
+	}
+	return best, best >= 0
 }
 
 // PrecisePolicy is the paper's baseline: a fair static allocation with every

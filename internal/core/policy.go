@@ -1,10 +1,10 @@
-// Package core implements the Pliant runtime: the controller that consumes
+// Package core implements the Pliant runtime: one controller that consumes
 // the performance monitor's per-interval reports and actuates approximation
 // degrees and core allocations according to the paper's runtime algorithm
-// (Fig. 3), including the round-robin arbiter for multi-application
-// colocations (Sec. 4.4). Alternative policies — the precise baseline, a
-// static most-approximate ablation, and the impact-aware arbiter the paper
-// sketches as future work (Sec. 6.5) — implement the same Policy interface.
+// (Fig. 3), with an arbiter choosing which colocated application to act on —
+// round-robin (Sec. 4.4), or the impact-aware and learned arbiters the paper
+// sketches as future work (Sec. 6.5). The precise baseline and a static
+// most-approximate ablation implement the same Policy interface.
 package core
 
 import (
@@ -86,15 +86,4 @@ func (a Action) String() string {
 type Policy interface {
 	Name() string
 	Decide(s Snapshot) []Action
-}
-
-// activeApps returns indices of apps that are still running.
-func activeApps(s Snapshot) []int {
-	var out []int
-	for i, a := range s.Apps {
-		if !a.Done {
-			out = append(out, i)
-		}
-	}
-	return out
 }

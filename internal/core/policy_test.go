@@ -30,9 +30,9 @@ func appView(variant, most, cores, yielded int) AppView {
 // pliant returns the policy with the paper's literal revert rule (a single
 // high-slack interval triggers reversion) so the Fig. 3 transitions can be
 // asserted step by step. The hysteresis default is tested separately.
-func pliant() *PliantPolicy {
-	p := NewPliantPolicy(sim.NewRNG(1))
-	p.SlackPatience = 1
+func pliant() *controller {
+	p := NewPliantPolicy(sim.NewRNG(1)).(*controller)
+	p.patience = 1
 	return p
 }
 
@@ -231,7 +231,7 @@ func TestStaticApproxPinsMostApproximate(t *testing.T) {
 }
 
 func TestImpactAwarePicksCheapestApp(t *testing.T) {
-	p := NewImpactAwarePolicy(sim.NewRNG(1))
+	p := NewImpactAwarePolicy()
 	cheap := appView(0, 4, 4, 0)
 	cheap.QualityPerStep = 0.1
 	dear := appView(0, 4, 4, 0)
@@ -247,8 +247,8 @@ func TestImpactAwarePicksCheapestApp(t *testing.T) {
 }
 
 func TestImpactAwareRevertsDearestFirst(t *testing.T) {
-	p := NewImpactAwarePolicy(sim.NewRNG(1))
-	p.SlackPatience = 1
+	p := NewImpactAwarePolicy().(*controller)
+	p.patience = 1
 	cheap := appView(2, 4, 4, 0)
 	cheap.QualityPerStep = 0.1
 	dear := appView(2, 4, 4, 0)
@@ -260,7 +260,7 @@ func TestImpactAwareRevertsDearestFirst(t *testing.T) {
 }
 
 func TestImpactAwareReclaimsFromLargestApp(t *testing.T) {
-	p := NewImpactAwarePolicy(sim.NewRNG(1))
+	p := NewImpactAwarePolicy()
 	small := appView(4, 4, 2, 0)
 	big := appView(4, 4, 6, 0)
 	acts := p.Decide(snap(true, -0.5, small, big))
@@ -272,8 +272,8 @@ func TestImpactAwareReclaimsFromLargestApp(t *testing.T) {
 func TestSlackPatienceDelaysReverts(t *testing.T) {
 	// With the default hysteresis, reverts require SlackPatience consecutive
 	// high-slack intervals; any violation resets the count.
-	p := NewPliantPolicy(sim.NewRNG(1))
-	p.SlackPatience = 3
+	p := NewPliantPolicy(sim.NewRNG(1)).(*controller)
+	p.patience = 3
 	a := appView(4, 4, 7, 1)
 	// Two high-slack intervals: no action yet.
 	for i := 0; i < 2; i++ {
@@ -296,8 +296,8 @@ func TestSlackPatienceDelaysReverts(t *testing.T) {
 		t.Fatal("revert did not fire after patience elapsed")
 	}
 	// In-band slack (≤ threshold) also resets the streak.
-	p2 := NewPliantPolicy(sim.NewRNG(1))
-	p2.SlackPatience = 2
+	p2 := NewPliantPolicy(sim.NewRNG(1)).(*controller)
+	p2.patience = 2
 	_ = p2.Decide(snap(false, 0.5, a))
 	_ = p2.Decide(snap(false, 0.05, a)) // hold: resets
 	if acts := p2.Decide(snap(false, 0.5, a)); len(acts) != 0 {
@@ -326,8 +326,8 @@ func TestActionStrings(t *testing.T) {
 // the snapshot it was derived from.
 func TestPliantOneActionProperty(t *testing.T) {
 	f := func(seed uint64, steps []uint8) bool {
-		p := NewPliantPolicy(sim.NewRNG(seed))
-		p.SlackPatience = 1
+		p := NewPliantPolicy(sim.NewRNG(seed)).(*controller)
+		p.patience = 1
 		apps := []AppView{appView(0, 4, 4, 0), appView(0, 6, 4, 0), appView(0, 2, 4, 0)}
 		svc := 4
 		for _, st := range steps {

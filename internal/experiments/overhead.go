@@ -50,7 +50,7 @@ func Overhead(p Profile) (OverheadResult, error) {
 				return 0, err
 			}
 			if instrument {
-				if _, err := dyninst.Launch(eng, inst, dyninst.Options{OverheadOverride: -1}); err != nil {
+				if _, err := dyninst.Launch(eng, inst, prof.DynOverhead); err != nil {
 					return 0, err
 				}
 			}
