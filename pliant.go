@@ -167,7 +167,9 @@ type (
 	// is valid only during Decide and is rewritten at the next report:
 	// copy it to keep it.
 	PolicySnapshot = core.Snapshot
-	// PolicyAction is one actuation step.
+	// PolicyAction is one actuation step. RunScenario fails with an error
+	// when a policy returns an app outside the snapshot, a variant the app
+	// lacks or an unknown kind.
 	PolicyAction = core.Action
 	// RuntimeKind selects a built-in runtime policy.
 	RuntimeKind = colocate.RuntimeKind
