@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/autoscale"
@@ -105,6 +107,67 @@ func TestEnergyAccountingObservationOnly(t *testing.T) {
 		if ro.Trace.Series(series).Len() != 0 {
 			t.Errorf("series %q present with energy off", series)
 		}
+	}
+}
+
+// energyShardCounts are the shard counts of the shared energy runs: serial,
+// two, five, and a rerun at two.
+var energyShardCounts = []int{1, 2, 5, 2}
+
+var energyRuns struct {
+	once    sync.Once
+	results []Result
+	err     error
+}
+
+// energyShardRuns runs energyConfig(7, TelemetryAware{}, approxForWatts())
+// once per entry of energyShardCounts and caches the results, so the energy
+// determinism and shard-invariance tests share four runs.
+func energyShardRuns(t *testing.T) []Result {
+	t.Helper()
+	energyRuns.once.Do(func() {
+		base := energyConfig(7, TelemetryAware{}, approxForWatts())
+		for _, shards := range energyShardCounts {
+			cfg := base
+			cfg.Shards = shards
+			r, err := Run(cfg)
+			if err != nil {
+				energyRuns.err = fmt.Errorf("shards=%d: %w", shards, err)
+				return
+			}
+			energyRuns.results = append(energyRuns.results, r)
+		}
+	})
+	if energyRuns.err != nil {
+		t.Fatal(energyRuns.err)
+	}
+	return energyRuns.results
+}
+
+// TestEnergyRunsDeterministic pins byte determinism of the energy figures:
+// two identical runs agree to the last bit, shard count included.
+func TestEnergyRunsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four full energy runs; skipped in -short")
+	}
+	runs := energyShardRuns(t)
+	serial, a, b := runs[0], runs[1], runs[3]
+	key := func(r Result) string {
+		s := fmt.Sprintf("%.17g|%.17g|%d|%d|%d", r.Joules, r.MeanWatts,
+			r.ParkedNodeWindows, r.LowFreqNodeWindows, r.Wakes)
+		for _, ne := range r.NodeJoules {
+			s += fmt.Sprintf("|%s=%.17g", ne.Node, ne.Joules)
+		}
+		return s
+	}
+	if a.Joules <= 0 || len(a.NodeJoules) == 0 {
+		t.Fatalf("energy run recorded no energy: %s", key(a))
+	}
+	if key(a) != key(b) {
+		t.Fatalf("reruns disagree:\n%s\n%s", key(a), key(b))
+	}
+	if key(a) != key(serial) {
+		t.Fatalf("shard count perturbs energy:\n%s\n%s", key(a), key(serial))
 	}
 }
 

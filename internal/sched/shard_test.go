@@ -45,21 +45,10 @@ func TestShardInvarianceWithEnergy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full energy runs; skipped in -short")
 	}
-	base := energyConfig(7, TelemetryAware{}, approxForWatts())
-	base.Shards = 1
-	single, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 5, 2} {
-		cfg := base
-		cfg.Shards = shards
-		sharded, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !reflect.DeepEqual(single, sharded) {
-			t.Fatalf("shards=%d perturbed the energy-managed run", shards)
+	runs := energyShardRuns(t)
+	for i, sharded := range runs[1:] {
+		if !reflect.DeepEqual(runs[0], sharded) {
+			t.Fatalf("shards=%d perturbed the energy-managed run", energyShardCounts[i+1])
 		}
 	}
 }
