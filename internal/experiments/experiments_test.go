@@ -18,6 +18,32 @@ func tiny() Profile {
 	return p
 }
 
+// sweepSeeds are the root seeds the headline claims are asserted over: the
+// registry seed and seven more. A claim that held only at seed 42 was a fit
+// to one random stream, not a property of the model; each claim is asserted
+// per seed where it holds at every seed, and pooled or by majority where it
+// does not.
+var sweepSeeds = []uint64{42, 1, 2, 3, 4, 5, 6, 7}
+
+// sweep runs one experiment on the tiny profile at every sweep seed.
+func sweep[R any](t *testing.T, run func(Profile) (R, error)) []R {
+	t.Helper()
+	out := make([]R, 0, len(sweepSeeds))
+	for _, seed := range sweepSeeds {
+		p := tiny()
+		p.Seed = seed
+		r, err := run(p)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// majority reports whether more than half of n seeds passed.
+func majority(passed, n int) bool { return 2*passed > n }
+
 func TestProfiles(t *testing.T) {
 	if Fast().TimeScale <= Full().TimeScale {
 		t.Fatal("fast profile must scale time up")
@@ -107,24 +133,30 @@ func TestFig1DSE(t *testing.T) {
 
 func TestFig1Impact(t *testing.T) {
 	skipIfShort(t)
-	res, err := Fig1Impact(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 9 { // 3 apps × 3 services
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	// The paper's headline for Fig. 1: precise execution almost always
-	// leads to considerable QoS violations; approximation reduces the tail
-	// in aggregate.
-	if f := res.PreciseViolationFraction(); f < 0.8 {
-		t.Errorf("precise violated QoS for only %.0f%% of pairs, want almost always", f*100)
-	}
-	if imp := res.MostApproxImprovement(); imp <= 1.0 {
-		t.Errorf("most-approximate variants did not reduce tail latency (improvement %.2fx)", imp)
-	}
-	if !strings.Contains(res.Render(), "precise") {
-		t.Error("render missing header")
+	for i, res := range sweep(t, Fig1Impact) {
+		seed := sweepSeeds[i]
+		if len(res.Rows) != 9 { // 3 apps × 3 services
+			t.Fatalf("seed %d: rows = %d", seed, len(res.Rows))
+		}
+		// The paper's headline for Fig. 1: precise execution almost always
+		// leads to considerable QoS violations. Against both CPU-bound
+		// services it does at every seed; against MongoDB precise execution
+		// mostly meets QoS, a reproduction gap (EXPERIMENTS.md).
+		for _, row := range res.Rows {
+			if len(row.P99OverQoS) == 0 {
+				t.Fatalf("seed %d: %s+%s: no runs", seed, row.Service, row.App)
+			}
+			if row.Service != "mongodb" && row.P99OverQoS[0] <= 1 {
+				t.Errorf("seed %d: %s+%s: precise met QoS (%.2fx)", seed, row.Service, row.App, row.P99OverQoS[0])
+			}
+		}
+		// Approximation reduces the tail in aggregate.
+		if imp := res.MostApproxImprovement(); imp <= 1.0 {
+			t.Errorf("seed %d: most-approximate variants did not reduce tail latency (improvement %.2fx)", seed, imp)
+		}
+		if !strings.Contains(res.Render(), "precise") {
+			t.Errorf("seed %d: render missing header", seed)
+		}
 	}
 }
 
@@ -163,37 +195,45 @@ func TestFig4Dynamic(t *testing.T) {
 
 func TestFig5Aggregate(t *testing.T) {
 	skipIfShort(t)
-	res, err := Fig5Aggregate(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 9 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		threshold := 1.0
-		if row.Service == "mongodb" {
-			threshold = 0.9 // marginal pairs sit at the criticality cliff
+	// mongoPrecise pools precise p99/QoS per MongoDB app across seeds.
+	mongoPrecise := map[string]float64{}
+	runs := sweep(t, Fig5Aggregate)
+	for i, res := range runs {
+		seed := sweepSeeds[i]
+		if len(res.Rows) != 9 {
+			t.Fatalf("seed %d: rows = %d", seed, len(res.Rows))
 		}
-		if row.PreciseP99OverQoS <= threshold {
-			t.Errorf("%s+%s: precise did not violate (%.2fx)", row.Service, row.App, row.PreciseP99OverQoS)
+		for _, row := range res.Rows {
+			if row.Service == "mongodb" {
+				mongoPrecise[row.App] += row.PreciseP99OverQoS / float64(len(runs))
+			} else if row.PreciseP99OverQoS <= 1 {
+				t.Errorf("seed %d: %s+%s: precise did not violate (%.2fx)", seed, row.Service, row.App, row.PreciseP99OverQoS)
+			}
+			if row.PliantP99OverQoS > 1.15 {
+				t.Errorf("seed %d: %s+%s: pliant steady p99 %.2fx QoS", seed, row.Service, row.App, row.PliantP99OverQoS)
+			}
+			if row.Inaccuracy > 6 {
+				t.Errorf("seed %d: %s+%s: inaccuracy %.1f%%", seed, row.Service, row.App, row.Inaccuracy)
+			}
 		}
-		if row.PliantP99OverQoS > 1.15 {
-			t.Errorf("%s+%s: pliant steady p99 %.2fx QoS", row.Service, row.App, row.PliantP99OverQoS)
+		if m := res.MeanInaccuracy(); m <= 0 || m > 5 {
+			t.Errorf("seed %d: mean inaccuracy %.2f%% (paper: 2.1%%)", seed, m)
 		}
-		if row.Inaccuracy > 6 {
-			t.Errorf("%s+%s: inaccuracy %.1f%%", row.Service, row.App, row.Inaccuracy)
+		lo, hi := res.ViolationRange("nginx")
+		if lo <= 1 || hi <= lo {
+			t.Errorf("seed %d: nginx precise violation range [%.2f, %.2f] implausible", seed, lo, hi)
+		}
+		if !strings.Contains(res.Render(), "summary:") {
+			t.Errorf("seed %d: render missing summary", seed)
 		}
 	}
-	if m := res.MeanInaccuracy(); m <= 0 || m > 5 {
-		t.Errorf("mean inaccuracy %.2f%% (paper: 2.1%%)", m)
-	}
-	lo, hi := res.ViolationRange("nginx")
-	if lo <= 1 || hi <= lo {
-		t.Errorf("nginx precise violation range [%.2f, %.2f] implausible", lo, hi)
-	}
-	if !strings.Contains(res.Render(), "summary:") {
-		t.Error("render missing summary")
+	// MongoDB pairs sit at the criticality cliff: precise violates QoS at
+	// some seeds and not others, so the claim is pooled. mongodb+SNP meets
+	// QoS precise at every seed, a reproduction gap (EXPERIMENTS.md).
+	for _, app := range tiny().Apps {
+		if mean := mongoPrecise[app]; app != "SNP" && mean <= 1 {
+			t.Errorf("mongodb+%s: precise p99 averages %.2fx QoS over %d seeds, want a violation", app, mean, len(runs))
+		}
 	}
 }
 
@@ -352,33 +392,38 @@ func TestOverheadMatchesPaper(t *testing.T) {
 
 func TestSchedDiurnal(t *testing.T) {
 	skipIfShort(t)
-	res, err := SchedDiurnal(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want first-fit, best-fit, telemetry-aware", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Arrived == 0 || row.Completed == 0 {
-			t.Fatalf("%s: arrived=%d completed=%d", row.Policy, row.Arrived, row.Completed)
+	runs := sweep(t, SchedDiurnal)
+	waitWins := 0
+	for i, res := range runs {
+		seed := sweepSeeds[i]
+		if len(res.Rows) != 3 {
+			t.Fatalf("seed %d: rows = %d, want first-fit, best-fit, telemetry-aware", seed, len(res.Rows))
+		}
+		for _, row := range res.Rows {
+			if row.Arrived == 0 || row.Completed == 0 {
+				t.Fatalf("seed %d: %s: arrived=%d completed=%d", seed, row.Policy, row.Arrived, row.Completed)
+			}
+		}
+		// The headline claim: consuming the runtime's telemetry beats
+		// first-fit on QoS-met fraction, at every seed.
+		if ta, ff := res.FracFor("telemetry-aware"), res.FracFor("first-fit"); ta <= ff {
+			t.Errorf("seed %d: telemetry-aware QoS-met %.3f not above first-fit %.3f", seed, ta, ff)
+		}
+		if res.WaitFor("telemetry-aware") <= res.WaitFor("first-fit") {
+			waitWins++
+		}
+		out := res.Render()
+		for _, want := range []string{"telemetry-aware", "best-fit", "summary:"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("seed %d: render missing %q:\n%s", seed, want, out)
+			}
 		}
 	}
-	// The headline claim: consuming the runtime's telemetry beats first-fit
-	// on QoS-met fraction at equal or better mean job wait.
-	ta, ff := res.FracFor("telemetry-aware"), res.FracFor("first-fit")
-	if ta <= ff {
-		t.Errorf("telemetry-aware QoS-met %.2f not above first-fit %.2f", ta, ff)
-	}
-	if res.WaitFor("telemetry-aware") > res.WaitFor("first-fit") {
-		t.Errorf("telemetry-aware wait %.1fs worse than first-fit %.1fs",
-			res.WaitFor("telemetry-aware"), res.WaitFor("first-fit"))
-	}
-	out := res.Render()
-	for _, want := range []string{"telemetry-aware", "best-fit", "summary:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
+	// ... at equal or better mean job wait at most seeds: the two waits tie
+	// at most seeds, and deferring off a violating node can cost a second
+	// at the others.
+	if !majority(waitWins, len(runs)) {
+		t.Errorf("telemetry-aware wait no worse than first-fit at only %d/%d seeds", waitWins, len(runs))
 	}
 }
 
@@ -548,53 +593,71 @@ func skipIfShort(t *testing.T) {
 
 // TestFaultStorm is the robustness acceptance experiment: through a
 // correlated rack outage removing a quarter of capacity mid-peak,
-// degrade-under-loss must hold QoS-met busy node-windows within 10 points of
-// the no-fault run while first-fit-with-retries lands at least 25 points
-// below it, and no bundle may lose or double-run a job — the retry ledger
-// balances exactly.
+// degrade-under-loss must lose fewer QoS points (busy node-windows, against
+// the no-fault run) than first-fit-with-retries, and no bundle may lose or
+// double-run a job — the retry ledger balances exactly at every seed.
 func TestFaultStorm(t *testing.T) {
 	skipIfShort(t)
-	res, err := FaultStorm(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want first-fit, telemetry, degrade-under-loss", len(res.Rows))
-	}
-	if res.NoFaultQoS <= 0 {
-		t.Fatalf("no-fault reference QoS = %.3f", res.NoFaultQoS)
-	}
-	dul, ff := res.RowFor("degrade-under-loss"), res.RowFor("first-fit")
-	if gap := (res.NoFaultQoS - dul.FaultedQoS) * 100; gap > 10 {
-		t.Errorf("degrade-under-loss %.1f QoS points below the no-fault run, want within 10", gap)
-	}
-	if gap := (res.NoFaultQoS - ff.FaultedQoS) * 100; gap < 25 {
-		t.Errorf("first-fit only %.1f QoS points below the no-fault run, want >= 25", gap)
-	}
-	for _, row := range res.Rows {
-		if row.Crashes == 0 {
-			t.Errorf("%s: outage injected no crashes", row.Bundle)
+	runs := sweep(t, FaultStorm)
+	var dulGap, ffGap float64
+	ffFar, dulAhead := 0, 0
+	for i, res := range runs {
+		seed := sweepSeeds[i]
+		if len(res.Rows) != 3 {
+			t.Fatalf("seed %d: rows = %d, want first-fit, telemetry, degrade-under-loss", seed, len(res.Rows))
 		}
-		if row.JobsLost != 0 {
-			t.Errorf("%s: lost %d jobs", row.Bundle, row.JobsLost)
+		if res.NoFaultQoS <= 0 {
+			t.Fatalf("seed %d: no-fault reference QoS = %.3f", seed, res.NoFaultQoS)
 		}
-		// The retry ledger: every arrival is placed, pending, or lost —
-		// nothing vanishes, nothing double-runs — and every requeue shows up
-		// as exactly one job retry.
-		if row.Arrived != row.Placed+row.Pending+row.JobsLost {
-			t.Errorf("%s: job ledger broken: %d arrived != %d placed + %d pending + %d lost",
-				row.Bundle, row.Arrived, row.Placed, row.Pending, row.JobsLost)
+		dul := (res.NoFaultQoS - res.RowFor("degrade-under-loss").FaultedQoS) * 100
+		ff := (res.NoFaultQoS - res.RowFor("first-fit").FaultedQoS) * 100
+		dulGap += dul / float64(len(runs))
+		ffGap += ff / float64(len(runs))
+		if ff >= 25 {
+			ffFar++
 		}
-		if row.RetrySum != row.Requeued {
-			t.Errorf("%s: retry ledger broken: requeued %d != retry sum %d",
-				row.Bundle, row.Requeued, row.RetrySum)
+		if dul < ff {
+			dulAhead++
+		}
+		for _, row := range res.Rows {
+			if row.Crashes == 0 {
+				t.Errorf("seed %d: %s: outage injected no crashes", seed, row.Bundle)
+			}
+			if row.JobsLost != 0 {
+				t.Errorf("seed %d: %s: lost %d jobs", seed, row.Bundle, row.JobsLost)
+			}
+			// The retry ledger: every arrival is placed, pending, or lost —
+			// nothing vanishes, nothing double-runs — and every requeue shows
+			// up as exactly one job retry.
+			if row.Arrived != row.Placed+row.Pending+row.JobsLost {
+				t.Errorf("seed %d: %s: job ledger broken: %d arrived != %d placed + %d pending + %d lost",
+					seed, row.Bundle, row.Arrived, row.Placed, row.Pending, row.JobsLost)
+			}
+			if row.RetrySum != row.Requeued {
+				t.Errorf("seed %d: %s: retry ledger broken: requeued %d != retry sum %d",
+					seed, row.Bundle, row.Requeued, row.RetrySum)
+			}
+		}
+		out := res.Render()
+		for _, want := range []string{"degrade-under-loss", "first-fit", "telemetry", "summary:"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("seed %d: render missing %q:\n%s", seed, want, out)
+			}
 		}
 	}
-	out := res.Render()
-	for _, want := range []string{"degrade-under-loss", "first-fit", "telemetry", "summary:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
+	// The headline, as the seeds support it: degrade-under-loss holds QoS
+	// within 10 points of the no-fault run pooled (single seeds swing past
+	// it), first-fit lands at least 25 points below at most seeds, and
+	// degrade-under-loss loses less than first-fit pooled and at most seeds.
+	if dulGap > 10 {
+		t.Errorf("degrade-under-loss %.1f QoS points below the no-fault run pooled, want within 10", dulGap)
+	}
+	if !majority(ffFar, len(runs)) {
+		t.Errorf("first-fit >= 25 QoS points below the no-fault run at only %d/%d seeds", ffFar, len(runs))
+	}
+	if dulGap >= ffGap || !majority(dulAhead, len(runs)) {
+		t.Errorf("degrade-under-loss gap %.1f vs first-fit %.1f pooled, smaller at %d/%d seeds",
+			dulGap, ffGap, dulAhead, len(runs))
 	}
 }
 

@@ -70,7 +70,10 @@ func (r *SchedResult) Render() string {
 
 // SchedDiurnal runs the online-scheduling study: a three-service cluster, a
 // Poisson job stream, and one "day" of sinusoidal load compressed into the
-// horizon, under first-fit, best-fit, and telemetry-aware placement.
+// horizon, under first-fit, best-fit, and telemetry-aware placement. The
+// cluster runs two nodes of each service, so one seed's day puts a few dozen
+// jobs through each policy; a three-node day completes only 3–10, too few
+// for its QoS ordering to hold at every seed.
 func SchedDiurnal(p Profile) (*SchedResult, error) {
 	const horizon = 120 * sim.Second
 	shape, err := workload.NewDiurnal(0.25, horizon.Seconds())
@@ -83,10 +86,13 @@ func SchedDiurnal(p Profile) (*SchedResult, error) {
 			{Name: "cache-1", Service: service.Memcached, MaxApps: 3},
 			{Name: "web-1", Service: service.NGINX, MaxApps: 3},
 			{Name: "db-1", Service: service.MongoDB, MaxApps: 3},
+			{Name: "cache-2", Service: service.Memcached, MaxApps: 3},
+			{Name: "web-2", Service: service.NGINX, MaxApps: 3},
+			{Name: "db-2", Service: service.MongoDB, MaxApps: 3},
 		},
 		Horizon:    horizon,
 		Epoch:      10 * sim.Second,
-		JobsPerSec: 0.10,
+		JobsPerSec: 0.20,
 		BaseLoad:   0.65,
 		Shape:      shape,
 		TimeScale:  p.TimeScale,

@@ -205,38 +205,63 @@ func TestTimeVaryingJobArrivals(t *testing.T) {
 	}
 }
 
-// TestTelemetryBeatsFirstFit is the headline claim of the subsystem (and the
-// paper's Sec. 6.4 argument made online): under a diurnal day, consuming the
-// runtime's telemetry must yield a higher QoS-met fraction than first-fit at
-// equal or better mean job wait.
-func TestTelemetryBeatsFirstFit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("policy comparison; skipped in -short")
-	}
+// telemetrySeeds are the seeds TestTelemetryBeatsFirstFit asserts over: 42
+// and seven more, so its claims are properties of the model rather than of
+// one random stream.
+var telemetrySeeds = []uint64{42, 1, 2, 3, 4, 5, 6, 7}
+
+// telemetryCompareRuns runs first-fit against telemetry-aware on a diurnal
+// day at every telemetry seed.
+func telemetryCompareRuns(t *testing.T) [][]Result {
+	t.Helper()
 	shape, err := workload.NewDiurnal(0.25, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Seed:       42,
-		Nodes:      testCluster(),
-		Horizon:    120 * sim.Second,
-		Epoch:      10 * sim.Second,
-		JobsPerSec: 0.10,
-		BaseLoad:   0.65,
-		Shape:      shape,
-		TimeScale:  16,
+	var runs [][]Result // per seed: first-fit, telemetry-aware
+	for _, seed := range telemetrySeeds {
+		cfg := Config{
+			Seed:       seed,
+			Nodes:      testCluster(),
+			Horizon:    120 * sim.Second,
+			Epoch:      10 * sim.Second,
+			JobsPerSec: 0.10,
+			BaseLoad:   0.65,
+			Shape:      shape,
+			TimeScale:  16,
+		}
+		results, err := Compare(cfg, FirstFit{}, TelemetryAware{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		runs = append(runs, results)
 	}
-	results, err := Compare(cfg, FirstFit{}, TelemetryAware{})
-	if err != nil {
-		t.Fatal(err)
+	return runs
+}
+
+// TestTelemetryBeatsFirstFit is the headline claim of the subsystem (and the
+// paper's Sec. 6.4 argument made online): under a diurnal day, consuming the
+// runtime's telemetry must yield a higher QoS-met fraction than first-fit at
+// every seed, at equal or better mean job wait at most seeds (on a congested
+// day, deferring off violating nodes can cost a few seconds of wait).
+func TestTelemetryBeatsFirstFit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("policy comparison; skipped in -short")
 	}
-	ff, ta := results[0], results[1]
-	if ta.QoSMetFrac <= ff.QoSMetFrac {
-		t.Fatalf("telemetry-aware QoS-met %.2f not above first-fit %.2f", ta.QoSMetFrac, ff.QoSMetFrac)
+	runs := telemetryCompareRuns(t)
+	waitOK := 0
+	for i, results := range runs {
+		ff, ta := results[0], results[1]
+		if ta.QoSMetFrac <= ff.QoSMetFrac {
+			t.Errorf("seed %d: telemetry-aware QoS-met %.2f not above first-fit %.2f",
+				telemetrySeeds[i], ta.QoSMetFrac, ff.QoSMetFrac)
+		}
+		if ta.MeanWaitSec <= ff.MeanWaitSec {
+			waitOK++
+		}
 	}
-	if ta.MeanWaitSec > ff.MeanWaitSec {
-		t.Fatalf("telemetry-aware wait %.1fs worse than first-fit %.1fs", ta.MeanWaitSec, ff.MeanWaitSec)
+	if 2*waitOK <= len(runs) {
+		t.Errorf("telemetry-aware wait no worse than first-fit at only %d/%d seeds", waitOK, len(runs))
 	}
 }
 

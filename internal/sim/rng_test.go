@@ -237,3 +237,44 @@ func TestMix64DecorrelatesCounterInputs(t *testing.T) {
 		t.Error("Mix64 barely mixes small inputs")
 	}
 }
+
+// sampleSink keeps the sampler benchmarks' results live.
+var sampleSink float64
+
+func BenchmarkNorm(b *testing.B) {
+	r := NewRNG(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sampleSink += r.Norm(0, 1)
+	}
+}
+
+func BenchmarkExp(b *testing.B) {
+	r := NewRNG(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sampleSink += r.Exp(1)
+	}
+}
+
+func BenchmarkLogNormal(b *testing.B) {
+	r := NewRNG(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sampleSink += r.LogNormal(0, 1)
+	}
+}
+
+// TestSamplersAllocFree pins the per-request samplers to zero allocations.
+func TestSamplersAllocFree(t *testing.T) {
+	r := NewRNG(1)
+	for name, f := range map[string]func(){
+		"Norm":      func() { sampleSink += r.Norm(0, 1) },
+		"Exp":       func() { sampleSink += r.Exp(1) },
+		"LogNormal": func() { sampleSink += r.LogNormal(0, 1) },
+	} {
+		if avg := testing.AllocsPerRun(1000, f); avg != 0 {
+			t.Errorf("%s allocates %v allocs/op, want 0", name, avg)
+		}
+	}
+}
