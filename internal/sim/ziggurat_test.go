@@ -111,7 +111,10 @@ func TestZigguratTables(t *testing.T) {
 	nr, nt := normDensity.build()
 	er, et := expDensity.build()
 	if os.Getenv("PLIANT_ZIGGURAT") == "write" {
-		src := zigSource(nr, nt, er, et)
+		src, err := zigSource(nr, nt, er, et)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile("ziggurat_tables.go", src, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +141,7 @@ func TestZigguratTables(t *testing.T) {
 }
 
 // zigSource renders ziggurat_tables.go.
-func zigSource(nr float64, nt [zigLayers]zigLayer, er float64, et [zigLayers]zigLayer) []byte {
+func zigSource(nr float64, nt [zigLayers]zigLayer, er float64, et [zigLayers]zigLayer) ([]byte, error) {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	var b bytes.Buffer
 	b.WriteString("// Code generated by TestZigguratTables with PLIANT_ZIGGURAT=write; DO NOT EDIT.\n\n")
@@ -155,9 +158,5 @@ func zigSource(nr float64, nt [zigLayers]zigLayer, er float64, et [zigLayers]zig
 	}
 	table("normZig", "is the layer table of exp(-x²/2), mantissa scale 2⁵¹.", nt)
 	table("expZig", "is the layer table of exp(-x), mantissa scale 2⁵².", et)
-	src, err := format.Source(bytes.TrimSuffix(b.Bytes(), []byte("\n")))
-	if err != nil {
-		panic(err)
-	}
-	return src
+	return format.Source(bytes.TrimSuffix(b.Bytes(), []byte("\n")))
 }
