@@ -17,8 +17,12 @@ import (
 //	PLIANT_ZIGGURAT=write go test -run TestZigguratTables ./internal/sim
 //
 // Every product below that could be fused into a multiply-add is wrapped in
-// an explicit float64 conversion, which the Go spec makes round separately,
-// so the rebuild gives the same bits on every architecture.
+// an explicit float64 conversion, which the Go spec makes round separately.
+// That rules out fusion, not every platform difference: math.Exp and
+// math.Log have assembly versions on some architectures, which need not
+// round like the pure-Go code. The committed tables were recorded on
+// linux/amd64; the exact match holds wherever math.Exp, Log and Erfc round
+// the same way.
 
 // zigDensity is one side of an unnormalised density decreasing on [0, ∞)
 // with f(0) = 1: the function, its inverse on (0, 1], and the area under it
