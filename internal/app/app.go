@@ -175,24 +175,35 @@ type Instance struct {
 // from least to most approximate, as produced by the design-space
 // exploration.
 func NewInstance(eng *sim.Engine, rng *sim.RNG, prof Profile, variants []approx.Effect, cores int, onFinish func()) (*Instance, error) {
-	if err := prof.Validate(); err != nil {
+	a := &Instance{}
+	if err := a.Init(eng, rng, prof, variants, cores, onFinish); err != nil {
 		return nil, err
 	}
+	return a, nil
+}
+
+// Init (re)initialises a in place to the state NewInstance builds, drawing
+// the phase shift from rng exactly as NewInstance does. On error a is
+// unchanged and rng has not been drawn from.
+func (a *Instance) Init(eng *sim.Engine, rng *sim.RNG, prof Profile, variants []approx.Effect, cores int, onFinish func()) error {
+	if err := prof.Validate(); err != nil {
+		return err
+	}
 	if len(variants) == 0 || variants[0] != approx.Precise() {
-		return nil, fmt.Errorf("app %s: variants must start with the precise effect", prof.Name)
+		return fmt.Errorf("app %s: variants must start with the precise effect", prof.Name)
 	}
 	for i := 1; i < len(variants); i++ {
 		if variants[i].Inaccuracy < variants[i-1].Inaccuracy {
-			return nil, fmt.Errorf("app %s: variants not ordered by increasing inaccuracy", prof.Name)
+			return fmt.Errorf("app %s: variants not ordered by increasing inaccuracy", prof.Name)
 		}
 	}
 	if cores < 1 {
-		return nil, fmt.Errorf("app %s: needs at least one core", prof.Name)
+		return fmt.Errorf("app %s: needs at least one core", prof.Name)
 	}
 	if onFinish == nil {
 		onFinish = func() {}
 	}
-	return &Instance{
+	*a = Instance{
 		prof:        prof,
 		eng:         eng,
 		rng:         rng,
@@ -204,7 +215,8 @@ func NewInstance(eng *sim.Engine, rng *sim.RNG, prof Profile, variants []approx.
 		lastAdvance: eng.Now(),
 		started:     eng.Now(),
 		onFinish:    onFinish,
-	}, nil
+	}
+	return nil
 }
 
 // Profile returns the application's static description.

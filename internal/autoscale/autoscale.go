@@ -120,7 +120,9 @@ type Action struct {
 
 // Controller decides lifecycle and frequency transitions at every scheduling
 // boundary. Decisions must be pure functions of the view so runs stay
-// deterministic.
+// deterministic. The view's Nodes slice is lent for the call only: the
+// scheduler rewrites the same backing array at every boundary, so a
+// controller that keeps the views must copy them.
 type Controller interface {
 	Name() string
 	Decide(v View) []Action

@@ -27,13 +27,24 @@ type Generator struct {
 
 // New creates a generator. Call Start to begin offering load.
 func New(eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.ArrivalProcess) (*Generator, error) {
+	g := &Generator{}
+	if err := g.Init(eng, rng, svc, arrival); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Init (re)initialises g in place to the state New builds: stopped, nothing
+// sent. On error g is unchanged.
+func (g *Generator) Init(eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.ArrivalProcess) error {
 	if eng == nil || rng == nil || svc == nil || arrival == nil {
-		return nil, fmt.Errorf("client: nil dependency")
+		return fmt.Errorf("client: nil dependency")
 	}
 	if arrival.Rate() <= 0 {
-		return nil, fmt.Errorf("client: arrival rate must be positive")
+		return fmt.Errorf("client: arrival rate must be positive")
 	}
-	return &Generator{eng: eng, rng: rng, svc: svc, arrival: arrival}, nil
+	*g = Generator{eng: eng, rng: rng, svc: svc, arrival: arrival}
+	return nil
 }
 
 // Start begins generating arrivals at the current simulation time.

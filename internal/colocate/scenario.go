@@ -10,11 +10,11 @@ package colocate
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/approx-sched/pliant/internal/app"
 	"github.com/approx-sched/pliant/internal/client"
 	"github.com/approx-sched/pliant/internal/core"
-	"github.com/approx-sched/pliant/internal/dse"
 	"github.com/approx-sched/pliant/internal/dyninst"
 	"github.com/approx-sched/pliant/internal/energy"
 	"github.com/approx-sched/pliant/internal/interference"
@@ -106,7 +106,9 @@ type Config struct {
 
 	// FixedVariants, when non-nil, disables the controller and pins each
 	// app to the given variant index for the whole run (used by the Fig. 1
-	// per-variant impact study). Missing apps run precise.
+	// per-variant impact study). Missing apps run precise. Every key must
+	// name an app in AppNames and every index lie in [0, MostApproximate]
+	// of that app's variant table; anything else is an error.
 	FixedVariants map[string]int
 
 	// DecisionInterval is the controller period (paper default: 1 s).
@@ -152,14 +154,14 @@ type Config struct {
 	// scenario.
 	OnReport func(monitor.Report)
 
-	// Scratch, when set, supplies reusable episode state (engine arenas,
-	// histograms, the result trace, queue and contention buffers) owned by
-	// the caller's worker. Results are identical with or without it; it only
+	// Scratch, when set, is the episode arena owned by the caller's worker:
+	// the scenario and every component of it are re-initialised in place
+	// on it (see Scratch). Results are identical with or without it; it only
 	// removes per-episode allocations. Must not be shared by concurrent runs.
 	//
-	// Aliasing: with a Scratch, Result.Trace is the Scratch's own trace. It
-	// stays valid until the next episode run on the same Scratch, which
-	// resets and refills it; copy what must outlive that.
+	// Aliasing: with a Scratch, Result.Trace and Result.Apps are the
+	// Scratch's own. They stay valid until the next episode run on the same
+	// Scratch, which resets and refills them; copy what must outlive that.
 	Scratch *Scratch
 }
 
@@ -203,6 +205,19 @@ func (c Config) Validate() error {
 	for i, f := range c.AppWorkScale {
 		if f <= 0 || f > 1 {
 			return fmt.Errorf("colocate: work scale %v for app %d outside (0, 1]", f, i)
+		}
+	}
+	if c.FixedVariants != nil {
+		// Sorted, so the error names the same key on every run.
+		keys := make([]string, 0, len(c.FixedVariants))
+		for name := range c.FixedVariants {
+			keys = append(keys, name)
+		}
+		slices.Sort(keys)
+		for _, name := range keys {
+			if !slices.Contains(c.AppNames, name) {
+				return fmt.Errorf("colocate: fixed variant for %q, which is not among the apps %v", name, c.AppNames)
+			}
 		}
 	}
 	if c.EnergyModel != nil {
@@ -259,7 +274,9 @@ type Result struct {
 	Duration        sim.Duration
 	Served          uint64
 	Dropped         uint64
-	Apps            []AppResult
+	// Apps has one row per Config.AppNames entry. A run on a Config.Scratch
+	// returns the Scratch's rows, recycled by its next episode.
+	Apps []AppResult
 
 	// Joules, MeanWatts, and MeanUtil summarize node energy when the
 	// scenario carried an EnergyModel (all zero otherwise): total energy,
@@ -307,66 +324,98 @@ func Run(cfg Config) (Result, error) {
 	return s.run()
 }
 
-// resolveApp finds an application profile by name: user-provided profiles
-// shadow the built-in catalog.
-func resolveApp(cfg Config, name string) (app.Profile, error) {
-	for _, p := range cfg.CustomApps {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return app.ByName(name)
-}
-
 // seriesKeys are one application's per-app trace series names.
 type seriesKeys struct {
 	variant, yielded string
 }
 
-// scenario holds the assembled simulation.
+// appSlot is app i's share of the scenario: its RNG stream, application
+// instance and instrumented process, re-initialised in place every episode,
+// and its per-episode bookkeeping.
+type appSlot struct {
+	rng  sim.RNG
+	inst app.Instance
+	proc dyninst.Process
+
+	data      *appData // the app's name, series keys and resolved profile
+	initCores int
+	yielded   int
+	maxYield  int
+}
+
+// scenario holds the assembled simulation. Everything in it is either
+// re-initialised in place by build or reset with the tally, so one scenario
+// serves a whole stream of episodes (see Scratch).
 type scenario struct {
-	cfg   Config
+	cfg    Config
+	policy core.Policy
+
 	eng   *sim.Engine
-	rng   *sim.RNG
-	alloc *platform.Allocation
-	model *interference.Model
+	rng   sim.RNG
+	alloc platform.Allocation
+	model interference.Model
 
 	// tenants are the allocation IDs: the service first, then app i at
-	// index i+1. Built once in build, read by every contention refresh.
+	// index i+1. Built in build, read by every contention refresh.
 	svcTenant platform.TenantID
 	tenants   []platform.TenantID
-	svc       *service.Instance
-	gen       *client.Generator
-	mon       *monitor.Monitor
-	policy    core.Policy
 
-	apps      []*dyninst.Process
-	appNames  []string
-	keys      []seriesKeys // per-app trace series names, made once in build
-	initCores []int
-	yielded   []int
-	maxYield  []int
+	// svcCfg is the service preset at the episode's time scale, rebuilt
+	// only when the class or scale differs from the last episode's (svcFor).
+	svcCfg    service.Config
+	svcFor    svcKey
+	svcRNG    sim.RNG
+	svc       service.Instance
+	genRNG    sim.RNG
+	gen       client.Generator
+	poisson   workload.Poisson
+	shaped    workload.ShapedPoisson
+	mon       monitor.Monitor
+	physics   sim.Ticker
+	policyRNG sim.RNG
+
+	slots     []appSlot
 	histogram *stats.Histogram // whole-run latency
 	trace     *stats.Trace
 
 	// Buffers reused across contention refreshes and policy reports:
 	// demands[0] and slow[0] are the service's, entry i+1 app i's.
-	demands []interference.Demand
-	slow    []float64
-	views   []core.AppView
-
-	intervals    int
-	violations   int
-	maxP99       sim.Duration
-	sumP99       float64
+	demands      []interference.Demand
+	slow         []float64
+	views        []core.AppView
 	intervalP99s []float64
-	runningApps  int
+	appResults   []AppResult
+
+	// The scenario's callbacks, bound once per scenario so that restarting
+	// an episode in place allocates no method values.
+	observeFn func(sim.Duration)
+	finishFn  func()
+	reportFn  func(monitor.Report)
+	physicsFn func(sim.Time)
+
+	tally
+}
+
+// svcKey names the service preset and time scale a scenario's svcCfg was
+// built for; the zero value names none.
+type svcKey struct {
+	class service.Class
+	scale float64
+}
+
+// tally is the per-episode state that starts from zero: build resets it
+// whole.
+type tally struct {
+	intervals   int
+	violations  int
+	maxP99      sim.Duration
+	sumP99      float64
+	runningApps int
 
 	// Energy accounting (active only when cfg.EnergyModel is set): the
 	// frequency the node runs at, the execution-time multiplier it implies,
 	// the per-run accumulator, and the last interval's power draw (used to
 	// close the final partial interval).
-	svcCfg    service.Config
 	freqGHz   float64
 	freqSlow  float64
 	acc       energy.Accumulator
@@ -378,34 +427,55 @@ type scenario struct {
 	err error
 }
 
+// build assembles the scenario for cfg, in place on the Scratch's arena when
+// cfg carries one.
 func build(cfg Config) (*scenario, error) {
-	sc := cfg.Scratch
-	s := &scenario{
-		cfg:          cfg,
-		rng:          sim.NewRNG(cfg.Seed),
-		eng:          sc.engine(),
-		histogram:    sc.latencyHist(),
-		trace:        sc.resultTrace(),
-		intervalP99s: sc.intervalBuf(),
+	s := cfg.Scratch.scenario()
+	s.cfg = cfg
+	s.policy = nil
+	s.tally = tally{}
+	if s.observeFn == nil {
+		s.observeFn = s.observeLatency
+		s.finishFn = s.appFinished
+		s.reportFn = s.onReport
+		s.physicsFn = s.physicsTick
 	}
-	s.demands, s.slow, s.views = sc.appBuffers(len(cfg.AppNames))
+	if s.eng == nil {
+		s.eng = sim.NewEngine()
+		s.histogram = stats.NewLatencyHistogram()
+		s.trace = stats.NewTrace()
+	} else {
+		s.eng.Reset()
+		s.histogram.Reset()
+		s.trace.Reset()
+	}
+	s.rng.Reseed(cfg.Seed)
+	s.intervalP99s = s.intervalP99s[:0]
 
-	var err error
-	s.alloc, err = platform.NewAllocation(cfg.Platform)
-	if err != nil {
+	n := len(cfg.AppNames)
+	if cap(s.slots) < n {
+		s.slots = make([]appSlot, n)
+		s.demands = make([]interference.Demand, 0, n+1)
+		s.slow = make([]float64, n+1)
+		s.views = make([]core.AppView, n)
+	}
+	s.slots = s.slots[:n]
+	s.demands, s.slow, s.views = s.demands[:0], s.slow[:n+1], s.views[:n]
+
+	if err := s.alloc.Init(cfg.Platform); err != nil {
 		return nil, err
 	}
-	s.model, err = interference.New(cfg.Platform)
-	if err != nil {
+	if err := s.model.Init(cfg.Platform, interference.DefaultKnee); err != nil {
 		return nil, err
 	}
 
 	// Fair initial allocation: the service and every app get equal shares.
 	s.svcTenant = "svc"
-	s.tenants = make([]platform.TenantID, 0, len(cfg.AppNames)+1)
-	s.tenants = append(s.tenants, s.svcTenant)
+	s.tenants = append(s.tenants[:0], s.svcTenant)
 	for i, name := range cfg.AppNames {
-		s.tenants = append(s.tenants, platform.TenantID(fmt.Sprintf("app%d:%s", i, name)))
+		sl := &s.slots[i]
+		sl.data = cfg.Scratch.appData(name)
+		s.tenants = append(s.tenants, sl.data.tenant(i))
 	}
 	if err := s.alloc.FairShare(s.tenants...); err != nil {
 		return nil, err
@@ -426,40 +496,36 @@ func build(cfg Config) (*scenario, error) {
 	}
 
 	// Interactive service and its open-loop client.
-	svcCfg := service.Preset(cfg.Service).Scaled(cfg.TimeScale)
-	s.svcCfg = svcCfg
-	s.svc, err = service.New(s.eng, s.rng.Split(1), svcCfg, fairSvcCores, s.observeLatency)
-	if err != nil {
+	if key := (svcKey{cfg.Service, cfg.TimeScale}); s.svcFor != key {
+		s.svcCfg = service.Preset(cfg.Service).Scaled(cfg.TimeScale)
+		s.svcFor = key
+	}
+	s.rng.SplitInto(&s.svcRNG, 1)
+	if err := s.svc.Init(s.eng, &s.svcRNG, s.svcCfg, fairSvcCores, s.observeFn); err != nil {
 		return nil, err
 	}
-	sc.adoptQueue(s.svc)
-	qps := svcCfg.SaturationQPS(fairSvcCores) * cfg.LoadFraction
+	qps := s.svcCfg.SaturationQPS(fairSvcCores) * cfg.LoadFraction
 	var arr workload.ArrivalProcess
+	var err error
 	if cfg.LoadShape != nil {
-		arr, err = workload.NewShapedPoisson(qps, cfg.LoadShape)
+		s.shaped, err = workload.NewShapedPoisson(qps, cfg.LoadShape)
+		arr = &s.shaped
 	} else {
-		arr, err = workload.NewPoisson(qps)
+		s.poisson, err = workload.NewPoisson(qps)
+		arr = &s.poisson
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.gen, err = client.New(s.eng, s.rng.Split(2), s.svc, arr)
-	if err != nil {
+	s.rng.SplitInto(&s.genRNG, 2)
+	if err := s.gen.Init(s.eng, &s.genRNG, &s.svc, arr); err != nil {
 		return nil, err
 	}
 
 	// Approximate applications under the instrumentation substrate.
-	n := len(cfg.AppNames)
-	s.apps = make([]*dyninst.Process, 0, n)
-	s.appNames = make([]string, 0, n)
-	s.keys = make([]seriesKeys, 0, n)
-	s.initCores = make([]int, 0, n)
-	for i, name := range cfg.AppNames {
-		prof, err := resolveApp(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		variants, err := dse.VariantTable(prof)
+	for i := range s.slots {
+		sl := &s.slots[i]
+		prof, variants, err := sl.data.resolve(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -469,33 +535,32 @@ func build(cfg Config) (*scenario, error) {
 			prof.NominalExecSec *= cfg.AppWorkScale[i]
 		}
 		cores := s.alloc.Cores(s.tenantOf(i))
-		inst, err := app.NewInstance(s.eng, s.rng.Split(uint64(10+i)), prof, variants, cores, s.appFinished)
-		if err != nil {
+		s.rng.SplitInto(&sl.rng, uint64(10+i))
+		if err := sl.inst.Init(s.eng, &sl.rng, prof, variants, cores, s.finishFn); err != nil {
 			return nil, err
+		}
+		if v, ok := cfg.FixedVariants[sl.data.name]; ok && (v < 0 || v > sl.inst.MostApproximate()) {
+			return nil, fmt.Errorf("colocate: fixed variant %d for %s outside [0, %d]", v, sl.data.name, sl.inst.MostApproximate())
 		}
 		overhead := 0.0
 		if s.instrumented() {
-			overhead = inst.Profile().DynOverhead
+			overhead = prof.DynOverhead
 		}
-		proc, err := dyninst.Launch(s.eng, inst, overhead)
-		if err != nil {
+		if err := sl.proc.Init(s.eng, &sl.inst, overhead); err != nil {
 			return nil, err
 		}
-		s.apps = append(s.apps, proc)
-		s.appNames = append(s.appNames, name)
-		s.keys = append(s.keys, seriesKeys{variant: "variant." + name, yielded: "yielded." + name})
-		s.initCores = append(s.initCores, cores)
+		sl.initCores = cores
+		sl.yielded, sl.maxYield = 0, 0
 	}
-	s.yielded = make([]int, len(s.apps))
-	s.maxYield = make([]int, len(s.apps))
-	s.runningApps = len(s.apps)
+	s.runningApps = n
 
 	// Runtime policy.
 	s.policy = cfg.Policy
 	if s.policy == nil {
 		switch cfg.Runtime {
 		case Pliant:
-			s.policy = core.NewPliantPolicy(s.rng.Split(3))
+			s.rng.SplitInto(&s.policyRNG, 3)
+			s.policy = core.NewPliantPolicy(&s.policyRNG)
 		case Precise:
 			s.policy = core.PrecisePolicy{}
 		case StaticApprox:
@@ -513,11 +578,9 @@ func build(cfg Config) (*scenario, error) {
 	}
 
 	// Monitor on the service's QoS.
-	monCfg := monitor.DefaultConfig(svcCfg.QoS)
+	monCfg := monitor.DefaultConfig(s.svcCfg.QoS)
 	monCfg.Interval = cfg.DecisionInterval
-	monCfg.Scratch = sc.monitorHist()
-	s.mon, err = monitor.New(s.eng, monCfg, s.onReport)
-	if err != nil {
+	if err := s.mon.Init(s.eng, monCfg, s.reportFn); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -541,6 +604,13 @@ func (s *scenario) observeLatency(d sim.Duration) {
 	s.mon.Observe(d)
 }
 
+// physicsTick re-evaluates app progress and phase-dependent contention
+// between decisions.
+func (s *scenario) physicsTick(sim.Time) {
+	s.advanceApps()
+	s.refreshContention()
+}
+
 func (s *scenario) appFinished() {
 	s.runningApps--
 	s.refreshContention()
@@ -558,21 +628,21 @@ func (s *scenario) tenantOf(i int) platform.TenantID { return s.tenants[i+1] }
 func (s *scenario) refreshContention() {
 	now := s.eng.Now()
 	s.demands = append(s.demands[:0], s.svc.Demand(s.svcTenant))
-	for i, proc := range s.apps {
-		s.demands = append(s.demands, proc.App().Demand(s.tenantOf(i), now))
+	for i := range s.slots {
+		s.demands = append(s.demands, s.slots[i].inst.Demand(s.tenantOf(i), now))
 	}
 	s.model.EvaluateInto(s.demands, s.slow)
 	s.svc.SetSlowdown(s.slow[0] * s.freqSlow)
-	for i, proc := range s.apps {
-		proc.App().SetSlowdown(s.slow[i+1] * s.freqSlow)
+	for i := range s.slots {
+		s.slots[i].inst.SetSlowdown(s.slow[i+1] * s.freqSlow)
 	}
 }
 
 // advanceApps brings every app model up to the current time.
 func (s *scenario) advanceApps() {
 	now := s.eng.Now()
-	for _, proc := range s.apps {
-		proc.App().Advance(now)
+	for i := range s.slots {
+		s.slots[i].inst.Advance(now)
 	}
 }
 
@@ -593,9 +663,10 @@ func (s *scenario) onReport(r monitor.Report) {
 	t := r.At.Seconds()
 	s.trace.Series("p99").Append(t, float64(r.P99)/float64(r.QoS))
 	s.trace.Series("svc.cores").Append(t, float64(s.svc.Cores()))
-	for i, proc := range s.apps {
-		s.trace.Series(s.keys[i].variant).Append(t, float64(proc.Variant()))
-		s.trace.Series(s.keys[i].yielded).Append(t, float64(s.yielded[i]))
+	for i := range s.slots {
+		sl := &s.slots[i]
+		s.trace.Series(sl.data.keys.variant).Append(t, float64(sl.proc.Variant()))
+		s.trace.Series(sl.data.keys.yielded).Append(t, float64(sl.yielded))
 	}
 
 	if s.policy == nil {
@@ -642,9 +713,9 @@ func (s *scenario) accountEnergy(r monitor.Report) monitor.Report {
 		return r
 	}
 	appCores := 0
-	for _, proc := range s.apps {
-		if !proc.App().Done() {
-			appCores += proc.App().Cores()
+	for i := range s.slots {
+		if a := &s.slots[i].inst; !a.Done() {
+			appCores += a.Cores()
 		}
 	}
 	svcUtil := 0.0
@@ -675,18 +746,19 @@ func (s *scenario) accountEnergy(r monitor.Report) monitor.Report {
 // lending rule for policies).
 func (s *scenario) appViews() []core.AppView {
 	views := s.views
-	for i, proc := range s.apps {
-		a := proc.App()
+	for i := range s.slots {
+		sl := &s.slots[i]
+		a := &sl.inst
 		quality := 0.0
 		if n := a.MostApproximate(); n > 0 {
 			quality = a.Effect(n).Inaccuracy / float64(n)
 		}
 		views[i] = core.AppView{
-			Name:            s.appNames[i],
+			Name:            sl.data.name,
 			Variant:         a.Variant(),
 			MostApproximate: a.MostApproximate(),
 			Cores:           a.Cores(),
-			YieldedCores:    s.yielded[i],
+			YieldedCores:    sl.yielded,
 			Done:            a.Done(),
 			QualityPerStep:  quality,
 		}
@@ -699,14 +771,14 @@ func (s *scenario) appViews() []core.AppView {
 // kind) is an error; a reclaim at the core floor, a return with nothing
 // yielded and a switch on a finished app are quiet no-ops.
 func (s *scenario) apply(act core.Action) error {
-	if act.App < 0 || act.App >= len(s.apps) {
-		return fmt.Errorf("%v names app %d, outside the colocation's %d apps", act, act.App, len(s.apps))
+	if act.App < 0 || act.App >= len(s.slots) {
+		return fmt.Errorf("%v names app %d, outside the colocation's %d apps", act, act.App, len(s.slots))
 	}
-	proc := s.apps[act.App]
+	sl := &s.slots[act.App]
 	switch act.Kind {
 	case core.SwitchVariant:
-		if err := proc.SwitchTo(act.To); err != nil {
-			return fmt.Errorf("%v on app %s: %w", act, s.appNames[act.App], err)
+		if err := sl.proc.SwitchTo(act.To); err != nil {
+			return fmt.Errorf("%v on app %s: %w", act, sl.data.name, err)
 		}
 	case core.ReclaimCore:
 		tenant := s.tenantOf(act.App)
@@ -716,22 +788,22 @@ func (s *scenario) apply(act core.Action) error {
 		if err := s.alloc.Move(tenant, s.svcTenant, 1); err != nil {
 			return fmt.Errorf("%v: %w", act, err)
 		}
-		s.yielded[act.App]++
-		if s.yielded[act.App] > s.maxYield[act.App] {
-			s.maxYield[act.App] = s.yielded[act.App]
+		sl.yielded++
+		if sl.yielded > sl.maxYield {
+			sl.maxYield = sl.yielded
 		}
-		proc.App().SetCores(s.alloc.Cores(tenant))
+		sl.inst.SetCores(s.alloc.Cores(tenant))
 		s.svc.SetCores(s.alloc.Cores(s.svcTenant))
 	case core.ReturnCore:
-		if s.yielded[act.App] == 0 {
+		if sl.yielded == 0 {
 			return nil
 		}
 		tenant := s.tenantOf(act.App)
 		if err := s.alloc.Move(s.svcTenant, tenant, 1); err != nil {
 			return fmt.Errorf("%v: %w", act, err)
 		}
-		s.yielded[act.App]--
-		proc.App().SetCores(s.alloc.Cores(tenant))
+		sl.yielded--
+		sl.inst.SetCores(s.alloc.Cores(tenant))
 		s.svc.SetCores(s.alloc.Cores(s.svcTenant))
 	default:
 		return fmt.Errorf("%v has an unknown kind", act)
@@ -747,18 +819,18 @@ func (s *scenario) run() (Result, error) {
 	// Pin fixed variants after a trivial delay so the dyninst switch
 	// latency is absorbed before measurement matters.
 	if s.cfg.FixedVariants != nil {
-		for i, proc := range s.apps {
-			if v, ok := s.cfg.FixedVariants[s.appNames[i]]; ok {
-				_ = proc.SwitchTo(v)
+		for i := range s.slots {
+			sl := &s.slots[i]
+			if v, ok := s.cfg.FixedVariants[sl.data.name]; ok {
+				if err := sl.proc.SwitchTo(v); err != nil {
+					return Result{}, fmt.Errorf("colocate: pinning %s: %w", sl.data.name, err)
+				}
 			}
 		}
 	}
 	s.gen.Start()
-	stopPhysics := s.eng.Ticker(physicsPeriod, func(sim.Time) {
-		s.advanceApps()
-		s.refreshContention()
-	})
-	defer stopPhysics()
+	s.physics.Start(s.eng, physicsPeriod, s.physicsFn)
+	defer s.physics.Stop()
 
 	horizon := safetyHorizon
 	if s.cfg.MaxDuration > 0 {
@@ -766,15 +838,14 @@ func (s *scenario) run() (Result, error) {
 	}
 	s.eng.Run(sim.Time(horizon))
 	s.advanceApps()
-	s.cfg.Scratch.keep(s.intervalP99s, s.svc)
 	if s.err != nil {
 		return Result{}, s.err
 	}
 
 	res := Result{
-		Service:        service.Preset(s.cfg.Service).Name,
+		Service:        s.svcCfg.Name,
 		Runtime:        s.runtimeName(),
-		QoS:            service.Preset(s.cfg.Service).Scaled(s.cfg.TimeScale).QoS,
+		QoS:            s.svcCfg.QoS,
 		OverallP99:     sim.Duration(s.histogram.P99()),
 		MaxIntervalP99: s.maxP99,
 		ViolationFrac:  0,
@@ -787,8 +858,9 @@ func (s *scenario) run() (Result, error) {
 	if s.intervals > 0 {
 		res.ViolationFrac = float64(s.violations) / float64(s.intervals)
 		res.MeanIntervalP99 = sim.Duration(s.sumP99 / float64(s.intervals))
-		med := stats.Quantiles(s.intervalP99s, 0.5)
-		res.TypicalP99 = sim.Duration(med[0])
+		// The buffer is not read again this episode, so it sorts in place.
+		slices.Sort(s.intervalP99s)
+		res.TypicalP99 = sim.Duration(stats.QuantileSorted(s.intervalP99s, 0.5))
 	}
 	if s.cfg.EnergyModel != nil {
 		// Close the final partial interval at the last observed draw.
@@ -801,25 +873,27 @@ func (s *scenario) run() (Result, error) {
 			res.MeanUtil = s.utilSum / float64(s.intervals)
 		}
 	}
-	res.Apps = make([]AppResult, 0, len(s.apps))
-	for i, proc := range s.apps {
-		a := proc.App()
+	s.appResults = s.appResults[:0]
+	for i := range s.slots {
+		sl := &s.slots[i]
+		a := &sl.inst
 		prof := a.Profile()
-		res.Apps = append(res.Apps, AppResult{
+		s.appResults = append(s.appResults, AppResult{
 			Name:         prof.Name,
 			Done:         a.Done(),
 			ExecTime:     a.ExecTime(),
 			RelNominal:   a.RelativeExecTime(),
-			RelFairShare: a.ExecTime().Seconds() / prof.ExecTimeOn(s.initCores[i]),
+			RelFairShare: a.ExecTime().Seconds() / prof.ExecTimeOn(sl.initCores),
 			Progress:     a.Progress(),
 			Inaccuracy:   a.Inaccuracy(),
 			FinalCores:   a.Cores(),
-			MaxYielded:   s.maxYield[i],
+			MaxYielded:   sl.maxYield,
 			VariantMax:   a.MostApproximate(),
 			Switches:     a.Switches(),
 			DynOverhead:  prof.DynOverhead,
 		})
 	}
+	res.Apps = s.appResults
 	return res, nil
 }
 

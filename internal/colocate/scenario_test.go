@@ -1,6 +1,7 @@
 package colocate
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/service"
@@ -196,6 +197,34 @@ func TestFixedVariantPinsApp(t *testing.T) {
 	// No cores may move in pinned mode.
 	if res.Apps[0].MaxYielded != 0 {
 		t.Fatal("fixed-variant mode moved cores")
+	}
+}
+
+// TestFixedVariantsChecked requires a pin that names no colocated app, or a
+// variant the app lacks, to fail the run with an error naming it, rather
+// than run the app precise.
+func TestFixedVariantsChecked(t *testing.T) {
+	for _, c := range []struct {
+		pins map[string]int
+		want []string
+	}{
+		{map[string]int{"canneal": 1, "nosuchapp": 1}, []string{"nosuchapp", "not among the apps"}},
+		{map[string]int{"canneal": 99}, []string{"fixed variant 99", "canneal", "outside [0, "}},
+		{map[string]int{"canneal": -1}, []string{"fixed variant -1", "canneal"}},
+	} {
+		cfg := fastCfg(service.Memcached, "canneal")
+		cfg.MaxDuration = sim.Second
+		cfg.FixedVariants = c.pins
+		_, err := Run(cfg)
+		if err == nil {
+			t.Errorf("pins %v: Run returned no error", c.pins)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("pins %v: error %q does not name %q", c.pins, err, w)
+			}
+		}
 	}
 }
 

@@ -1,133 +1,126 @@
 package colocate
 
 import (
-	"github.com/approx-sched/pliant/internal/core"
-	"github.com/approx-sched/pliant/internal/interference"
-	"github.com/approx-sched/pliant/internal/service"
-	"github.com/approx-sched/pliant/internal/sim"
-	"github.com/approx-sched/pliant/internal/stats"
+	"fmt"
+
+	"github.com/approx-sched/pliant/internal/app"
+	"github.com/approx-sched/pliant/internal/approx"
+	"github.com/approx-sched/pliant/internal/dse"
+	"github.com/approx-sched/pliant/internal/platform"
 )
 
-// Scratch is reusable per-episode simulation state: the event engine (heap
-// and slot arenas), the whole-run latency histogram, the monitor's interval
-// histogram, the per-interval p99 buffer, the result trace (with its point
-// buffers), the service's pending-request queue, and the contention and
-// policy buffers. An online scheduler runs
-// thousands of short colocation episodes; threading one Scratch per worker
-// through Config.Scratch lets every episode after the first reuse these
-// buffers instead of reallocating them.
+// Scratch is a reusable episode arena. It owns the whole simulated world of
+// one episode: the scenario with its event engine (heap and slot arenas),
+// RNG streams, core allocation, contention model, service instance (with
+// its pending-request queue), open-loop client, monitor (with its ticker and
+// interval histogram), physics ticker, whole-run histogram, result trace
+// (with its point buffers), per-interval p99 buffer, contention and policy
+// buffers and result rows; and per app slot, the application instance and
+// its instrumented process. Across episodes it also keeps, per application
+// name, the resolved catalog profile and variant table, the trace series
+// keys and the tenant IDs. An online scheduler runs thousands of short
+// colocation episodes; threading one Scratch per worker through
+// Config.Scratch lets every episode after the first re-initialise this
+// state in place instead of allocating it.
 //
 // A Scratch is owned by one sequential stream of episodes — it is not safe
-// for concurrent use. Reuse is invisible to results: every component resets
-// to its initial state, so runs are bit-identical with and without a Scratch.
-// The one thing a caller sees is ownership: the Result.Trace of an episode
-// run on a Scratch belongs to the Scratch and is recycled by its next
-// episode.
+// for concurrent use. Reuse is invisible to results: every component restarts
+// from the state a fresh build constructs, so runs are bit-identical with and
+// without a Scratch. The one thing a caller sees is ownership: the
+// Result.Trace and Result.Apps of an episode run on a Scratch belong to the
+// Scratch and are recycled by its next episode.
 //
+// The zero value is ready to use; the arena is built on the first episode.
 // Every accessor below is nil-safe: on a nil Scratch it returns fresh state,
 // so the scenario builder has one path with or without reuse.
 type Scratch struct {
-	eng     *sim.Engine
-	hist    *stats.Histogram
-	monHist *stats.Histogram
-	p99s    []float64
-	trace   *stats.Trace
-	queue   service.QueueBuf
-
-	demands []interference.Demand
-	slow    []float64
-	views   []core.AppView
+	scn  *scenario
+	apps map[string]*appData
 }
 
-// engine returns the scratch engine reset to t=0, creating it on first use.
-func (sc *Scratch) engine() *sim.Engine {
+// scenario returns the arena's scenario, building it on first use; without
+// a scratch, a fresh one.
+func (sc *Scratch) scenario() *scenario {
 	if sc == nil {
-		return sim.NewEngine()
+		return &scenario{}
 	}
-	if sc.eng == nil {
-		sc.eng = sim.NewEngine()
-	} else {
-		sc.eng.Reset()
+	if sc.scn == nil {
+		sc.scn = &scenario{}
 	}
-	return sc.eng
+	return sc.scn
 }
 
-// latencyHist returns the scratch whole-run histogram, cleared.
-func (sc *Scratch) latencyHist() *stats.Histogram {
+// appData returns what the arena keeps for the application name, creating
+// it on first use; without a scratch, a fresh entry.
+func (sc *Scratch) appData(name string) *appData {
 	if sc == nil {
-		return stats.NewLatencyHistogram()
+		return newAppData(name)
 	}
-	if sc.hist == nil {
-		sc.hist = stats.NewLatencyHistogram()
-	} else {
-		sc.hist.Reset()
+	d, ok := sc.apps[name]
+	if !ok {
+		if sc.apps == nil {
+			sc.apps = make(map[string]*appData)
+		}
+		d = newAppData(name)
+		sc.apps[name] = d
 	}
-	return sc.hist
+	return d
 }
 
-// monitorHist returns the scratch monitor histogram, cleared; nil without a
-// scratch, which makes the monitor allocate its own.
-func (sc *Scratch) monitorHist() *stats.Histogram {
-	if sc == nil {
-		return nil
-	}
-	if sc.monHist == nil {
-		sc.monHist = stats.NewLatencyHistogram()
-	} else {
-		sc.monHist.Reset()
-	}
-	return sc.monHist
+// appData is what describes an application name independently of any one
+// episode: its trace series keys, its tenant ID at each slot index, and,
+// once resolved from the catalog, its profile and shared variant table.
+type appData struct {
+	name    string
+	keys    seriesKeys
+	tenants []platform.TenantID // tenants[i] is the ID at slot i, "" until first use
+
+	// prof is the catalog profile (with its own Sites copy), valid once
+	// variants is non-nil. Both are read-only: a resumed job scales
+	// NominalExecSec on a copy of prof, sharing its Sites.
+	prof     app.Profile
+	variants []approx.Effect
 }
 
-// resultTrace returns the scratch trace, reset.
-func (sc *Scratch) resultTrace() *stats.Trace {
-	if sc == nil {
-		return stats.NewTrace()
-	}
-	if sc.trace == nil {
-		sc.trace = stats.NewTrace()
-	} else {
-		sc.trace.Reset()
-	}
-	return sc.trace
-}
-
-// intervalBuf returns the reusable per-interval p99 buffer, emptied.
-func (sc *Scratch) intervalBuf() []float64 {
-	if sc == nil {
-		return nil
-	}
-	return sc.p99s[:0]
-}
-
-// appBuffers returns the contention buffers (demands empty with room for
-// the service and n apps, slow sized to match) and the policy view buffer
-// (n entries), sized once per episode so no refresh or report grows them.
-func (sc *Scratch) appBuffers(n int) ([]interference.Demand, []float64, []core.AppView) {
-	if sc == nil {
-		return make([]interference.Demand, 0, n+1), make([]float64, n+1), make([]core.AppView, n)
-	}
-	if cap(sc.demands) < n+1 {
-		sc.demands = make([]interference.Demand, 0, n+1)
-		sc.slow = make([]float64, n+1)
-		sc.views = make([]core.AppView, n)
-	}
-	return sc.demands[:0], sc.slow[:n+1], sc.views[:n]
-}
-
-// adoptQueue lends the scratch's request-queue array to svc.
-func (sc *Scratch) adoptQueue(svc *service.Instance) {
-	if sc != nil {
-		svc.UseQueue(&sc.queue)
+func newAppData(name string) *appData {
+	return &appData{
+		name: name,
+		keys: seriesKeys{variant: "variant." + name, yielded: "yielded." + name},
 	}
 }
 
-// keep takes back what the finished episode may have grown: the p99 buffer
-// and the service's queue array.
-func (sc *Scratch) keep(p99s []float64, svc *service.Instance) {
-	if sc == nil {
-		return
+// tenant returns the allocation tenant ID of this application at slot i.
+func (d *appData) tenant(i int) platform.TenantID {
+	for len(d.tenants) <= i {
+		d.tenants = append(d.tenants, "")
 	}
-	sc.p99s = p99s
-	svc.ReleaseQueue(&sc.queue)
+	if d.tenants[i] == "" {
+		d.tenants[i] = platform.TenantID(fmt.Sprintf("app%d:%s", i, d.name))
+	}
+	return d.tenants[i]
+}
+
+// resolve returns the application's profile and variant table. A profile in
+// cfg.CustomApps shadows the catalog and is resolved afresh every episode,
+// since it may change from one to the next; a catalog profile is resolved
+// once and kept.
+func (d *appData) resolve(cfg Config) (app.Profile, []approx.Effect, error) {
+	for _, p := range cfg.CustomApps {
+		if p.Name == d.name {
+			variants, err := dse.VariantTable(p)
+			return p, variants, err
+		}
+	}
+	if d.variants == nil {
+		prof, err := app.ByName(d.name)
+		if err != nil {
+			return app.Profile{}, nil, err
+		}
+		variants, err := dse.VariantTable(prof)
+		if err != nil {
+			return app.Profile{}, nil, err
+		}
+		d.prof, d.variants = prof, variants
+	}
+	return d.prof, d.variants, nil
 }

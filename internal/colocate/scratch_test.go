@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/app"
+	"github.com/approx-sched/pliant/internal/core"
 	"github.com/approx-sched/pliant/internal/energy"
 	"github.com/approx-sched/pliant/internal/platform"
 	"github.com/approx-sched/pliant/internal/service"
@@ -15,8 +16,9 @@ import (
 
 // scratchEpisodes is a deliberately varied episode stream: app counts that
 // shrink and grow, energy on then off, a crash-shortened episode, a custom
-// profile that shares a catalog name, pinned variants and resumed work. Each
-// episode differs from its predecessor in what the Scratch must reset.
+// profile that shares a catalog name, pinned variants, resumed work, every
+// runtime, a caller's policy, each service, and one episode that fails.
+// Each episode differs from its predecessor in what the Scratch must reset.
 func scratchEpisodes(t *testing.T) []Config {
 	t.Helper()
 	model := energy.ModelFor(platform.TablePlatform())
@@ -73,7 +75,42 @@ func scratchEpisodes(t *testing.T) []Config {
 	c = base(7, service.NGINX, 1.2, "water_spatial")
 	c.EnergyModel = &model
 	eps = append(eps, c)
+
+	// The episodes below reach the components the arena re-initialises in
+	// place: the other built-in runtimes, a caller's policy, each service's
+	// demand sampler, and a run that fails part-way.
+	c = base(8, service.Memcached, 0.9, "canneal", "SNP")
+	c.Runtime = Precise
+	eps = append(eps, c)
+
+	c = base(9, service.Memcached, 0.95, "Bayesian", "canneal", "k-means")
+	c.Runtime = Learner
+	eps = append(eps, c)
+
+	c = base(10, service.Memcached, 1.0, "canneal", "PLSA")
+	c.Policy = fixedPolicy{{Kind: core.ReclaimCore, App: 1}, {Kind: core.SwitchVariant, App: 0, To: 1}}
+	eps = append(eps, c)
+
+	c = base(11, service.MongoDB, 0.8, "SNP", "raytrace") // bimodal demand
+	eps = append(eps, c)
+
+	c = base(12, service.NGINX, 0.8, "raytrace", "SNP")
+	eps = append(eps, c)
+
+	c = base(13, service.Memcached, 0.9, "canneal", "k-means", "SNP")
+	c.Policy = fixedPolicy{{Kind: core.SwitchVariant, App: 2, To: 99}} // breaks the action contract
+	eps = append(eps, c)
+
+	c = base(14, service.Memcached, 0.9, "canneal", "k-means", "SNP")
+	c.EnergyModel = &model
+	eps = append(eps, c)
 	return eps
+}
+
+// outcome is one episode's result or error.
+type outcome struct {
+	res Result
+	err error
 }
 
 // TestScratchReuseIsInvisible runs the episode stream twice on one Scratch
@@ -82,24 +119,105 @@ func scratchEpisodes(t *testing.T) []Config {
 // name by name and point by point.
 func TestScratchReuseIsInvisible(t *testing.T) {
 	eps := scratchEpisodes(t)
-	want := make([]Result, len(eps))
+	want := make([]outcome, len(eps))
+	failing := 0
 	for i, cfg := range eps {
 		res, err := Run(cfg)
+		want[i] = outcome{res, err}
 		if err != nil {
-			t.Fatalf("episode %d without scratch: %v", i, err)
+			failing++
 		}
-		want[i] = res
+	}
+	if failing != 1 {
+		t.Fatalf("%d episodes fail without a scratch, want exactly the contract breaker", failing)
 	}
 	sc := &Scratch{}
 	for pass := 0; pass < 2; pass++ {
 		for i, cfg := range eps {
 			cfg.Scratch = sc
 			got, err := Run(cfg)
+			if want[i].err != nil {
+				if err == nil || err.Error() != want[i].err.Error() {
+					t.Fatalf("pass %d episode %d: error %v, want %v", pass, i, err, want[i].err)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("pass %d episode %d: %v", pass, i, err)
 			}
-			// Compare before the next episode recycles got.Trace.
-			requireSameResult(t, pass, i, got, want[i])
+			// Compare before the next episode recycles got.Trace and got.Apps.
+			requireSameResult(t, pass, i, got, want[i].res)
+		}
+	}
+}
+
+// stormEpisode is the shape of one storm-coordinator node-window episode:
+// memcached with three resident jobs, 1 s at time scale 1024, energy on,
+// under a diurnal load shape.
+func stormEpisode(tb testing.TB) Config {
+	tb.Helper()
+	model := energy.ModelFor(platform.TablePlatform())
+	shape, err := workload.NewDiurnal(0.25, 120)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Config{
+		Seed:         42,
+		Service:      service.Memcached,
+		LoadFraction: 0.65,
+		LoadShape:    shape,
+		AppNames:     []string{"canneal", "k-means", "SNP"},
+		AppWorkScale: []float64{1, 0.5, 0.8},
+		TimeScale:    1024,
+		MaxDuration:  sim.Second,
+		EnergyModel:  &model,
+		FreqGHz:      model.FreqAt(model.Nominal()),
+	}
+}
+
+// maxWarmEpisodeAllocs is the allocation ceiling of a storm-shaped episode
+// on a warm Scratch (67 before the Scratch owned the whole episode). What is
+// left is the Pliant controller with its round-robin arbiter, and the
+// service's compiled demand sampler.
+const maxWarmEpisodeAllocs = 3
+
+// TestWarmScratchEpisodeAllocs pins how little a warm-Scratch episode
+// allocates: the arena re-initialises the scenario and every component in
+// place, so only what the ceiling's comment names is left.
+func TestWarmScratchEpisodeAllocs(t *testing.T) {
+	cfg := stormEpisode(t)
+	cfg.Scratch = &Scratch{}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Run(cfg); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	t.Logf("warm-scratch storm episode: %.0f allocations", allocs)
+	if allocs > maxWarmEpisodeAllocs {
+		t.Fatalf("warm-scratch storm episode allocates %.0f times, ceiling %d", allocs, maxWarmEpisodeAllocs)
+	}
+}
+
+// BenchmarkEpisodeWarmScratch times one storm-shaped episode on a warm
+// Scratch, the configuration TestWarmScratchEpisodeAllocs pins.
+func BenchmarkEpisodeWarmScratch(b *testing.B) {
+	cfg := stormEpisode(b)
+	cfg.Scratch = &Scratch{}
+	if _, err := Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -39,15 +39,26 @@ type Process struct {
 // the paper's figure) and returns the controllable process. The application
 // starts in precise mode.
 func Launch(eng *sim.Engine, a *app.Instance, overhead float64) (*Process, error) {
+	p := &Process{}
+	if err := p.Init(eng, a, overhead); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Init (re)initialises p in place as the process Launch returns, with no
+// swap pending. On error p and a are unchanged.
+func (p *Process) Init(eng *sim.Engine, a *app.Instance, overhead float64) error {
 	if eng == nil || a == nil {
-		return nil, fmt.Errorf("dyninst: nil engine or app")
+		return fmt.Errorf("dyninst: nil engine or app")
 	}
 	if n := a.VariantCount() + 1; n > maxVariants {
-		return nil, fmt.Errorf("dyninst: %s has %d variants, exceeding the real-time signal range",
+		return fmt.Errorf("dyninst: %s has %d variants, exceeding the real-time signal range",
 			a.Profile().Name, n)
 	}
 	a.SetInstrumented(overhead)
-	return &Process{eng: eng, app: a}, nil
+	*p = Process{eng: eng, app: a}
+	return nil
 }
 
 // App returns the wrapped application instance.

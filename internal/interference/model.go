@@ -71,13 +71,24 @@ func New(spec platform.Spec) (*Model, error) {
 // the given fraction of nominal capacity (knee=1 means contention begins
 // exactly at capacity — the idealized proportional-sharing model).
 func NewWithKnee(spec platform.Spec, knee float64) (*Model, error) {
-	if err := spec.Validate(); err != nil {
+	m := &Model{}
+	if err := m.Init(spec, knee); err != nil {
 		return nil, err
 	}
-	if knee <= 0 || knee > 1 {
-		return nil, fmt.Errorf("interference: knee %v outside (0,1]", knee)
+	return m, nil
+}
+
+// Init (re)initialises m in place to the model NewWithKnee builds. On error
+// m is unchanged.
+func (m *Model) Init(spec platform.Spec, knee float64) error {
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	return &Model{spec: spec, knee: knee}, nil
+	if knee <= 0 || knee > 1 {
+		return fmt.Errorf("interference: knee %v outside (0,1]", knee)
+	}
+	*m = Model{spec: spec, knee: knee}
+	return nil
 }
 
 // Spec returns the server spec the model was built for.

@@ -14,8 +14,9 @@ var randConstructors = map[string]bool{
 }
 
 // ruleSeedflow proves seed provenance: every rand.New/rand.NewSource (and
-// sim.NewRNG) argument must derive from a Seed-named value — a config
-// field, a parameter, or a seed-derivation call such as sim.Mix64 over one.
+// sim.NewRNG or RNG.Reseed) argument must derive from a Seed-named value — a
+// config field, a parameter, or a seed-derivation call such as sim.Mix64
+// over one.
 // The tracking is an intra-procedural taint walk: seeds enter functions as
 // "seed"-named fields and parameters (the repo's naming convention is the
 // taint source), flow through arithmetic, conversions, and local
@@ -35,7 +36,7 @@ type ruleSeedflow struct{}
 func (ruleSeedflow) Name() string { return "seedflow" }
 
 func (ruleSeedflow) Doc() string {
-	return "every rand.New/rand.NewSource/sim.NewRNG argument must derive " +
+	return "every rand.New/rand.NewSource/sim.NewRNG/RNG.Reseed argument must derive " +
 		"from a Seed-named config field, parameter, or seed-derivation call " +
 		"(sim.Mix64 of one); literal and clock-derived seeds break replay"
 }
@@ -84,11 +85,15 @@ func (ruleSeedflow) Check(p *Package) []Diagnostic {
 }
 
 // randConstructor reports whether call constructs a seeded generator, and
-// names it for the diagnostic: math/rand's New* family (v1 and v2) and
-// sim.NewRNG, whether package-qualified or called from inside sim itself.
+// names it for the diagnostic: math/rand's New* family (v1 and v2),
+// sim.NewRNG, whether package-qualified or called from inside sim itself,
+// and the in-place RNG.Reseed.
 func (p *Package) randConstructor(f *ast.File, call *ast.CallExpr) (string, bool) {
 	switch fn := unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
+		if fn.Sel.Name == "Reseed" && p.isSimRNG(fn.X) {
+			return "RNG.Reseed", true
+		}
 		x, ok := fn.X.(*ast.Ident)
 		if !ok {
 			return "", false
@@ -110,6 +115,24 @@ func (p *Package) randConstructor(f *ast.File, call *ast.CallExpr) (string, bool
 		}
 	}
 	return "", false
+}
+
+// isSimRNG reports whether e is a sim.RNG or a pointer to one: the receiver
+// of Reseed, the in-place form of sim.NewRNG.
+func (p *Package) isSimRNG(e ast.Expr) bool {
+	t := p.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != "RNG" || named.Obj().Pkg() == nil {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	return hasSegment(path, "sim") && strings.HasPrefix(path, p.loader.Module+"/")
 }
 
 // seedTainted reports whether e derives from a seed. Taint sources are

@@ -63,3 +63,14 @@ func BadVar(xs []int) rand.Source {
 func BadRNG() *sim.RNG {
 	return sim.NewRNG(7) // want `\[seedflow\] sim\.NewRNG seeded`
 }
+
+// GoodReseed restarts an embedded generator in place from the config seed.
+func GoodReseed(cfg Config, r *sim.RNG) {
+	r.Reseed(uint64(cfg.Seed))
+}
+
+// BadReseed restarts a generator in place from a constant: the in-place form
+// of BadRNG.
+func BadReseed(r *sim.RNG) {
+	r.Reseed(7) // want `\[seedflow\] RNG\.Reseed seeded`
+}

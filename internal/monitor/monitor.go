@@ -61,11 +61,6 @@ type Config struct {
 	// p99 was within ±25% of QoS — near the boundary the monitor samples
 	// more densely.
 	DenseFactor uint64
-
-	// Scratch, when non-nil, is a caller-owned latency histogram the monitor
-	// uses (and clears) instead of allocating its own — episode runners
-	// recycle it across windows. Must not be shared with a live monitor.
-	Scratch *stats.Histogram
 }
 
 // DefaultConfig returns the paper's monitoring configuration: 1-second
@@ -107,38 +102,56 @@ type Monitor struct {
 	taken  uint64 // samples this interval
 
 	onReport func(Report)
-	stopTick func()
+	ticker   sim.Ticker
+	tickFn   func(sim.Time) // m.tick, made once per Monitor
 	reports  uint64
 }
 
 // New creates a monitor and starts its interval ticker. The onReport
 // callback fires at the end of every interval.
 func New(eng *sim.Engine, cfg Config, onReport func(Report)) (*Monitor, error) {
-	if err := cfg.Validate(); err != nil {
+	m := &Monitor{}
+	if err := m.Init(eng, cfg, onReport); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
+
+// Init (re)initialises m in place to the state New builds and starts its
+// interval ticker. It keeps the latency histogram an earlier run used,
+// cleared, so an episode runner recycling one Monitor allocates none. On
+// error m is unchanged.
+func (m *Monitor) Init(eng *sim.Engine, cfg Config, onReport func(Report)) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if eng == nil {
-		return nil, fmt.Errorf("monitor: nil engine")
+		return fmt.Errorf("monitor: nil engine")
 	}
 	if onReport == nil {
 		onReport = func(Report) {}
 	}
-	hist := cfg.Scratch
+	hist := m.hist
 	if hist == nil {
 		hist = stats.NewLatencyHistogram()
 	} else {
 		hist.Reset()
 	}
-	m := &Monitor{
+	tickFn := m.tickFn
+	if tickFn == nil {
+		tickFn = m.tick
+	}
+	*m = Monitor{
 		cfg:      cfg,
 		eng:      eng,
 		hist:     hist,
 		stride:   1,
 		left:     1,
 		onReport: onReport,
+		tickFn:   tickFn,
 	}
-	m.stopTick = eng.Ticker(cfg.Interval, m.tick)
-	return m, nil
+	m.ticker.Start(eng, cfg.Interval, tickFn)
+	return nil
 }
 
 // Observe records the completion of one request with its end-to-end latency.
@@ -162,7 +175,7 @@ func (m *Monitor) Stride() uint64 { return m.stride }
 func (m *Monitor) Reports() uint64 { return m.reports }
 
 // Stop halts the interval ticker.
-func (m *Monitor) Stop() { m.stopTick() }
+func (m *Monitor) Stop() { m.ticker.Stop() }
 
 func (m *Monitor) tick(now sim.Time) {
 	p99 := sim.Duration(m.hist.P99())

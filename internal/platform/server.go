@@ -122,10 +122,29 @@ type Allocation struct {
 
 // NewAllocation returns an empty allocation over spec's usable cores.
 func NewAllocation(spec Spec) (*Allocation, error) {
-	if err := spec.Validate(); err != nil {
+	a := &Allocation{}
+	if err := a.Init(spec); err != nil {
 		return nil, err
 	}
-	return &Allocation{spec: spec, counts: make(map[TenantID]int)}, nil
+	return a, nil
+}
+
+// Init (re)initialises a in place to the empty allocation NewAllocation
+// builds, keeping its tenant map and order storage for reuse. On error a is
+// unchanged.
+func (a *Allocation) Init(spec Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	if a.counts == nil {
+		a.counts = make(map[TenantID]int)
+	} else {
+		clear(a.counts)
+	}
+	a.spec = spec
+	a.order = a.order[:0]
+	a.used = 0
+	return nil
 }
 
 // Spec returns the server spec backing this allocation.

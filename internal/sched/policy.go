@@ -19,8 +19,10 @@ import (
 //     error naming the policy, the job and the node. Parked, draining,
 //     waking and down nodes, and the failed domain of a retried job, are
 //     offered with Free = 0.
-//   - Place must not keep nodes: the slice is reused and updated in place
-//     as jobs land.
+//   - nodes is lent for the call only. It is updated in place as jobs land,
+//     and the scheduler rewrites the same backing arrays, each NodeState's
+//     Resident included, at every window; a policy that keeps any of it
+//     must copy it.
 //   - Jobs are not offered while no node has a free slot. Such a job is
 //     deferred without a call, as if Place had returned -1: its Deferrals
 //     count goes up and, with obs attached, it gets a placement record with

@@ -436,6 +436,15 @@ type run struct {
 	jobs    []*Job
 	pending []*Job
 
+	// Per-window buffers, rewritten every window: the policies' node
+	// snapshot (each state keeps its Resident array), the autoscaler's node
+	// views, and the spare half of the pending queue's double buffer, which
+	// place fills with the jobs that stay queued and then swaps with
+	// pending. Policies and autoscalers are lent them for the call only.
+	states   []NodeState
+	views    []autoscale.NodeView
+	stillBuf []*Job
+
 	window   int // index of the next window to simulate
 	episodes int
 	utilSum  float64
@@ -565,6 +574,7 @@ func (s *run) autoscale(now sim.Time) {
 		NowSec:  now.Seconds(),
 		Pending: len(s.pending),
 		Nominal: s.cfg.Energy.Nominal(),
+		Nodes:   s.views[:0],
 	}
 	for i, n := range s.nodes {
 		tel, stale := s.viewTelemetry(i, now.Seconds())
@@ -580,6 +590,7 @@ func (s *run) autoscale(now sim.Time) {
 			Stale:      stale,
 		})
 	}
+	s.views = view.Nodes
 	for _, act := range s.cfg.Autoscaler.Decide(view) {
 		if act.Node < 0 || act.Node >= len(s.nodes) {
 			s.fail(fmt.Errorf("sched: autoscaler %s acted on unknown node %d", s.cfg.Autoscaler.Name(), act.Node))
@@ -638,6 +649,8 @@ func episodeSeed(seed uint64, node, window int) uint64 {
 
 // episode is the outcome of one node's window simulation.
 type episode struct {
+	// apps is the shard Scratch's result rows, recycled by the shard's next
+	// episode: only foldEpisode reads it, straight after the episode.
 	apps   []colocate.AppResult
 	tel    cluster.Telemetry
 	joules float64      // episode energy (with an energy model)
@@ -646,29 +659,32 @@ type episode struct {
 }
 
 // runEpisode executes node i's colocation for the window starting at
-// winStart on the given scratch. It reads node and resident state but
-// mutates nothing — safe to call from any shard goroutine as long
-// as the node's fold has not happened yet.
-func (s *run) runEpisode(i int, winStart float64, scratch *colocate.Scratch) episode {
+// winStart on shard sh, whose episode buffers it rewrites. It reads node and
+// resident state but mutates nothing else — safe to call from the owning
+// shard's goroutine as long as the node's fold has not happened yet.
+func (s *run) runEpisode(i int, winStart float64, sh *shardRT) episode {
 	n := s.nodes[i]
-	names := make([]string, len(n.resident))
-	scales := make([]float64, len(n.resident))
-	for j, job := range n.resident {
-		names[j] = job.App.Name
-		scales[j] = job.remaining
+	sh.names, sh.scales = sh.names[:0], sh.scales[:0]
+	for _, job := range n.resident {
+		sh.names = append(sh.names, job.App.Name)
+		sh.scales = append(sh.scales, job.remaining)
 	}
-	var tel cluster.Telemetry
+	sh.shape = workload.Shifted{Inner: s.cfg.Shape, BySec: winStart}
+	sh.tel = cluster.Telemetry{}
+	if sh.observe == nil {
+		sh.observe = sh.tel.Observe
+	}
 	nr := cluster.NodeRun{
 		Seed:         episodeSeed(s.cfg.Seed, i, s.window),
 		Node:         n.node,
-		AppNames:     names,
-		AppWorkScale: scales,
+		AppNames:     sh.names,
+		AppWorkScale: sh.scales,
 		LoadFraction: s.cfg.BaseLoad,
-		LoadShape:    workload.Shifted{Inner: s.cfg.Shape, BySec: winStart},
+		LoadShape:    &sh.shape,
 		TimeScale:    s.cfg.TimeScale,
 		MaxDuration:  s.cfg.Epoch,
-		OnReport:     tel.Observe,
-		Scratch:      scratch,
+		OnReport:     sh.observe,
+		Scratch:      sh.scratch,
 	}
 	if s.cfg.Energy != nil {
 		nr.EnergyModel = s.cfg.Energy
@@ -691,7 +707,7 @@ func (s *run) runEpisode(i int, winStart float64, scratch *colocate.Scratch) epi
 		}
 	}
 	res, err := cluster.RunNode(nr)
-	return episode{apps: res.Apps, tel: tel, joules: res.Joules, span: res.Duration, err: err}
+	return episode{apps: res.Apps, tel: sh.tel, joules: res.Joules, span: res.Duration, err: err}
 }
 
 // foldEpisode applies node i's episode outcome: job completions and progress,
@@ -896,15 +912,20 @@ func (s *run) soloUtil(effLoad float64, freq int) float64 {
 func (s *run) nodeStates(now sim.Time) []NodeState {
 	mid := now.Seconds() + s.cfg.Epoch.Seconds()/2
 	loadMult := workload.ClampMultiplier(s.cfg.Shape.Multiplier(mid))
-	states := make([]NodeState, len(s.nodes))
+	if len(s.states) != len(s.nodes) {
+		s.states = make([]NodeState, len(s.nodes))
+	}
+	states := s.states
 	for i, n := range s.nodes {
-		st := NodeState{
+		st := &states[i]
+		*st = NodeState{
 			Index:     i,
 			Node:      n.node,
 			Free:      n.node.MaxApps - len(n.resident),
 			LoadMult:  loadMult,
 			Lifecycle: n.state,
 			FreqState: n.freq,
+			Resident:  st.Resident[:0],
 		}
 		if !n.state.Placeable() {
 			// Draining, parked, and waking nodes accept no new jobs.
@@ -915,7 +936,6 @@ func (s *run) nodeStates(now sim.Time) []NodeState {
 			st.Pressure += job.Pressure
 		}
 		st.Telemetry, st.TelemetryStale = s.viewTelemetry(i, now.Seconds())
-		states[i] = st
 	}
 	return states
 }
@@ -935,7 +955,7 @@ func (s *run) place(now sim.Time) {
 	obsOn := s.cfg.Obs != nil
 	f := s.faults
 	nowSec := now.Seconds()
-	var still []*Job
+	still := s.stillBuf[:0]
 	for _, job := range s.pending {
 		if f != nil && job.retryAtSec > nowSec {
 			// Crash-retry backoff: the job is not offered yet, and the policy
@@ -1004,6 +1024,8 @@ func (s *run) place(now sim.Time) {
 		st.Resident = append(st.Resident, job.App.Name)
 		st.Pressure += job.Pressure
 	}
+	clear(s.pending) // the spare half holds no stale job pointers
+	s.stillBuf = s.pending[:0]
 	s.pending = still
 }
 

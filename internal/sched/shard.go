@@ -23,8 +23,10 @@ import (
 
 	"github.com/approx-sched/pliant/internal/cluster"
 	"github.com/approx-sched/pliant/internal/colocate"
+	"github.com/approx-sched/pliant/internal/monitor"
 	"github.com/approx-sched/pliant/internal/obs"
 	"github.com/approx-sched/pliant/internal/sim"
+	"github.com/approx-sched/pliant/internal/workload"
 )
 
 // shardGroup coordinates the shards of one run.
@@ -63,6 +65,16 @@ type shardRT struct {
 	busyNs int64
 
 	req chan struct{} // window requests; closed on shutdown (nil for shard 0)
+
+	// Episode inputs, rewritten by every runEpisode on this shard: the
+	// residents' names and remaining-work scales, the window-shifted load
+	// shape, and the telemetry the episode's reports fold into, with its
+	// Observe bound once.
+	names   []string
+	scales  []float64
+	shape   workload.Shifted
+	tel     cluster.Telemetry
+	observe func(monitor.Report)
 }
 
 // newShardGroup partitions the run's nodes into shards (node i belongs to
@@ -159,7 +171,7 @@ func (sh *shardRT) window() {
 	sh.ws = cluster.WindowStats{}
 	s, winStart := sh.g.s, sh.g.winStart
 	for _, i := range sh.busy {
-		s.results[i] = s.runEpisode(i, winStart, sh.scratch)
+		s.results[i] = s.runEpisode(i, winStart, sh)
 		if ep := &s.results[i]; ep.err == nil {
 			s.foldEpisode(i, ep, winStart, &sh.ws)
 		}

@@ -172,52 +172,44 @@ func (r *reqRing) Pop() pendingRequest {
 	return req
 }
 
-// QueueBuf carries a pending-request queue's backing array from one
-// Instance to the next, so a caller running many short episodes grows the
-// queue once instead of once per episode. The zero value is empty.
-type QueueBuf struct {
-	buf []pendingRequest
-}
-
-// UseQueue makes the instance's queue, which must still be empty, store its
-// requests in b's array. b is left empty until ReleaseQueue refills it.
-func (s *Instance) UseQueue(b *QueueBuf) {
-	s.queue = reqRing{buf: b.buf}
-	b.buf = nil
-}
-
-// ReleaseQueue hands the queue's (possibly grown) array to b and empties the
-// queue. Call it once the instance's run is over: requests still queued are
-// discarded, not served.
-func (s *Instance) ReleaseQueue(b *QueueBuf) {
-	b.buf = s.queue.buf
-	s.queue = reqRing{}
-}
-
 // New creates a service instance bound to an engine. The latency callback
 // fires once per completed (or dropped) request with its end-to-end latency;
 // it stands in for the client-side measurement point of the paper's monitor.
 func New(eng *sim.Engine, rng *sim.RNG, cfg Config, cores int, onLatency func(sim.Duration)) (*Instance, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &Instance{}
+	if err := s.Init(eng, rng, cfg, cores, onLatency); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// Init (re)initialises s in place to the state New builds. The one thing it
+// keeps is the pending-queue array an earlier run grew, emptied (head and
+// count restart at zero), so a caller running many short episodes on one
+// Instance grows the queue once instead of once per episode. Requests still
+// queued from that run are discarded, not served. On error s is unchanged.
+func (s *Instance) Init(eng *sim.Engine, rng *sim.RNG, cfg Config, cores int, onLatency func(sim.Duration)) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if cores <= 0 {
-		return nil, fmt.Errorf("service %s: needs at least one core", cfg.Name)
+		return fmt.Errorf("service %s: needs at least one core", cfg.Name)
 	}
 	if onLatency == nil {
 		onLatency = func(sim.Duration) {}
 	}
-	s := &Instance{
+	*s = Instance{
 		cfg:       cfg,
 		eng:       eng,
 		rng:       rng,
 		cores:     cores,
 		slowdown:  1.0,
 		demand:    compileSampler(cfg.Demand),
+		queue:     reqRing{buf: s.queue.buf},
 		onLatency: onLatency,
 	}
 	s.recalc()
-	return s, nil
+	return nil
 }
 
 // compileSampler hoists per-sample constants out of the demand sampler,

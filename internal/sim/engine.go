@@ -445,9 +445,11 @@ func (e *Engine) Step() bool {
 // Stop halts Run after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// tickerState re-arms a periodic callback through the typed-event path, so a
-// long-running ticker schedules allocation-free.
-type tickerState struct {
+// Ticker invokes a callback every period through the typed-event path, so a
+// long-running ticker schedules allocation-free. The zero value is idle;
+// Start arms it in place, so an owner can embed one and restart it on a
+// reset engine without allocating.
+type Ticker struct {
 	e       *Engine
 	period  Duration
 	fn      func(Time)
@@ -455,8 +457,27 @@ type tickerState struct {
 	pending EventID
 }
 
+// Start arms t to invoke fn every period on e, starting one period from now.
+// fn receives the tick time. Starting a ticker replaces whatever it was
+// armed with before: an owner restarting it on a reset engine needs no Stop.
+func (t *Ticker) Start(e *Engine, period Duration, fn func(Time)) {
+	if period <= 0 {
+		panic("sim: ticker period must be positive")
+	}
+	*t = Ticker{e: e, period: period, fn: fn}
+	t.pending = e.AfterTyped(period, t, 0)
+}
+
+// Stop halts the ticker; a zero Ticker stops as a no-op.
+func (t *Ticker) Stop() {
+	t.stopped = true
+	if t.e != nil {
+		t.e.CancelID(t.pending)
+	}
+}
+
 // OnEvent implements EventHandler.
-func (t *tickerState) OnEvent(now Time, _ uint64) {
+func (t *Ticker) OnEvent(now Time, _ uint64) {
 	if t.stopped {
 		return
 	}
@@ -469,13 +490,7 @@ func (t *tickerState) OnEvent(now Time, _ uint64) {
 // Ticker invokes fn every period, starting one period from now, until the
 // returned stop function is called. fn receives the tick time.
 func (e *Engine) Ticker(period Duration, fn func(Time)) (stop func()) {
-	if period <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	t := &tickerState{e: e, period: period, fn: fn}
-	t.pending = e.AfterTyped(period, t, 0)
-	return func() {
-		t.stopped = true
-		e.CancelID(t.pending)
-	}
+	t := &Ticker{}
+	t.Start(e, period, fn)
+	return t.Stop
 }

@@ -14,6 +14,13 @@ type RNG struct {
 // independent-looking streams; the same seed always gives the same stream.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed restarts r in place as the stream NewRNG(seed) returns, so an owner
+// that embeds a generator can restart it without allocating.
+func (r *RNG) Reseed(seed uint64) {
 	// splitmix64 to expand the seed into four non-degenerate words.
 	x := seed
 	for i := range r.s {
@@ -23,14 +30,22 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Split derives a new independent generator from r, keyed by label. Use it to
 // hand each simulated component its own stream.
 func (r *RNG) Split(label uint64) *RNG {
+	child := &RNG{}
+	r.SplitInto(child, label)
+	return child
+}
+
+// SplitInto is Split writing the derived generator into child in place: it
+// draws from r exactly as Split does, and child then yields the stream Split
+// would have returned.
+func (r *RNG) SplitInto(child *RNG, label uint64) {
 	seed := r.Uint64() ^ (label * 0xd1342543de82ef95)
-	return NewRNG(seed)
+	child.Reseed(seed)
 }
 
 // Mix64 is the splitmix64 finalizer: a bijective avalanche over one word.

@@ -391,12 +391,15 @@ func Quantiles(samples []float64, qs ...float64) []float64 {
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
 	for i, q := range qs {
-		out[i] = quantileSorted(sorted, q)
+		out[i] = QuantileSorted(sorted, q)
 	}
 	return out
 }
 
-func quantileSorted(sorted []float64, q float64) float64 {
+// QuantileSorted returns the exact q-quantile of already ascending-sorted
+// samples, interpolating linearly between ranks as Quantiles does; 0 for no
+// samples. It neither copies nor allocates.
+func QuantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return 0

@@ -91,9 +91,9 @@ func NewViolin(samples []float64, bins int) Violin {
 	sort.Float64s(sorted)
 	v.Min = sorted[0]
 	v.Max = sorted[len(sorted)-1]
-	v.Q1 = quantileSorted(sorted, 0.25)
-	v.Median = quantileSorted(sorted, 0.50)
-	v.Q3 = quantileSorted(sorted, 0.75)
+	v.Q1 = QuantileSorted(sorted, 0.25)
+	v.Median = QuantileSorted(sorted, 0.50)
+	v.Q3 = QuantileSorted(sorted, 0.75)
 	sum := 0.0
 	for _, s := range sorted {
 		sum += s
