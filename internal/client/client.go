@@ -35,7 +35,8 @@ func New(eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.
 }
 
 // Init (re)initialises g in place to the state New builds: stopped, nothing
-// sent. On error g is unchanged.
+// sent. No arrival of g may still be pending: run Init on a fresh or reset
+// engine. On error g is unchanged.
 func (g *Generator) Init(eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.ArrivalProcess) error {
 	if eng == nil || rng == nil || svc == nil || arrival == nil {
 		return fmt.Errorf("client: nil dependency")

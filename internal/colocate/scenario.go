@@ -360,10 +360,11 @@ type scenario struct {
 	svcTenant platform.TenantID
 	tenants   []platform.TenantID
 
-	// svcCfg is the service preset at the episode's time scale, rebuilt
-	// only when the class or scale differs from the last episode's (svcFor).
+	// svcCfg is the service preset at the episode's time scale, taken from
+	// presets, which keeps each (class, time scale) the scenario has run,
+	// so a stream of episodes mixing services builds each preset once.
 	svcCfg    service.Config
-	svcFor    svcKey
+	presets   []svcPreset
 	svcRNG    sim.RNG
 	svc       service.Instance
 	genRNG    sim.RNG
@@ -396,11 +397,24 @@ type scenario struct {
 	tally
 }
 
-// svcKey names the service preset and time scale a scenario's svcCfg was
-// built for; the zero value names none.
-type svcKey struct {
+// svcPreset is a service preset at one time scale.
+type svcPreset struct {
 	class service.Class
 	scale float64
+	cfg   service.Config
+}
+
+// servicePreset returns service.Preset(class).Scaled(scale), building it
+// on the scenario's first episode with that class and scale.
+func (s *scenario) servicePreset(class service.Class, scale float64) service.Config {
+	for _, p := range s.presets {
+		if p.class == class && p.scale == scale {
+			return p.cfg
+		}
+	}
+	cfg := service.Preset(class).Scaled(scale)
+	s.presets = append(s.presets, svcPreset{class, scale, cfg})
+	return cfg
 }
 
 // tally is the per-episode state that starts from zero: build resets it
@@ -496,10 +510,7 @@ func build(cfg Config) (*scenario, error) {
 	}
 
 	// Interactive service and its open-loop client.
-	if key := (svcKey{cfg.Service, cfg.TimeScale}); s.svcFor != key {
-		s.svcCfg = service.Preset(cfg.Service).Scaled(cfg.TimeScale)
-		s.svcFor = key
-	}
+	s.svcCfg = s.servicePreset(cfg.Service, cfg.TimeScale)
 	s.rng.SplitInto(&s.svcRNG, 1)
 	if err := s.svc.Init(s.eng, &s.svcRNG, s.svcCfg, fairSvcCores, s.observeFn); err != nil {
 		return nil, err

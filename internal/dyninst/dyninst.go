@@ -47,7 +47,8 @@ func Launch(eng *sim.Engine, a *app.Instance, overhead float64) (*Process, error
 }
 
 // Init (re)initialises p in place as the process Launch returns, with no
-// swap pending. On error p and a are unchanged.
+// swap pending; a swap p scheduled earlier must not be pending either (run
+// Init on a fresh or reset engine). On error p and a are unchanged.
 func (p *Process) Init(eng *sim.Engine, a *app.Instance, overhead float64) error {
 	if eng == nil || a == nil {
 		return fmt.Errorf("dyninst: nil engine or app")

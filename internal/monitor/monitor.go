@@ -119,7 +119,8 @@ func New(eng *sim.Engine, cfg Config, onReport func(Report)) (*Monitor, error) {
 
 // Init (re)initialises m in place to the state New builds and starts its
 // interval ticker. It keeps the latency histogram an earlier run used,
-// cleared, so an episode runner recycling one Monitor allocates none. On
+// cleared, so an episode runner recycling one Monitor allocates none. No
+// tick of m may still be pending: run Init on a fresh or reset engine. On
 // error m is unchanged.
 func (m *Monitor) Init(eng *sim.Engine, cfg Config, onReport func(Report)) error {
 	if err := cfg.Validate(); err != nil {

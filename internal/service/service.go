@@ -187,7 +187,8 @@ func New(eng *sim.Engine, rng *sim.RNG, cfg Config, cores int, onLatency func(si
 // keeps is the pending-queue array an earlier run grew, emptied (head and
 // count restart at zero), so a caller running many short episodes on one
 // Instance grows the queue once instead of once per episode. Requests still
-// queued from that run are discarded, not served. On error s is unchanged.
+// queued from that run are discarded, not served. No event of s may still be
+// pending: run Init on a fresh or reset engine. On error s is unchanged.
 func (s *Instance) Init(eng *sim.Engine, rng *sim.RNG, cfg Config, cores int, onLatency func(sim.Duration)) error {
 	if err := cfg.Validate(); err != nil {
 		return err
