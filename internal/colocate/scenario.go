@@ -446,7 +446,6 @@ type tally struct {
 func build(cfg Config) (*scenario, error) {
 	s := cfg.Scratch.scenario()
 	s.cfg = cfg
-	s.policy = nil
 	s.tally = tally{}
 	if s.observeFn == nil {
 		s.observeFn = s.observeLatency
