@@ -70,21 +70,12 @@ func (g *Generator) Sent() uint64 { return g.sent }
 // Rate returns the offered load in requests/second.
 func (g *Generator) Rate() float64 { return g.arrival.Rate() }
 
-// nextGap draws the next inter-arrival gap, letting time-varying processes
-// (workload.TimedArrival) see the current virtual time.
-func (g *Generator) nextGap() sim.Duration {
-	if ta, ok := g.arrival.(workload.TimedArrival); ok {
-		return ta.NextAt(g.rng, g.eng.Now())
-	}
-	return g.arrival.Next(g.rng)
-}
-
 // scheduleNext arms the next arrival through the typed-event path: the
 // generator itself is the handler, so the open-loop tick allocates nothing.
 // Arrival timestamps never decrease (each is scheduled from the previous
 // arrival), so they take the engine's sift-free monotone lane.
 func (g *Generator) scheduleNext() {
-	g.eng.AfterMonotoneTyped(g.nextGap(), g, 0)
+	g.eng.AfterMonotoneTyped(g.arrival.Next(g.rng, g.eng.Now()), g, 0)
 }
 
 // OnEvent implements sim.EventHandler: one arrival tick.

@@ -177,9 +177,8 @@ func stormEpisode(tb testing.TB) Config {
 
 // maxWarmEpisodeAllocs is the allocation ceiling of a storm-shaped episode
 // on a warm Scratch (67 before the Scratch owned the whole episode). What is
-// left is the Pliant controller with its round-robin arbiter, and the
-// service's compiled demand sampler.
-const maxWarmEpisodeAllocs = 3
+// left is the Pliant controller with its round-robin arbiter.
+const maxWarmEpisodeAllocs = 2
 
 // TestWarmScratchEpisodeAllocs pins how little a warm-Scratch episode
 // allocates: the arena re-initialises the scenario and every component in

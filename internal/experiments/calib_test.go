@@ -97,8 +97,8 @@ func TestPrintHeadroom(t *testing.T) {
 		qps := cfg.SaturationQPS(8) * 0.78
 		arr, _ := workloadNewPoisson(qps)
 		var next func()
-		next = func() { svc.Arrive(); eng.After(arr.Next(rng), next) }
-		eng.After(arr.Next(rng), next)
+		next = func() { svc.Arrive(); eng.After(arr.Next(rng, eng.Now()), next) }
+		eng.After(arr.Next(rng, eng.Now()), next)
 		eng.Run(simTime(20 * simSecond))
 		fmt.Printf("%-10s isolated p99@78%% = %.2f of QoS\n", cls, hist.P99()/float64(cfg.QoS))
 	}

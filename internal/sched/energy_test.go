@@ -231,13 +231,9 @@ type burstArrivals struct {
 	gapSec   float64
 }
 
-func (b burstArrivals) Next(*sim.RNG) sim.Duration {
-	return sim.Duration(b.gapSec * float64(sim.Second))
-}
-
 func (b burstArrivals) Rate() float64 { return 1 / b.gapSec }
 
-func (b burstArrivals) NextAt(_ *sim.RNG, now sim.Time) sim.Duration {
+func (b burstArrivals) Next(_ *sim.RNG, now sim.Time) sim.Duration {
 	if now.Seconds() < b.quietSec {
 		return sim.Duration((b.quietSec - now.Seconds() + b.gapSec) * float64(sim.Second))
 	}

@@ -91,15 +91,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	arrRNG := s.rng.Split(1)
 	var scheduleArrival func()
 	scheduleArrival = func() {
-		// Time-varying job streams (e.g. a flash crowd of arrivals) need the
-		// current instant, exactly as the request-level client does.
-		var gap sim.Duration
-		if ta, ok := arrivals.(workload.TimedArrival); ok {
-			gap = ta.NextAt(arrRNG, s.eng.Now())
-		} else {
-			gap = arrivals.Next(arrRNG)
-		}
-		s.eng.After(gap, func() {
+		s.eng.After(arrivals.Next(arrRNG, s.eng.Now()), func() {
 			s.arrive()
 			scheduleArrival()
 		})

@@ -438,12 +438,16 @@ type run struct {
 
 	// Per-window buffers, rewritten every window: the policies' node
 	// snapshot (each state keeps its Resident array), the autoscaler's node
-	// views, and the spare half of the pending queue's double buffer, which
+	// views, the spare half of the pending queue's double buffer, which
 	// place fills with the jobs that stay queued and then swaps with
-	// pending. Policies and autoscalers are lent them for the call only.
+	// pending, and the window's busy node indices with their per-node
+	// flags for the energy ledger. Policies and autoscalers are lent them
+	// for the call only.
 	states   []NodeState
 	views    []autoscale.NodeView
 	stillBuf []*Job
+	busyIdx  []int
+	ran      []bool
 
 	window   int // index of the next window to simulate
 	episodes int
@@ -754,12 +758,13 @@ func (s *run) foldEpisode(i int, ep *episode, winStart float64, ws *cluster.Wind
 // at now across the shards and merges the outcomes back into the shared
 // cluster state in a deterministic order.
 func (s *run) simulateWindow(now sim.Time) {
-	var busyIdx []int
+	busyIdx := s.busyIdx[:0]
 	for i, n := range s.nodes {
 		if len(n.resident) > 0 {
 			busyIdx = append(busyIdx, i)
 		}
 	}
+	s.busyIdx = busyIdx
 	if s.results == nil {
 		s.results = make([]episode, len(s.nodes))
 	}
@@ -810,7 +815,12 @@ func (s *run) accountWindow(now sim.Time, results []episode, busyIdx []int) {
 		return
 	}
 	m := s.cfg.Energy
-	ran := make([]bool, len(s.nodes))
+	if len(s.ran) != len(s.nodes) {
+		s.ran = make([]bool, len(s.nodes))
+	} else {
+		clear(s.ran)
+	}
+	ran := s.ran
 	for _, i := range busyIdx {
 		ran[i] = true
 	}

@@ -177,8 +177,8 @@ func TestArrivalOverrideAndJobNames(t *testing.T) {
 	}
 }
 
-// TestTimeVaryingJobArrivals checks the scheduler honors TimedArrival job
-// streams: a flash crowd of *job arrivals* must admit more jobs than the
+// TestTimeVaryingJobArrivals checks the scheduler passes the current instant
+// to time-varying job streams: a flash crowd of *job arrivals* must admit more jobs than the
 // same base rate held steady.
 func TestTimeVaryingJobArrivals(t *testing.T) {
 	base := fastConfig(FirstFit{})

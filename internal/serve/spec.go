@@ -347,8 +347,8 @@ const DefaultQueueCap = 64
 // silentArrivals is the never-firing job stream of submission-only sessions.
 type silentArrivals struct{}
 
-func (silentArrivals) Next(*sim.RNG) sim.Duration { return sim.Duration(1) << 62 }
-func (silentArrivals) Rate() float64              { return 0 }
+func (silentArrivals) Next(*sim.RNG, sim.Time) sim.Duration { return sim.Duration(1) << 62 }
+func (silentArrivals) Rate() float64                        { return 0 }
 
 // NodesFor expands service names into named cluster nodes exactly as the
 // -nodes flag does: cache-N / web-N / db-N per service class.

@@ -59,7 +59,7 @@ func Preset(c Class) Config {
 			// Median 8 µs with a heavy lognormal tail: mean ≈ 11 µs, so an
 			// 8-core share saturates near 727K QPS (paper Fig. 8 sweeps
 			// 300–700K).
-			Demand:          workload.LogNormal{Median: 8e-6, Sigma: 0.8},
+			Demand:          workload.NewLogNormal(8e-6, 0.8),
 			WorkersPerCore:  1,
 			ContentionShare: 1.0,
 			Sensitivity:     interference.Sensitivity{LLC: 1.6, MemBW: 1.1},
@@ -80,7 +80,7 @@ func Preset(c Class) Config {
 			// The heavy tail leaves the isolated p99 within ~15%% of the
 			// 200 µs QoS — the strict budget that makes memcached the most
 			// interference-sensitive of the three services (Sec. 6.1).
-			Demand:          workload.LogNormal{Median: 10e-6, Sigma: 1.15},
+			Demand:          workload.NewLogNormal(10e-6, 1.15),
 			WorkersPerCore:  1,
 			ContentionShare: 1.0,
 			Sensitivity:     interference.Sensitivity{LLC: 0.55, MemBW: 0.45},
@@ -102,8 +102,8 @@ func Preset(c Class) Config {
 			// saturating near 420 QPS on 8 worker-cores (paper Fig. 8
 			// sweeps 100–400 QPS).
 			Demand: workload.Bimodal{
-				Light:  workload.LogNormal{Median: 2e-3, Sigma: 0.5},
-				Heavy:  workload.LogNormal{Median: 33e-3, Sigma: 0.4},
+				Light:  workload.NewLogNormal(2e-3, 0.5),
+				Heavy:  workload.NewLogNormal(33e-3, 0.4),
 				PHeavy: 0.55,
 			},
 			WorkersPerCore: 1,

@@ -84,17 +84,9 @@ func (c Config) Scaled(f float64) Config {
 	out := c
 	out.QoS = c.QoS.Scale(f)
 	out.MaxBacklog = c.MaxBacklog.Scale(f)
-	out.Demand = scaledSampler{inner: c.Demand, f: f}
+	out.Demand = workload.Scale(c.Demand, f)
 	return out
 }
-
-type scaledSampler struct {
-	inner workload.Sampler
-	f     float64
-}
-
-func (s scaledSampler) Sample(rng *sim.RNG) float64 { return s.inner.Sample(rng) * s.f }
-func (s scaledSampler) Mean() float64               { return s.inner.Mean() * s.f }
 
 // SaturationQPS returns the analytic saturation throughput at the given core
 // count: workers divided by mean demand.
@@ -111,10 +103,6 @@ type Instance struct {
 
 	cores    int
 	slowdown float64
-
-	// demand is the compiled form of cfg.Demand (same value stream, constants
-	// hoisted), used on the per-request path.
-	demand workload.Sampler
 
 	// inflation, meanDemand, and qcap cache effectiveInflation(), the mean
 	// inflated demand, and queueCap(): they change only on
@@ -205,25 +193,11 @@ func (s *Instance) Init(eng *sim.Engine, rng *sim.RNG, cfg Config, cores int, on
 		rng:       rng,
 		cores:     cores,
 		slowdown:  1.0,
-		demand:    compileSampler(cfg.Demand),
 		queue:     reqRing{buf: s.queue.buf},
 		onLatency: onLatency,
 	}
 	s.recalc()
 	return nil
-}
-
-// compileSampler hoists per-sample constants out of the demand sampler,
-// looking through the Scaled() wrapper (and flattening it, so the hot path
-// pays one interface dispatch instead of two).
-func compileSampler(d workload.Sampler) workload.Sampler {
-	if sc, ok := d.(scaledSampler); ok {
-		if flat := workload.CompileScaled(sc.inner, sc.f); flat != nil {
-			return flat
-		}
-		return scaledSampler{inner: workload.Compile(sc.inner), f: sc.f}
-	}
-	return workload.Compile(d)
 }
 
 // recalc refreshes the cached per-request constants after a control change.
@@ -282,7 +256,7 @@ func (s *Instance) Slowdown() float64 { return s.slowdown }
 
 // Arrive submits one request to the service at the current simulation time.
 func (s *Instance) Arrive() {
-	req := pendingRequest{arrived: s.eng.Now(), demand: s.demand.Sample(s.rng)}
+	req := pendingRequest{arrived: s.eng.Now(), demand: s.cfg.Demand.Sample(s.rng)}
 	if s.busy < s.workers() {
 		s.start(req)
 		return

@@ -307,9 +307,9 @@ func runIsolated(t *testing.T, cls Class, loadFrac, slowdown float64, dur sim.Du
 	var nextArrival func()
 	nextArrival = func() {
 		svc.Arrive()
-		eng.After(arr.Next(rng), nextArrival)
+		eng.After(arr.Next(rng, eng.Now()), nextArrival)
 	}
-	eng.After(arr.Next(rng), nextArrival)
+	eng.After(arr.Next(rng, eng.Now()), nextArrival)
 	eng.Run(sim.Time(dur))
 	return sim.Duration(hist.P99())
 }

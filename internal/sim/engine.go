@@ -2,20 +2,10 @@ package sim
 
 import "fmt"
 
-// Event is the handle returned by the closure-based Schedule/After API. It
-// may be passed to Cancel. Events with equal timestamps fire in scheduling
-// order (FIFO), which keeps the simulation deterministic.
-type Event struct {
-	id        EventID
-	cancelled bool
-}
-
-// Cancelled reports whether the event was cancelled before firing.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-// EventID is the value handle of the typed-event API. The zero EventID is
-// valid to cancel (a no-op), so callers can track "no pending event" without
-// a pointer.
+// EventID is the value handle of a scheduled event, which CancelID takes.
+// The zero EventID is valid to cancel (a no-op), so callers can track "no
+// pending event" without a pointer. Events with equal timestamps fire in
+// scheduling order (FIFO), which keeps the simulation deterministic.
 type EventID struct {
 	idx int32 // slot index + 1; 0 = none
 	seq uint64
@@ -25,9 +15,9 @@ type EventID struct {
 // have fired or been cancelled since).
 func (id EventID) Valid() bool { return id.idx != 0 }
 
-// EventHandler is the typed-event interface: the allocation-free alternative
-// to scheduling closures. A single handler instance is typically registered
-// for many events, with the payload word disambiguating them (a request's
+// EventHandler is what every event fires: the allocation-free alternative to
+// scheduling closures. A single handler instance is typically registered for
+// many events, with the payload word disambiguating them (a request's
 // arrival instant, an index into caller-owned state, ...).
 type EventHandler interface {
 	// OnEvent fires at the event's timestamp with the payload word passed to
@@ -44,7 +34,6 @@ const freeSeq = ^uint64(0)
 // unique seq distinguishes it from stale handles and stale heap entries.
 type eventSlot struct {
 	seq uint64 // freeSeq when unoccupied
-	fn  func()
 	h   EventHandler
 	arg uint64
 }
@@ -110,7 +99,7 @@ func (e *Engine) Pending() int { return e.live }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Reset returns the engine to t=0 with an empty queue, keeping the heap and
-// slot arenas for reuse. Outstanding Event/EventID handles are invalidated —
+// slot arenas for reuse. Outstanding EventID handles are invalidated —
 // the schedule sequence continues across Reset, so a stale pre-Reset handle
 // can never alias a post-Reset event and cancelling one is a guaranteed
 // no-op. Event order depends only on relative seq, so a reset engine behaves
@@ -124,13 +113,13 @@ func (e *Engine) Reset() {
 	for i := range e.slots {
 		s := &e.slots[i]
 		s.seq = freeSeq
-		s.fn, s.h, s.arg = nil, nil, 0
+		s.h, s.arg = nil, 0
 		e.free = append(e.free, int32(i))
 	}
 }
 
 // allocSlot reserves a slot for a new event and returns its heap/lane entry.
-func (e *Engine) allocSlot(at Time, fn func(), h EventHandler, arg uint64) (heapEntry, EventID) {
+func (e *Engine) allocSlot(at Time, h EventHandler, arg uint64) (heapEntry, EventID) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
@@ -151,14 +140,14 @@ func (e *Engine) allocSlot(at Time, fn func(), h EventHandler, arg uint64) (heap
 	}
 	e.seq++
 	s := &e.slots[idx]
-	s.seq, s.fn, s.h, s.arg = seq, fn, h, arg
+	s.seq, s.h, s.arg = seq, h, arg
 	e.live++
 	return heapEntry{at: at, key: seq<<idxBits | uint64(idx)}, EventID{idx: idx + 1, seq: seq}
 }
 
 // alloc reserves a slot and pushes its heap entry.
-func (e *Engine) alloc(at Time, fn func(), h EventHandler, arg uint64) EventID {
-	ent, id := e.allocSlot(at, fn, h, arg)
+func (e *Engine) alloc(at Time, h EventHandler, arg uint64) EventID {
+	ent, id := e.allocSlot(at, h, arg)
 	e.push(ent)
 	return id
 }
@@ -167,24 +156,31 @@ func (e *Engine) alloc(at Time, fn func(), h EventHandler, arg uint64) EventID {
 func (e *Engine) release(idx int32) {
 	s := &e.slots[idx]
 	s.seq = freeSeq
-	s.fn, s.h, s.arg = nil, nil, 0
+	s.h, s.arg = nil, 0
 	e.free = append(e.free, idx)
 }
 
+// funcEvent adapts a closure to EventHandler, so Schedule and After ride the
+// typed path. A func value is one pointer, so the conversion boxes nothing.
+type funcEvent func()
+
+// OnEvent implements EventHandler.
+func (f funcEvent) OnEvent(Time, uint64) { f() }
+
 // Schedule runs fn at the given instant. Scheduling in the past panics: it
-// would silently corrupt causality. The returned Event may be cancelled.
+// would silently corrupt causality. The returned EventID may be cancelled.
 //
-// This closure API allocates the captured closure and the Event handle; the
-// per-request hot path should use ScheduleTyped instead.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
+// The captured closure usually allocates; the per-request hot path should
+// use ScheduleTyped instead.
+func (e *Engine) Schedule(at Time, fn func()) EventID {
 	if fn == nil {
 		panic("sim: scheduling nil event function")
 	}
-	return &Event{id: e.alloc(at, fn, nil, 0)}
+	return e.alloc(at, funcEvent(fn), 0)
 }
 
 // After runs fn after delay d from the current time.
-func (e *Engine) After(d Duration, fn func()) *Event {
+func (e *Engine) After(d Duration, fn func()) EventID {
 	if d < 0 {
 		d = 0
 	}
@@ -199,7 +195,7 @@ func (e *Engine) ScheduleTyped(at Time, h EventHandler, arg uint64) EventID {
 	if h == nil {
 		panic("sim: scheduling nil event handler")
 	}
-	return e.alloc(at, nil, h, arg)
+	return e.alloc(at, h, arg)
 }
 
 // AfterTyped runs handler.OnEvent after delay d from the current time.
@@ -221,9 +217,9 @@ func (e *Engine) ScheduleMonotoneTyped(at Time, h EventHandler, arg uint64) Even
 		panic("sim: scheduling nil event handler")
 	}
 	if at < e.laneLastAt {
-		return e.alloc(at, nil, h, arg)
+		return e.alloc(at, h, arg)
 	}
-	ent, id := e.allocSlot(at, nil, h, arg)
+	ent, id := e.allocSlot(at, h, arg)
 	e.laneLastAt = at
 	e.lanePush(ent)
 	return id
@@ -262,20 +258,10 @@ func (e *Engine) lanePop() {
 	e.laneLen--
 }
 
-// Cancel removes a scheduled event in O(1): the slot is recycled immediately
-// and the heap entry tombstoned (dropped lazily when it reaches the top).
-// Cancelling an already-fired or already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil {
-		return
-	}
-	if e.CancelID(ev.id) {
-		ev.cancelled = true
-	}
-}
-
-// CancelID cancels a typed event by ID, reporting whether a live event was
-// cancelled. Zero, fired, and already-cancelled IDs are no-ops.
+// CancelID removes a scheduled event in O(1), reporting whether a live event
+// was cancelled: the slot is recycled immediately and the heap entry
+// tombstoned (dropped lazily when it reaches the top). Zero, fired, and
+// already-cancelled IDs are no-ops.
 func (e *Engine) CancelID(id EventID) bool {
 	if id.idx == 0 {
 		return false
@@ -352,16 +338,12 @@ func (e *Engine) popTop() {
 
 // fire executes the event in slot idx, which must be top's live occupant.
 func (e *Engine) fire(top heapEntry, idx int32, s *eventSlot) {
-	fn, h, arg := s.fn, s.h, s.arg
+	h, arg := s.h, s.arg
 	e.release(idx)
 	e.now = top.at
 	e.fired++
 	e.live--
-	if h != nil {
-		h.OnEvent(top.at, arg)
-	} else {
-		fn()
-	}
+	h.OnEvent(top.at, arg)
 }
 
 // next locates the earliest live event across the heap and the monotone

@@ -112,26 +112,29 @@ func TestAfterNegativeDelayClampsToNow(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	e.Cancel(ev)
+	id := e.Schedule(10, func() { fired = true })
+	if !e.CancelID(id) {
+		t.Fatal("CancelID of a pending closure event reported no cancel")
+	}
 	e.Run(Forever)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	// Cancelling again, or cancelling nil, must not panic.
-	e.Cancel(ev)
-	e.Cancel(nil)
+	// Cancelling again, or cancelling the zero ID, is a no-op.
+	if e.CancelID(id) || e.CancelID(EventID{}) {
+		t.Fatal("repeat or zero CancelID reported a cancel")
+	}
 }
 
 func TestCancelOneOfMany(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	events := make([]*Event, 5)
+	events := make([]EventID, 5)
 	for i := 0; i < 5; i++ {
 		i := i
 		events[i] = e.Schedule(Time(i*10), func() { got = append(got, i) })
 	}
-	e.Cancel(events[2])
+	e.CancelID(events[2])
 	e.Run(Forever)
 	want := []int{0, 1, 3, 4}
 	if len(got) != len(want) {

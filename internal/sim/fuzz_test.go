@@ -43,15 +43,18 @@ func (r *recorder) OnEvent(_ Time, arg uint64) { r.fired = append(r.fired, arg) 
 // FuzzEngineOrder decodes the input into a program of engine operations and
 // runs it against the engine and the reference queue side by side. Each op
 // is a byte pair: the first selects ScheduleTyped, ScheduleMonotoneTyped,
-// CancelID or Step, the second gives a delay (in ns past Now, 0-15 so equal
-// timestamps are common and monotone pushes often fall below the lane's
-// newest entry) or picks an issued ID to cancel, live or not. After every op
+// CancelID, Step or a closure Schedule, the second gives a delay (in ns past
+// Now, 0-15 so equal timestamps are common and monotone pushes often fall
+// below the lane's newest entry) or picks an issued ID to cancel, live or
+// not. A closure logs its sequence into the same record as the typed
+// handler, so all three schedule forms share one FIFO order. After every op
 // the fired payloads, Now() and Pending() must match, and CancelID must
 // report a cancel exactly when the reference event was still live.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 3, 0, 3, 1, 3, 3, 0, 3, 0, 3, 0})
 	f.Add([]byte{1, 9, 1, 2, 0, 0, 2, 0, 3, 0, 2, 1, 3, 0, 3, 0})
 	f.Add([]byte{1, 5, 1, 5, 0, 5, 1, 1, 3, 0, 1, 0, 2, 3, 3, 0, 3, 0, 3, 0})
+	f.Add([]byte{4, 2, 0, 2, 1, 2, 4, 2, 2, 0, 3, 0, 4, 0, 3, 0, 3, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		e := NewEngine()
 		rec := &recorder{}
@@ -63,15 +66,18 @@ func FuzzEngineOrder(f *testing.F) {
 			live     = map[uint64]bool{} // schedule seq -> pending in the reference
 		)
 		for pc := 0; pc+1 < len(prog); pc += 2 {
-			op, x := prog[pc]%4, prog[pc+1]
+			op, x := prog[pc]%5, prog[pc+1]
 			switch op {
-			case 0, 1:
+			case 0, 1, 4:
 				at := refNow + Time(x%16)
 				seq := uint64(len(ids))
-				if op == 0 {
+				switch op {
+				case 0:
 					ids = append(ids, e.ScheduleTyped(at, rec, seq))
-				} else {
+				case 1:
 					ids = append(ids, e.ScheduleMonotoneTyped(at, rec, seq))
+				default:
+					ids = append(ids, e.Schedule(at, func() { rec.OnEvent(at, seq) }))
 				}
 				heap.Push(&ref, refEvent{at: at, seq: seq})
 				live[seq] = true

@@ -1,6 +1,6 @@
 // Package sim provides the deterministic discrete-event simulation kernel
 // that all Pliant substrates run on. It models virtual time as integer
-// nanoseconds, schedules events on a binary heap, and supplies seeded,
+// nanoseconds, schedules events on a 4-ary heap, and supplies seeded,
 // splittable pseudo-random number generators so every experiment is
 // reproducible bit-for-bit.
 package sim

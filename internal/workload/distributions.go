@@ -1,12 +1,11 @@
 // Package workload provides the stochastic building blocks for driving the
 // interactive services: arrival processes (open-loop Poisson, as in the
-// paper's client generators), service-demand distributions (log-normal with
-// heavy right tails, bimodal disk-bound mixtures), and key-popularity skew
-// (Zipf) for cache-like services.
+// paper's client generators), time-varying load shapes, trace replay, and
+// service-demand distributions (log-normal with heavy right tails, bimodal
+// disk-bound mixtures).
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/approx-sched/pliant/internal/sim"
@@ -29,89 +28,54 @@ func (c Constant) Sample(*sim.RNG) float64 { return float64(c) }
 // Mean returns the constant value.
 func (c Constant) Mean() float64 { return float64(c) }
 
-// Exponential is the memoryless distribution with the given mean.
-type Exponential struct{ M float64 }
-
-// Sample draws an exponential value.
-func (e Exponential) Sample(rng *sim.RNG) float64 { return rng.Exp(e.M) }
-
-// Mean returns the analytic mean.
-func (e Exponential) Mean() float64 { return e.M }
-
 // LogNormal is parameterized by its median and the sigma of the underlying
 // normal. Interactive request service times are well described by
 // log-normals: most requests are quick, a few percent are much slower.
+// NewLogNormal builds it with the per-sample constants already hoisted, and
+// Scale multiplies it in place, so the request path pays one RNG draw and
+// one multiply per sample whatever the time scale.
 type LogNormal struct {
-	Median float64
-	Sigma  float64
+	mu, sigma float64
+	scale     float64
+	mean      float64
+}
+
+// NewLogNormal returns the log-normal with the given median and sigma.
+func NewLogNormal(median, sigma float64) LogNormal {
+	return LogNormal{mu: math.Log(median), sigma: sigma, scale: 1, mean: median * math.Exp(sigma*sigma/2)}
 }
 
 // Sample draws a log-normal value.
 func (l LogNormal) Sample(rng *sim.RNG) float64 {
-	return rng.LogNormal(math.Log(l.Median), l.Sigma)
+	return rng.LogNormal(l.mu, l.sigma) * l.scale
 }
 
-// Mean returns the analytic mean median·exp(sigma²/2).
-func (l LogNormal) Mean() float64 {
-	return l.Median * math.Exp(l.Sigma*l.Sigma/2)
-}
+// Mean returns the analytic mean median·exp(sigma²/2), times the scale.
+func (l LogNormal) Mean() float64 { return l.mean }
 
-// compiledLogNormal is LogNormal with the underlying normal's mu hoisted out
-// of the per-sample path; Compile produces it.
-type compiledLogNormal struct {
-	mu, sigma float64
-	mean      float64
-}
-
-// Sample draws a log-normal value, bit-identical to LogNormal.Sample.
-func (c compiledLogNormal) Sample(rng *sim.RNG) float64 {
-	return rng.LogNormal(c.mu, c.sigma)
-}
-
-// Mean returns the analytic mean.
-func (c compiledLogNormal) Mean() float64 { return c.mean }
-
-// Compile returns a sampler that produces the identical value stream (same
-// RNG draws, same float operations) with per-sample constants hoisted —
-// LogNormal recomputes log(median) every sample, which dominates the
-// request hot path. Samplers with nothing to hoist are returned unchanged.
-func Compile(s Sampler) Sampler {
-	switch t := s.(type) {
-	case LogNormal:
-		return compiledLogNormal{mu: math.Log(t.Median), sigma: t.Sigma, mean: t.Mean()}
-	case Bimodal:
-		return Bimodal{Light: Compile(t.Light), Heavy: Compile(t.Heavy), PHeavy: t.PHeavy}
-	default:
-		return s
+// Scale returns s with every sample multiplied by f. A LogNormal is scaled
+// in place (its draw and mean arithmetic are unchanged: x·1 == x); any other
+// sampler is wrapped once.
+func Scale(s Sampler, f float64) Sampler {
+	if l, ok := s.(LogNormal); ok {
+		l.scale *= f
+		l.mean *= f
+		return l
 	}
+	return scaled{inner: s, f: f}
 }
 
-// scaledLogNormal is a LogNormal whose samples are multiplied by a constant
-// factor, flattened into one object; CompileScaled produces it.
-type scaledLogNormal struct {
-	mu, sigma float64
-	f         float64
-	mean      float64
+// scaled is Scale's wrapper for samplers with no scale of their own.
+type scaled struct {
+	inner Sampler
+	f     float64
 }
 
-// Sample draws exactly LogNormal.Sample(rng) * f.
-func (s scaledLogNormal) Sample(rng *sim.RNG) float64 {
-	return rng.LogNormal(s.mu, s.sigma) * s.f
-}
+// Sample draws from the inner sampler and scales the value.
+func (s scaled) Sample(rng *sim.RNG) float64 { return s.inner.Sample(rng) * s.f }
 
-// Mean returns the analytic mean of the scaled distribution.
-func (s scaledLogNormal) Mean() float64 { return s.mean }
-
-// CompileScaled returns a single flattened sampler computing
-// Compile(s).Sample(rng)*f — identical draws and float operations to the
-// wrapped form — or nil when s has no flattened representation (the caller
-// keeps its wrapper).
-func CompileScaled(s Sampler, f float64) Sampler {
-	if ln, ok := s.(LogNormal); ok {
-		return scaledLogNormal{mu: math.Log(ln.Median), sigma: ln.Sigma, f: f, mean: ln.Mean() * f}
-	}
-	return nil
-}
+// Mean returns the inner mean, scaled.
+func (s scaled) Mean() float64 { return s.inner.Mean() * s.f }
 
 // Bimodal mixes two samplers: with probability PHeavy the heavy sampler is
 // used. It models services where a fraction of requests miss cache and go to
@@ -133,63 +97,4 @@ func (b Bimodal) Sample(rng *sim.RNG) float64 {
 // Mean returns the mixture mean.
 func (b Bimodal) Mean() float64 {
 	return (1-b.PHeavy)*b.Light.Mean() + b.PHeavy*b.Heavy.Mean()
-}
-
-// Zipf generates ranks in [0, N) with Zipfian skew s (s=0 is uniform).
-// Used for key popularity in the memcached dataset (5M items) and file
-// popularity for NGINX (1M files).
-type Zipf struct {
-	N int
-	S float64
-
-	cdf []float64 // lazily built cumulative distribution
-}
-
-// NewZipf precomputes the rank CDF. N above ~10M would make the table large;
-// the paper's datasets (1M, 5M) are fine at 8 bytes per rank.
-func NewZipf(n int, s float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: zipf needs positive N, got %d", n)
-	}
-	if s < 0 {
-		return nil, fmt.Errorf("workload: zipf skew must be non-negative, got %v", s)
-	}
-	z := &Zipf{N: n, S: s, cdf: make([]float64, n)}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		z.cdf[i] = sum
-	}
-	for i := range z.cdf {
-		z.cdf[i] /= sum
-	}
-	return z, nil
-}
-
-// Rank draws a rank in [0, N), rank 0 being the most popular.
-func (z *Zipf) Rank(rng *sim.RNG) int {
-	u := rng.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, z.N-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// HitRatio returns the fraction of draws that fall within the top-k ranks —
-// the analytic cache hit ratio for a cache holding the k hottest items.
-func (z *Zipf) HitRatio(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k >= z.N {
-		return 1
-	}
-	return z.cdf[k-1]
 }

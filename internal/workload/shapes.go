@@ -195,14 +195,6 @@ func (s Shifted) Name() string { return s.Inner.Name() + "+shift" }
 // Multiplier implements Shape.
 func (s Shifted) Multiplier(tSec float64) float64 { return s.Inner.Multiplier(tSec + s.BySec) }
 
-// TimedArrival is the optional ArrivalProcess extension for non-stationary
-// processes: NextAt receives the current virtual time, which the gap
-// distribution may depend on.
-type TimedArrival interface {
-	ArrivalProcess
-	NextAt(rng *sim.RNG, now sim.Time) sim.Duration
-}
-
 // ShapedPoisson is a non-stationary Poisson process: exponential gaps whose
 // rate is BaseQPS·Shape.Multiplier(t), with the rate frozen at the draw
 // instant. For shapes that vary slowly relative to the inter-arrival gap —
@@ -225,36 +217,13 @@ func NewShapedPoisson(baseQPS float64, shape Shape) (ShapedPoisson, error) {
 	return ShapedPoisson{BaseQPS: baseQPS, Shape: shape}, nil
 }
 
-// maxGapSec caps one inter-arrival gap at ~31 simulated years: beyond any
-// reachable horizon, yet finite, so a degenerate rate can never push an
-// Inf/NaN gap through DurationOf (whose float→int64 conversion would wrap an
-// astronomical gap into a *negative* duration, which the ≤0 clamp then turns
-// into a 1ns arrival storm — the exact inversion of "no arrivals").
-const maxGapSec = 1e9
-
-// NextAt draws an exponential gap at the rate in effect now. A non-positive
+// Next draws an exponential gap at the rate in effect now. A non-positive
 // or non-finite effective rate — a zero-rate literal bypassing
 // NewShapedPoisson, or a multiplier the clamp cannot rescue — yields the
 // finite cap rather than an Inf/NaN gap.
-func (p ShapedPoisson) NextAt(rng *sim.RNG, now sim.Time) sim.Duration {
-	rate := p.BaseQPS * ClampMultiplier(p.Shape.Multiplier(now.Seconds()))
-	if !(rate > 0) { // zero, negative, or NaN
-		return sim.DurationOf(maxGapSec)
-	}
-	gap := rng.Exp(1 / rate)
-	if !(gap < maxGapSec) { // catches Inf and NaN alongside huge draws
-		gap = maxGapSec
-	}
-	d := sim.DurationOf(gap)
-	if d <= 0 {
-		d = 1
-	}
-	return d
+func (p ShapedPoisson) Next(rng *sim.RNG, now sim.Time) sim.Duration {
+	return expGap(rng, p.BaseQPS*ClampMultiplier(p.Shape.Multiplier(now.Seconds())))
 }
-
-// Next draws a gap at the t=0 rate, satisfying ArrivalProcess for consumers
-// unaware of time; time-aware generators use NextAt.
-func (p ShapedPoisson) Next(rng *sim.RNG) sim.Duration { return p.NextAt(rng, 0) }
 
 // Rate returns the base rate; the instantaneous rate is shaped around it.
 func (p ShapedPoisson) Rate() float64 { return p.BaseQPS }

@@ -199,7 +199,7 @@ func TestShapedPoissonTracksShape(t *testing.T) {
 		sum := 0.0
 		const n = 20000
 		for i := 0; i < n; i++ {
-			sum += p.NextAt(rng, at).Seconds()
+			sum += p.Next(rng, at).Seconds()
 		}
 		return sum / n
 	}
@@ -218,7 +218,7 @@ func TestShapedPoissonDeterministic(t *testing.T) {
 		now := sim.Time(0)
 		out := make([]sim.Duration, 200)
 		for i := range out {
-			out[i] = p.NextAt(rng, now)
+			out[i] = p.Next(rng, now)
 			now = now.Add(out[i])
 		}
 		return out
@@ -245,25 +245,18 @@ func TestShapedPoissonValidation(t *testing.T) {
 	if _, err := NewShapedPoisson(10, nil); err == nil {
 		t.Fatal("nil shape accepted")
 	}
-	// Next (the time-blind path) draws at the t=0 rate.
-	p, _ := NewShapedPoisson(10, Steady{})
 	rng := sim.NewRNG(3)
-	if p.Next(rng) <= 0 {
-		t.Fatal("non-positive gap")
-	}
 	// A shape dipping to zero is clamped, not allowed to stall the client.
 	z, _ := NewShapedPoisson(10, Flash{Base: 1, Peak: 0, StartSec: 0})
-	if g := z.NextAt(rng, 0); g <= 0 {
+	if g := z.Next(rng, 0); g <= 0 {
 		t.Fatal("clamped shape produced non-positive gap")
 	}
 }
 
-// TestShapedPoissonNonPositiveRate pins the degenerate-rate guard: inside a
-// Peak: 0 flash window the clamp floors the rate, and gaps stay finite,
-// positive, and match the explicitly clamped rate's distribution; a
-// zero-rate literal that bypassed the constructor yields the finite cap —
-// never an Inf/NaN gap, and never the 1ns arrival storm an overflowed
-// DurationOf produced.
+// TestShapedPoissonNonPositiveRate pins the clamp of a degenerate shape:
+// inside a Peak: 0 flash window the clamp floors the rate, and gaps stay
+// finite, positive, and match the explicitly clamped rate's distribution.
+// Degenerate base rates are TestDegenerateRateYieldsCap's.
 func TestShapedPoissonNonPositiveRate(t *testing.T) {
 	flash := Flash{Base: 1, Peak: 0, StartSec: 100, DurationSec: 50}
 	p, err := NewShapedPoisson(10, flash)
@@ -274,21 +267,12 @@ func TestShapedPoissonNonPositiveRate(t *testing.T) {
 	explicit := ShapedPoisson{BaseQPS: 10, Shape: Steady{Level: minMultiplier}}
 	for seed := uint64(1); seed <= 5; seed++ {
 		a, b := sim.NewRNG(seed), sim.NewRNG(seed)
-		got, want := p.NextAt(a, inWindow), explicit.NextAt(b, 0)
+		got, want := p.Next(a, inWindow), explicit.Next(b, 0)
 		if got != want {
 			t.Fatalf("seed %d: zero-peak window gap %v != clamped-rate gap %v", seed, got, want)
 		}
 		if got <= 0 || got > sim.DurationOf(maxGapSec) {
 			t.Fatalf("seed %d: gap %v outside (0, cap]", seed, got)
-		}
-	}
-	// Degenerate literals: zero, negative, and NaN base rates all emit the
-	// finite cap.
-	rng := sim.NewRNG(7)
-	for _, qps := range []float64{0, -3, math.NaN()} {
-		z := ShapedPoisson{BaseQPS: qps, Shape: Steady{}}
-		if g := z.NextAt(rng, 0); g != sim.DurationOf(maxGapSec) {
-			t.Errorf("qps %v: gap %v, want the finite cap %v", qps, g, sim.DurationOf(maxGapSec))
 		}
 	}
 }

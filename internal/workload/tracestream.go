@@ -23,9 +23,6 @@ type TraceStream struct {
 
 	idx int
 	lap float64 // accumulated cycle offset
-	// virtualNow backs the time-blind Next path: the instant the stream
-	// believes it has reached, advanced by every emitted gap.
-	virtualNow float64
 }
 
 // NewTraceStream validates the instants (non-empty, finite, non-decreasing —
@@ -46,11 +43,11 @@ func NewTraceStream(timesSec []float64) (*TraceStream, error) {
 	return &TraceStream{timesSec: append([]float64(nil), timesSec...)}, nil
 }
 
-// NextAt returns the gap from now to the next recorded instant. Instants at
+// Next returns the gap from now to the next recorded instant. Instants at
 // or before now (duplicates, or a consumer that overshot) collapse to the
 // minimum positive gap, so simultaneous trace arrivals surface as
 // back-to-back events rather than being dropped.
-func (s *TraceStream) NextAt(_ *sim.RNG, now sim.Time) sim.Duration {
+func (s *TraceStream) Next(_ *sim.RNG, now sim.Time) sim.Duration {
 	for {
 		if s.idx >= len(s.timesSec) {
 			if s.CycleSec <= 0 {
@@ -73,19 +70,8 @@ func (s *TraceStream) NextAt(_ *sim.RNG, now sim.Time) sim.Duration {
 		}
 		t := s.timesSec[s.idx] + s.lap
 		s.idx++
-		s.virtualNow = t
-		gap := sim.DurationOf(t - now.Seconds())
-		if gap <= 0 {
-			gap = 1
-		}
-		return gap
+		return gapOf(t - now.Seconds())
 	}
-}
-
-// Next is the time-blind ArrivalProcess path: gaps between consecutive
-// recorded instants, tracked on the stream's own clock.
-func (s *TraceStream) Next(rng *sim.RNG) sim.Duration {
-	return s.NextAt(rng, sim.Time(sim.DurationOf(s.virtualNow)))
 }
 
 // Rate returns the mean arrival rate over the recorded span.
@@ -96,7 +82,3 @@ func (s *TraceStream) Rate() float64 {
 	}
 	return float64(len(s.timesSec)) / span
 }
-
-// Remaining reports how many recorded instants the current lap has not yet
-// emitted — exposed so schedulers can size expectations against the replay.
-func (s *TraceStream) Remaining() int { return len(s.timesSec) - s.idx }

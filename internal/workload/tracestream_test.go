@@ -19,7 +19,7 @@ func TestTraceStreamReplaysInstants(t *testing.T) {
 	now := sim.Time(0)
 	var arrivals []float64
 	for i := 0; i < 5; i++ {
-		gap := s.NextAt(nil, now)
+		gap := s.Next(nil, now)
 		if gap <= 0 {
 			t.Fatalf("arrival %d: non-positive gap %v", i, gap)
 		}
@@ -34,11 +34,8 @@ func TestTraceStreamReplaysInstants(t *testing.T) {
 			t.Errorf("arrival %d at %vs, want %vs", i, a, want[i])
 		}
 	}
-	if s.Remaining() != 0 {
-		t.Errorf("remaining %d after draining", s.Remaining())
-	}
 	// Exhausted without a cycle: the next gap is finite but unreachably far.
-	gap := s.NextAt(nil, now)
+	gap := s.Next(nil, now)
 	if gap <= 0 || gap.Seconds() < 1e8 {
 		t.Errorf("exhausted gap %v, want far-future finite", gap)
 	}
@@ -53,7 +50,7 @@ func TestTraceStreamCycles(t *testing.T) {
 	now := sim.Time(0)
 	var arrivals []float64
 	for i := 0; i < 6; i++ {
-		now = now.Add(s.NextAt(nil, now))
+		now = now.Add(s.Next(nil, now))
 		arrivals = append(arrivals, now.Seconds())
 	}
 	want := []float64{0, 4, 10, 14, 20, 24}
@@ -76,7 +73,7 @@ func TestTraceStreamShortCycleClamped(t *testing.T) {
 	now := sim.Time(0)
 	prev := -1.0
 	for i := 0; i < 12; i++ {
-		gap := s.NextAt(nil, now)
+		gap := s.Next(nil, now)
 		if gap <= 0 {
 			t.Fatalf("arrival %d: non-positive gap", i)
 		}
@@ -94,10 +91,17 @@ func TestTraceStreamShortCycleClamped(t *testing.T) {
 	}
 }
 
-func TestTraceStreamTimeBlindNext(t *testing.T) {
+// TestTraceStreamGapsBetweenInstants checks the gaps themselves: a consumer
+// that advances now by every gap sees the spacing of consecutive instants.
+func TestTraceStreamGapsBetweenInstants(t *testing.T) {
 	s, _ := NewTraceStream([]float64{1, 3, 6})
-	rng := sim.NewRNG(1)
-	gaps := []float64{s.Next(rng).Seconds(), s.Next(rng).Seconds(), s.Next(rng).Seconds()}
+	now := sim.Time(0)
+	var gaps []float64
+	for i := 0; i < 3; i++ {
+		gap := s.Next(nil, now)
+		now = now.Add(gap)
+		gaps = append(gaps, gap.Seconds())
+	}
 	want := []float64{1, 2, 3}
 	for i := range gaps {
 		if math.Abs(gaps[i]-want[i]) > 1e-6 {
@@ -127,8 +131,8 @@ func TestTraceStreamValidation(t *testing.T) {
 	}
 	in[1] = 99
 	now := sim.Time(0)
-	now = now.Add(s.NextAt(nil, now))
-	now = now.Add(s.NextAt(nil, now))
+	now = now.Add(s.Next(nil, now))
+	now = now.Add(s.Next(nil, now))
 	if got := now.Seconds(); math.Abs(got-5) > 1e-6 {
 		t.Errorf("mutating the input slice changed the stream: arrival at %v", got)
 	}

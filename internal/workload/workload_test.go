@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"github.com/approx-sched/pliant/internal/sim"
 )
@@ -16,24 +15,8 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	e := Exponential{M: 3}
-	rng := sim.NewRNG(2)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += e.Sample(rng)
-	}
-	if got := sum / n; math.Abs(got-3)/3 > 0.02 {
-		t.Fatalf("empirical mean %v, want ~3", got)
-	}
-	if e.Mean() != 3 {
-		t.Fatalf("Mean() = %v", e.Mean())
-	}
-}
-
 func TestLogNormalMeanAndMedian(t *testing.T) {
-	l := LogNormal{Median: 100, Sigma: 0.5}
+	l := NewLogNormal(100, 0.5)
 	wantMean := 100 * math.Exp(0.125)
 	if math.Abs(l.Mean()-wantMean) > 1e-9 {
 		t.Fatalf("analytic mean %v, want %v", l.Mean(), wantMean)
@@ -56,6 +39,51 @@ func TestLogNormalMeanAndMedian(t *testing.T) {
 	}
 }
 
+// TestScaleMatchesReference pins the demand samplers bit for bit: a
+// log-normal built once by NewLogNormal and scaled in place by Scale draws
+// exactly rng.LogNormal(log m, σ)·f and reports the mean (m·e^{σ²/2})·f, and
+// a scaled Bimodal draws its component's value times f. The pairs are the
+// service presets' (median, sigma), f spans the time scales in use, and the
+// bimodal is MongoDB's.
+func TestScaleMatchesReference(t *testing.T) {
+	pairs := []struct{ m, sigma float64 }{{8e-6, 0.8}, {10e-6, 1.15}, {2e-3, 0.5}, {33e-3, 0.4}}
+	for _, f := range []float64{1, 16, 1024} {
+		for _, p := range pairs {
+			s := Scale(NewLogNormal(p.m, p.sigma), f)
+			if got, want := s.Mean(), p.m*math.Exp(p.sigma*p.sigma/2)*f; got != want {
+				t.Errorf("(%v, %v)×%v: mean %v, want %v", p.m, p.sigma, f, got, want)
+			}
+			a, b := sim.NewRNG(5), sim.NewRNG(5)
+			for i := 0; i < 1000; i++ {
+				if got, want := s.Sample(a), b.LogNormal(math.Log(p.m), p.sigma)*f; got != want {
+					t.Fatalf("(%v, %v)×%v draw %d: %v, want %v", p.m, p.sigma, f, i, got, want)
+				}
+			}
+		}
+
+		const pHeavy = 0.55
+		light, heavy := pairs[2], pairs[3]
+		s := Scale(Bimodal{Light: NewLogNormal(light.m, light.sigma), Heavy: NewLogNormal(heavy.m, heavy.sigma), PHeavy: pHeavy}, f)
+		meanL := light.m * math.Exp(light.sigma*light.sigma/2)
+		meanH := heavy.m * math.Exp(heavy.sigma*heavy.sigma/2)
+		if got, want := s.Mean(), ((1-pHeavy)*meanL+pHeavy*meanH)*f; got != want {
+			t.Errorf("bimodal×%v: mean %v, want %v", f, got, want)
+		}
+		a, b := sim.NewRNG(6), sim.NewRNG(6)
+		for i := 0; i < 1000; i++ {
+			var want float64
+			if b.Bernoulli(pHeavy) {
+				want = b.LogNormal(math.Log(heavy.m), heavy.sigma)
+			} else {
+				want = b.LogNormal(math.Log(light.m), light.sigma)
+			}
+			if got := s.Sample(a); got != want*f {
+				t.Fatalf("bimodal×%v draw %d: %v, want %v", f, i, got, want*f)
+			}
+		}
+	}
+}
+
 func TestBimodal(t *testing.T) {
 	b := Bimodal{Light: Constant(1), Heavy: Constant(100), PHeavy: 0.1}
 	if want := 0.9*1 + 0.1*100; math.Abs(b.Mean()-want) > 1e-12 {
@@ -74,93 +102,6 @@ func TestBimodal(t *testing.T) {
 	}
 }
 
-func TestZipfValidation(t *testing.T) {
-	if _, err := NewZipf(0, 1); err == nil {
-		t.Fatal("NewZipf(0) succeeded")
-	}
-	if _, err := NewZipf(10, -1); err == nil {
-		t.Fatal("NewZipf negative skew succeeded")
-	}
-}
-
-func TestZipfUniformWhenSZero(t *testing.T) {
-	z, err := NewZipf(10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(5)
-	counts := make([]int, 10)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Rank(rng)]++
-	}
-	for r, c := range counts {
-		frac := float64(c) / n
-		if math.Abs(frac-0.1) > 0.01 {
-			t.Fatalf("rank %d frequency %v, want ~0.1", r, frac)
-		}
-	}
-}
-
-func TestZipfSkewConcentrates(t *testing.T) {
-	z, err := NewZipf(1000, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(6)
-	top10 := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if z.Rank(rng) < 10 {
-			top10++
-		}
-	}
-	frac := float64(top10) / n
-	want := z.HitRatio(10)
-	if math.Abs(frac-want) > 0.01 {
-		t.Fatalf("top-10 frequency %v, want ~%v", frac, want)
-	}
-	if want < 0.3 {
-		t.Fatalf("zipf(1.0) top-10 ratio %v suspiciously low", want)
-	}
-}
-
-func TestZipfHitRatioEdges(t *testing.T) {
-	z, _ := NewZipf(100, 0.9)
-	if z.HitRatio(0) != 0 {
-		t.Fatal("HitRatio(0) != 0")
-	}
-	if z.HitRatio(100) != 1 || z.HitRatio(1000) != 1 {
-		t.Fatal("HitRatio(N) != 1")
-	}
-	prev := 0.0
-	for k := 1; k <= 100; k += 7 {
-		h := z.HitRatio(k)
-		if h < prev {
-			t.Fatal("HitRatio not monotone")
-		}
-		prev = h
-	}
-}
-
-// Property: zipf ranks are always in range.
-func TestZipfRankRangeProperty(t *testing.T) {
-	z, _ := NewZipf(50, 1.2)
-	f := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		for i := 0; i < 100; i++ {
-			r := z.Rank(rng)
-			if r < 0 || r >= 50 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPoissonRateAndPositivity(t *testing.T) {
 	p, err := NewPoisson(1000)
 	if err != nil {
@@ -173,7 +114,7 @@ func TestPoissonRateAndPositivity(t *testing.T) {
 	var total sim.Duration
 	const n = 100000
 	for i := 0; i < n; i++ {
-		gap := p.Next(rng)
+		gap := p.Next(rng, 0)
 		if gap <= 0 {
 			t.Fatal("non-positive gap")
 		}
@@ -202,8 +143,26 @@ func TestUniformArrivals(t *testing.T) {
 	rng := sim.NewRNG(8)
 	want := sim.DurationOf(0.01)
 	for i := 0; i < 10; i++ {
-		if got := u.Next(rng); got != want {
+		if got := u.Next(rng, 0); got != want {
 			t.Fatalf("gap = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestDegenerateRateYieldsCap pins the arrival processes' guard against a
+// zero, negative or NaN rate in a literal that bypassed its constructor:
+// every one yields the finite far-future cap, never the 1ns arrival storm an
+// overflowed DurationOf turned into.
+func TestDegenerateRateYieldsCap(t *testing.T) {
+	for _, qps := range []float64{0, -1, math.NaN()} {
+		for _, p := range []ArrivalProcess{
+			Poisson{QPS: qps},
+			Uniform{QPS: qps},
+			ShapedPoisson{BaseQPS: qps, Shape: Steady{}},
+		} {
+			if g := p.Next(sim.NewRNG(7), 0); g != sim.DurationOf(maxGapSec) {
+				t.Errorf("%T at qps %v: gap %v, want the finite cap %v", p, qps, g, sim.DurationOf(maxGapSec))
+			}
 		}
 	}
 }
