@@ -31,23 +31,22 @@ const freeSeq = ^uint64(0)
 
 // eventSlot is the arena record of one scheduled event. Slots are recycled
 // through a free list once the event fires or is cancelled; the occupant's
-// unique seq distinguishes it from stale handles and stale heap entries.
+// unique seq distinguishes it from stale handles and stale queue entries.
 type eventSlot struct {
 	seq uint64 // freeSeq when unoccupied
 	h   EventHandler
 	arg uint64
 }
 
-// idxBits is the width of the slot index inside a heap key: up to 16M events
+// idxBits is the width of the slot index inside a queue key: up to 16M events
 // pending at once, leaving 40 bits of schedule sequence (a trillion events
 // per engine lifetime — Reset starts a fresh sequence).
 const idxBits = 24
 
-// heapEntry is one node of the 4-ary min-heap: the timestamp plus
-// (seq<<idxBits | idx). Packing keeps entries at 16 bytes, and since seq
-// occupies the high bits, comparing keys compares seq — the FIFO tiebreak
-// for equal timestamps.
-type heapEntry struct {
+// queueEntry is one pending event: the timestamp plus (seq<<idxBits | idx).
+// Packing keeps entries at 16 bytes, and since seq occupies the high bits,
+// comparing keys compares seq — the FIFO tiebreak for equal timestamps.
+type queueEntry struct {
 	at  Time
 	key uint64
 }
@@ -57,11 +56,15 @@ type heapEntry struct {
 // parallelism belongs outside the engine (e.g., running independent scenarios
 // on separate goroutines, each with its own Engine).
 //
-// The event queue is a hand-rolled 4-ary min-heap of value entries ordered by
-// (at, seq) — no container/heap interface boxing, no per-event heap
-// allocation. Fired and cancelled slots return to a free list, so the steady
-// state of the typed-event API allocates nothing. Cancellation is lazy: the
-// slot is released in O(1) and its heap entry is dropped when it surfaces.
+// The event queue is one slice of value entries kept sorted in descending
+// (at, seq) order, so the earliest event is last: a pop is a reslice, and an
+// insert moves up one place each entry that fires before the new one. An
+// episode holds at most about 15 entries beside the monotone lane, so an
+// insert moves a few (3.7 on average on a day-shaped run); a deep queue pays
+// O(n) per insert, which BenchmarkHeapChurn states. Fired and cancelled
+// slots return to a free list, so the steady state of the typed-event API
+// allocates nothing. Cancellation is lazy: the slot is released in O(1) and
+// its queue entry is dropped when it surfaces.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -69,16 +72,17 @@ type Engine struct {
 	live    int
 	stopped bool
 
-	heap  []heapEntry
+	queue []queueEntry
 	slots []eventSlot
 	free  []int32
 
 	// lane is a ring-buffer FIFO holding events from monotone sources (open-
 	// loop arrival generators): pushes arrive in nondecreasing time order, so
-	// no heap sifting is needed — the run loop merges the lane head with the
-	// heap top by (at, seq). Purely an optimization: ScheduleMonotoneTyped
-	// falls back to the heap whenever monotonicity would not hold.
-	lane       []heapEntry
+	// an append keeps them sorted — the run loop merges the lane head with the
+	// queue's earliest entry by (at, seq). Purely an optimization:
+	// ScheduleMonotoneTyped falls back to the queue whenever monotonicity
+	// would not hold. Its capacity is a power of two, so indices wrap by mask.
+	lane       []queueEntry
 	laneHead   int
 	laneLen    int
 	laneLastAt Time
@@ -98,7 +102,7 @@ func (e *Engine) Pending() int { return e.live }
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Reset returns the engine to t=0 with an empty queue, keeping the heap and
+// Reset returns the engine to t=0 with an empty queue, keeping the queue and
 // slot arenas for reuse. Outstanding EventID handles are invalidated —
 // the schedule sequence continues across Reset, so a stale pre-Reset handle
 // can never alias a post-Reset event and cancelling one is a guaranteed
@@ -107,7 +111,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // runs without perturbing determinism.
 func (e *Engine) Reset() {
 	e.now, e.fired, e.live, e.stopped = 0, 0, 0, false
-	e.heap = e.heap[:0]
+	e.queue = e.queue[:0]
 	e.laneHead, e.laneLen, e.laneLastAt = 0, 0, 0
 	e.free = e.free[:0]
 	for i := range e.slots {
@@ -118,8 +122,8 @@ func (e *Engine) Reset() {
 	}
 }
 
-// allocSlot reserves a slot for a new event and returns its heap/lane entry.
-func (e *Engine) allocSlot(at Time, h EventHandler, arg uint64) (heapEntry, EventID) {
+// allocSlot reserves a slot for a new event and returns its queue/lane entry.
+func (e *Engine) allocSlot(at Time, h EventHandler, arg uint64) (queueEntry, EventID) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
@@ -142,13 +146,13 @@ func (e *Engine) allocSlot(at Time, h EventHandler, arg uint64) (heapEntry, Even
 	s := &e.slots[idx]
 	s.seq, s.h, s.arg = seq, h, arg
 	e.live++
-	return heapEntry{at: at, key: seq<<idxBits | uint64(idx)}, EventID{idx: idx + 1, seq: seq}
+	return queueEntry{at: at, key: seq<<idxBits | uint64(idx)}, EventID{idx: idx + 1, seq: seq}
 }
 
-// alloc reserves a slot and pushes its heap entry.
+// alloc reserves a slot and inserts its queue entry.
 func (e *Engine) alloc(at Time, h EventHandler, arg uint64) EventID {
 	ent, id := e.allocSlot(at, h, arg)
-	e.push(ent)
+	e.insert(ent)
 	return id
 }
 
@@ -208,10 +212,10 @@ func (e *Engine) AfterTyped(d Duration, h EventHandler, arg uint64) EventID {
 
 // ScheduleMonotoneTyped is ScheduleTyped for event sources whose timestamps
 // never decrease (an open-loop arrival generator rescheduling itself). Such
-// events take a sift-free FIFO lane instead of the heap; execution order is
-// identical — the run loop merges lane and heap by the same (at, seq) total
-// order. If at is below the lane's newest timestamp the event simply goes to
-// the heap, so the lane is always safe to use.
+// events take an O(1) FIFO lane instead of the queue; execution order
+// is identical — the run loop merges lane and queue by the same (at, seq)
+// total order. If at is below the lane's newest timestamp the event simply
+// goes to the queue, so the lane is always safe to use.
 func (e *Engine) ScheduleMonotoneTyped(at Time, h EventHandler, arg uint64) EventID {
 	if h == nil {
 		panic("sim: scheduling nil event handler")
@@ -234,33 +238,33 @@ func (e *Engine) AfterMonotoneTyped(d Duration, h EventHandler, arg uint64) Even
 	return e.ScheduleMonotoneTyped(e.now.Add(d), h, arg)
 }
 
-// lanePush appends an entry to the monotone FIFO, growing the ring when
-// full.
-func (e *Engine) lanePush(ent heapEntry) {
+// lanePush appends an entry to the monotone FIFO, doubling the ring (from
+// 16) when full.
+func (e *Engine) lanePush(ent queueEntry) {
 	if e.laneLen == len(e.lane) {
-		grown := make([]heapEntry, 2*len(e.lane))
+		grown := make([]queueEntry, 2*len(e.lane))
 		if len(grown) == 0 {
-			grown = make([]heapEntry, 16)
+			grown = make([]queueEntry, 16)
 		}
 		for i := 0; i < e.laneLen; i++ {
-			grown[i] = e.lane[(e.laneHead+i)%len(e.lane)]
+			grown[i] = e.lane[(e.laneHead+i)&(len(e.lane)-1)]
 		}
 		e.lane = grown
 		e.laneHead = 0
 	}
-	e.lane[(e.laneHead+e.laneLen)%len(e.lane)] = ent
+	e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)] = ent
 	e.laneLen++
 }
 
 // lanePop removes the lane head.
 func (e *Engine) lanePop() {
-	e.laneHead = (e.laneHead + 1) % len(e.lane)
+	e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
 	e.laneLen--
 }
 
 // CancelID removes a scheduled event in O(1), reporting whether a live event
-// was cancelled: the slot is recycled immediately and the heap entry
-// tombstoned (dropped lazily when it reaches the top). Zero, fired, and
+// was cancelled: the slot is recycled immediately and the queue entry
+// tombstoned (dropped lazily when it becomes the earliest). Zero, fired, and
 // already-cancelled IDs are no-ops.
 func (e *Engine) CancelID(id EventID) bool {
 	if id.idx == 0 {
@@ -275,69 +279,31 @@ func (e *Engine) CancelID(id EventID) bool {
 	return true
 }
 
-// less orders heap entries by (at, seq): a strict total order, since seq is
+// less orders queue entries by (at, seq): a strict total order, since seq is
 // unique per engine and forms the key's high bits.
-func less(a, b heapEntry) bool {
+func less(a, b queueEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.key < b.key
 }
 
-// push appends an entry and sifts it up the 4-ary heap.
-func (e *Engine) push(ent heapEntry) {
-	h := append(e.heap, ent)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !less(ent, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+// insert places ent in the descending queue. It walks from the earliest
+// end, moving each entry that fires before ent up one place, so it costs
+// one comparison and one move per entry that fires before ent.
+func (e *Engine) insert(ent queueEntry) {
+	q := append(e.queue, ent)
+	i := len(q) - 1
+	for i > 0 && less(q[i-1], ent) {
+		q[i] = q[i-1]
+		i--
 	}
-	h[i] = ent
-	e.heap = h
-}
-
-// popTop removes the minimum entry and restores the heap invariant.
-func (e *Engine) popTop() {
-	h := e.heap
-	n := len(h) - 1
-	last := h[n]
-	e.heap = h[:n]
-	if n == 0 {
-		return
-	}
-	h = h[:n]
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		// Find the smallest of up to four children.
-		m := c
-		if c+1 < n && less(h[c+1], h[m]) {
-			m = c + 1
-		}
-		if c+2 < n && less(h[c+2], h[m]) {
-			m = c + 2
-		}
-		if c+3 < n && less(h[c+3], h[m]) {
-			m = c + 3
-		}
-		if !less(h[m], last) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = last
+	q[i] = ent
+	e.queue = q
 }
 
 // fire executes the event in slot idx, which must be top's live occupant.
-func (e *Engine) fire(top heapEntry, idx int32, s *eventSlot) {
+func (e *Engine) fire(top queueEntry, idx int32, s *eventSlot) {
 	h, arg := s.h, s.arg
 	e.release(idx)
 	e.now = top.at
@@ -346,18 +312,19 @@ func (e *Engine) fire(top heapEntry, idx int32, s *eventSlot) {
 	h.OnEvent(top.at, arg)
 }
 
-// next locates the earliest live event across the heap and the monotone
+// next locates the earliest live event across the queue and the monotone
 // lane, dropping tombstones of cancelled events on the way. It reports the
 // entry and whether it came from the lane; ok is false when nothing is
 // pending.
-func (e *Engine) next() (top heapEntry, fromLane, ok bool) {
-	for len(e.heap) > 0 {
-		t := e.heap[0]
+func (e *Engine) next() (top queueEntry, fromLane, ok bool) {
+	n := len(e.queue)
+	for ; n > 0; n-- {
+		t := e.queue[n-1]
 		if e.slots[t.key&(1<<idxBits-1)].seq == t.key>>idxBits {
 			break
 		}
-		e.popTop()
 	}
+	e.queue = e.queue[:n]
 	for e.laneLen > 0 {
 		t := e.lane[e.laneHead]
 		if e.slots[t.key&(1<<idxBits-1)].seq == t.key>>idxBits {
@@ -366,16 +333,16 @@ func (e *Engine) next() (top heapEntry, fromLane, ok bool) {
 		e.lanePop()
 	}
 	switch {
-	case len(e.heap) == 0 && e.laneLen == 0:
-		return heapEntry{}, false, false
-	case len(e.heap) == 0:
+	case n == 0 && e.laneLen == 0:
+		return queueEntry{}, false, false
+	case n == 0:
 		return e.lane[e.laneHead], true, true
 	case e.laneLen == 0:
-		return e.heap[0], false, true
-	case less(e.lane[e.laneHead], e.heap[0]):
+		return e.queue[n-1], false, true
+	case less(e.lane[e.laneHead], e.queue[n-1]):
 		return e.lane[e.laneHead], true, true
 	default:
-		return e.heap[0], false, true
+		return e.queue[n-1], false, true
 	}
 }
 
@@ -384,7 +351,7 @@ func (e *Engine) pop(fromLane bool) {
 	if fromLane {
 		e.lanePop()
 	} else {
-		e.popTop()
+		e.queue = e.queue[:len(e.queue)-1]
 	}
 }
 
@@ -441,10 +408,14 @@ type Ticker struct {
 
 // Start arms t to invoke fn every period on e, starting one period from now.
 // fn receives the tick time. Starting a ticker replaces whatever it was
-// armed with before: an owner restarting it on a reset engine needs no Stop.
+// armed with before, cancelling its pending tick, so an owner restarting it
+// needs no Stop.
 func (t *Ticker) Start(e *Engine, period Duration, fn func(Time)) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
+	}
+	if t.e != nil {
+		t.e.CancelID(t.pending)
 	}
 	*t = Ticker{e: e, period: period, fn: fn}
 	t.pending = e.AfterTyped(period, t, 0)
@@ -463,8 +434,10 @@ func (t *Ticker) OnEvent(now Time, _ uint64) {
 	if t.stopped {
 		return
 	}
+	e, armed := t.e, t.pending
 	t.fn(now)
-	if !t.stopped {
+	// fn may have stopped the ticker or restarted it with a fresh tick.
+	if !t.stopped && t.e == e && t.pending == armed {
 		t.pending = t.e.AfterTyped(t.period, t, 0)
 	}
 }

@@ -76,7 +76,7 @@ func TestCancelID(t *testing.T) {
 }
 
 func TestCancelledSlotReuseDoesNotMisfire(t *testing.T) {
-	// A cancelled event's slot is recycled immediately; its stale heap entry
+	// A cancelled event's slot is recycled immediately; its stale queue entry
 	// must not fire the slot's next occupant early.
 	e := NewEngine()
 	var order []int
@@ -173,8 +173,8 @@ func TestMonotoneLaneMergesWithHeap(t *testing.T) {
 }
 
 func TestMonotoneLaneSameTimeFIFO(t *testing.T) {
-	// Lane and heap events at the same timestamp must fire in scheduling
-	// order, exactly as two heap events would.
+	// Lane and queue events at the same timestamp must fire in scheduling
+	// order, exactly as two queue events would.
 	e := NewEngine()
 	var order []int
 	rec := recordHandler{order: &order}
@@ -192,12 +192,12 @@ func TestMonotoneLaneSameTimeFIFO(t *testing.T) {
 
 func TestMonotoneFallbackToHeap(t *testing.T) {
 	// A non-monotone timestamp must not corrupt ordering: it silently takes
-	// the heap.
+	// the queue.
 	e := NewEngine()
 	var order []int
 	rec := recordHandler{order: &order}
 	e.ScheduleMonotoneTyped(50, rec, 1)
-	e.ScheduleMonotoneTyped(20, rec, 0) // violates lane order → heap
+	e.ScheduleMonotoneTyped(20, rec, 0) // violates lane order → queue
 	e.ScheduleMonotoneTyped(60, rec, 2)
 	e.Run(Forever)
 	for i, v := range order {
@@ -226,12 +226,12 @@ func TestMonotoneCancel(t *testing.T) {
 }
 
 // TestTypedSteadyStateAllocFree pins the tentpole invariant: once the arena
-// and heap are warm, the typed schedule→fire→reschedule cycle performs zero
+// and queue are warm, the typed schedule→fire→reschedule cycle performs zero
 // heap allocations.
 func TestTypedSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
 	h := &countingHandler{e: e, limit: 1 << 62}
-	// Warm up the slot arena and heap backing array.
+	// Warm up the slot arena and queue backing array.
 	for i := 0; i < 64; i++ {
 		e.ScheduleTyped(e.Now()+1, nopHandler{}, 0)
 	}
@@ -292,8 +292,53 @@ func BenchmarkScheduleFireClosure(b *testing.B) {
 	}
 }
 
-// BenchmarkHeapChurn exercises the 4-ary heap with a deep queue: k events
-// resident, each firing schedules a successor at a pseudo-random offset.
+// BenchmarkRequestShape runs the pending set an episode holds: one monotone
+// arrival source on the lane, each arrival scheduling its completion on the
+// queue, with no cancels. Arrival gaps of 1-20 ns and service times of
+// 1-200 ns keep about 10 completions pending (Little's law), inside the
+// 8 to 15 entries measured on the benchmark's workloads; the mean pending
+// count is reported as pending/op.
+func BenchmarkRequestShape(b *testing.B) {
+	e := NewEngine()
+	src := &requestSource{e: e, x: 88172645463325252}
+	e.ScheduleMonotoneTyped(1, src, 0)
+	const warm = 1 << 16
+	pending := 0
+	for i := 0; i < warm; i++ {
+		e.Step()
+		pending += len(e.queue)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.ReportMetric(float64(pending)/warm, "pending/op")
+}
+
+// requestSource is BenchmarkRequestShape's open-loop client and server: an
+// event with arg 0 is an arrival, which schedules its completion (arg 1)
+// and the next arrival.
+type requestSource struct {
+	e *Engine
+	x uint64 // xorshift state
+}
+
+func (s *requestSource) OnEvent(_ Time, arg uint64) {
+	if arg != 0 {
+		return
+	}
+	s.x ^= s.x << 13
+	s.x ^= s.x >> 7
+	s.x ^= s.x << 17
+	s.e.AfterTyped(Duration(1+s.x%200), s, 1)
+	s.e.AfterMonotoneTyped(Duration(1+(s.x>>32)%20), s, 0)
+}
+
+// BenchmarkHeapChurn states the sorted queue's cost on a pending set far
+// deeper than an episode's: 1,024 events resident, each firing schedules a
+// successor at a pseudo-random offset, so an insert moves hundreds of
+// entries.
 func BenchmarkHeapChurn(b *testing.B) {
 	const depth = 1024
 	e := NewEngine()

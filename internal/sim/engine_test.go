@@ -217,6 +217,43 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	}
 }
 
+// TestTickerRestartReplacesPendingTick restarts an armed ticker, from outside
+// and from inside its own callback: either way one tick stream must remain,
+// following the latest Start.
+func TestTickerRestartReplacesPendingTick(t *testing.T) {
+	e := NewEngine()
+	var tk Ticker
+	var ticks []Time
+	record := func(now Time) { ticks = append(ticks, now) }
+	tk.Start(e, 100, record)
+	tk.Start(e, 100, record)
+	e.Run(300)
+	if len(ticks) != 3 || e.Pending() != 1 {
+		t.Fatalf("after two Starts: ticks %v, %d pending; want 3 ticks, 1 pending", ticks, e.Pending())
+	}
+
+	e = NewEngine()
+	ticks = ticks[:0]
+	var restart func(Time)
+	restart = func(now Time) {
+		ticks = append(ticks, now)
+		if len(ticks) == 1 {
+			tk.Start(e, 50, restart)
+		}
+	}
+	tk.Start(e, 100, restart)
+	e.Run(250)
+	want := []Time{100, 150, 200, 250}
+	if len(ticks) != len(want) || e.Pending() != 1 {
+		t.Fatalf("after an in-callback Start: ticks %v, %d pending; want %v, 1 pending", ticks, e.Pending(), want)
+	}
+	for i := range want {
+		if ticks[i] != want[i] {
+			t.Fatalf("after an in-callback Start: ticks %v, want %v", ticks, want)
+		}
+	}
+}
+
 func TestTickerZeroPeriodPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {

@@ -169,7 +169,7 @@ func (r *RNG) stdNorm() float64 {
 			}
 		}
 		// The wedge between the curve and the next layer's edge.
-		if f := normZig[i].f; f+r.Float64()*(normZig[i-1].f-f) < math.Exp(-x*x/2) {
+		if f := normZig[i].f; f+r.Float64()*(normZig[i-1].f-f) < exp(-x*x/2) {
 			return x
 		}
 	}
@@ -193,7 +193,7 @@ func (r *RNG) stdExp() float64 {
 			// The tail beyond R is R plus a fresh exponential.
 			return expR - math.Log(1-r.Float64())
 		}
-		if f := expZig[i].f; f+r.Float64()*(expZig[i-1].f-f) < math.Exp(-x) {
+		if f := expZig[i].f; f+r.Float64()*(expZig[i-1].f-f) < exp(-x) {
 			return x
 		}
 	}
@@ -204,7 +204,7 @@ func (r *RNG) stdExp() float64 {
 // heavy right tails (large sigma) model the service-time skew of interactive
 // cloud requests.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Norm(mu, sigma))
+	return exp(r.Norm(mu, sigma))
 }
 
 // Pareto returns a bounded Pareto sample with the given minimum and shape

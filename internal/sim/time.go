@@ -1,7 +1,7 @@
 // Package sim provides the deterministic discrete-event simulation kernel
 // that all Pliant substrates run on. It models virtual time as integer
-// nanoseconds, schedules events on a 4-ary heap, and supplies seeded,
-// splittable pseudo-random number generators so every experiment is
+// nanoseconds, schedules events on a sorted pending array, and supplies
+// seeded, splittable pseudo-random number generators so every experiment is
 // reproducible bit-for-bit.
 package sim
 
