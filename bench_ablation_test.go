@@ -74,19 +74,30 @@ func BenchmarkAblationDecisionInterval(b *testing.B) {
 }
 
 // BenchmarkAblationArbiter contrasts the paper's round-robin arbiter with
-// the Sec. 6.5 impact-aware arbiter and the static most-approximate
-// ablation, on a two-app colocation where arbitration matters.
+// the Sec. 6.5 impact-aware arbiter, the learner and the static
+// most-approximate ablation, on a two-app colocation where arbitration
+// matters. The impact-aware and learner arbiters run again with canneal
+// listed first: the learner breaks ties toward the first app, so only that
+// order tells the two apart.
 func BenchmarkAblationArbiter(b *testing.B) {
-	for _, rt := range []pliant.RuntimeKind{
-		pliant.RuntimePliant,
-		pliant.RuntimeImpactAware,
-		pliant.RuntimeLearner,
-		pliant.RuntimeStaticApprox,
+	bayesianFirst := []string{"Bayesian", "canneal"}
+	cannealFirst := []string{"canneal", "Bayesian"}
+	for _, r := range []struct {
+		name string
+		rt   pliant.RuntimeKind
+		apps []string
+	}{
+		{pliant.RuntimePliant.String(), pliant.RuntimePliant, bayesianFirst},
+		{pliant.RuntimeImpactAware.String(), pliant.RuntimeImpactAware, bayesianFirst},
+		{pliant.RuntimeLearner.String(), pliant.RuntimeLearner, bayesianFirst},
+		{pliant.RuntimeStaticApprox.String(), pliant.RuntimeStaticApprox, bayesianFirst},
+		{pliant.RuntimeImpactAware.String() + ",canneal-first", pliant.RuntimeImpactAware, cannealFirst},
+		{pliant.RuntimeLearner.String() + ",canneal-first", pliant.RuntimeLearner, cannealFirst},
 	} {
-		b.Run(rt.String(), func(b *testing.B) {
+		b.Run(r.name, func(b *testing.B) {
 			ablate(b, func(c *pliant.ScenarioConfig) {
-				c.Runtime = rt
-				c.AppNames = []string{"Bayesian", "canneal"}
+				c.Runtime = r.rt
+				c.AppNames = r.apps
 			})
 		})
 	}

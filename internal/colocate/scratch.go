@@ -10,7 +10,7 @@ import (
 )
 
 // Scratch is a reusable episode arena. It owns the whole simulated world of
-// one episode: the scenario with its event engine (heap and slot arenas),
+// one episode: the scenario with its event engine (queue and lane arrays),
 // RNG streams, core allocation, contention model, service instance (with
 // its pending-request queue), open-loop client, monitor (with its ticker and
 // interval histogram), physics ticker, whole-run histogram, result trace

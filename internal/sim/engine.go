@@ -2,18 +2,14 @@ package sim
 
 import "fmt"
 
-// EventID is the value handle of a scheduled event, which CancelID takes.
-// The zero EventID is valid to cancel (a no-op), so callers can track "no
-// pending event" without a pointer. Events with equal timestamps fire in
-// scheduling order (FIFO), which keeps the simulation deterministic.
+// EventID is the value handle of a scheduled event, which CancelID takes: the
+// event's schedule sequence number. The zero EventID is valid to cancel (a
+// no-op), so callers can track "no pending event" without a pointer. Events
+// with equal timestamps fire in scheduling order (FIFO), which keeps the
+// simulation deterministic.
 type EventID struct {
-	idx int32 // slot index + 1; 0 = none
-	seq uint64
+	seq uint64 // 0 = none; scheduled events number from 1
 }
-
-// Valid reports whether the ID refers to an event that was scheduled (it may
-// have fired or been cancelled since).
-func (id EventID) Valid() bool { return id.idx != 0 }
 
 // EventHandler is what every event fires: the allocation-free alternative to
 // scheduling closures. A single handler instance is typically registered for
@@ -25,30 +21,22 @@ type EventHandler interface {
 	OnEvent(now Time, arg uint64)
 }
 
-// freeSeq marks a slot with no current occupant; live events always carry
-// their unique schedule sequence number instead.
-const freeSeq = ^uint64(0)
-
-// eventSlot is the arena record of one scheduled event. Slots are recycled
-// through a free list once the event fires or is cancelled; the occupant's
-// unique seq distinguishes it from stale handles and stale queue entries.
-type eventSlot struct {
-	seq uint64 // freeSeq when unoccupied
+// event is one pending event, stored by value in the queue or the lane. Its
+// seq is unique per engine and is both the FIFO tiebreak for equal
+// timestamps and the EventID that cancels it.
+type event struct {
+	at  Time
+	seq uint64
 	h   EventHandler
 	arg uint64
 }
 
-// idxBits is the width of the slot index inside a queue key: up to 16M events
-// pending at once, leaving 40 bits of schedule sequence (a trillion events
-// per engine lifetime — Reset starts a fresh sequence).
-const idxBits = 24
-
-// queueEntry is one pending event: the timestamp plus (seq<<idxBits | idx).
-// Packing keeps entries at 16 bytes, and since seq occupies the high bits,
-// comparing keys compares seq — the FIFO tiebreak for equal timestamps.
-type queueEntry struct {
-	at  Time
-	key uint64
+// less orders events by (at, seq): a strict total order, since seq is unique.
+func less(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // Engine is the discrete-event simulation core. It is not safe for concurrent
@@ -56,25 +44,21 @@ type queueEntry struct {
 // parallelism belongs outside the engine (e.g., running independent scenarios
 // on separate goroutines, each with its own Engine).
 //
-// The event queue is one slice of value entries kept sorted in descending
-// (at, seq) order, so the earliest event is last: a pop is a reslice, and an
-// insert moves up one place each entry that fires before the new one. An
-// episode holds at most about 15 entries beside the monotone lane, so an
-// insert moves a few (3.7 on average on a day-shaped run); a deep queue pays
-// O(n) per insert, which BenchmarkHeapChurn states. Fired and cancelled
-// slots return to a free list, so the steady state of the typed-event API
-// allocates nothing. Cancellation is lazy: the slot is released in O(1) and
-// its queue entry is dropped when it surfaces.
+// The event queue is one slice of events kept sorted in descending (at, seq)
+// order, so the earliest event is last: a pop is a reslice, and an insert
+// moves up one place each entry that fires before the new one. An episode
+// holds at most about 15 entries beside the monotone lane, so an insert
+// moves a few (3.7 on average on a day-shaped run) and CancelID finds its
+// event by a short scan; a deep queue pays O(n) per insert, which
+// BenchmarkHeapChurn states. Both arrays are reused, so the steady state of
+// the typed-event API allocates nothing.
 type Engine struct {
 	now     Time
-	seq     uint64
+	seq     uint64 // the last issued sequence number
 	fired   uint64
-	live    int
 	stopped bool
 
-	queue []queueEntry
-	slots []eventSlot
-	free  []int32
+	queue []event
 
 	// lane is a ring-buffer FIFO holding events from monotone sources (open-
 	// loop arrival generators): pushes arrive in nondecreasing time order, so
@@ -82,7 +66,7 @@ type Engine struct {
 	// queue's earliest entry by (at, seq). Purely an optimization:
 	// ScheduleMonotoneTyped falls back to the queue whenever monotonicity
 	// would not hold. Its capacity is a power of two, so indices wrap by mask.
-	lane       []queueEntry
+	lane       []event
 	laneHead   int
 	laneLen    int
 	laneLastAt Time
@@ -97,71 +81,34 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int { return e.live }
+func (e *Engine) Pending() int { return len(e.queue) + e.laneLen }
 
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Reset returns the engine to t=0 with an empty queue, keeping the queue and
-// slot arenas for reuse. Outstanding EventID handles are invalidated —
-// the schedule sequence continues across Reset, so a stale pre-Reset handle
-// can never alias a post-Reset event and cancelling one is a guaranteed
-// no-op. Event order depends only on relative seq, so a reset engine behaves
-// identically to a fresh one and episode runners can recycle engines across
-// runs without perturbing determinism.
+// lane arrays for reuse and dropping every handler they held. Outstanding
+// EventID handles are invalidated — the schedule sequence continues across
+// Reset, so a stale pre-Reset handle can never alias a post-Reset event and
+// cancelling one is a guaranteed no-op. Event order depends only on relative
+// seq, so a reset engine behaves identically to a fresh one and episode
+// runners can recycle engines across runs without perturbing determinism.
 func (e *Engine) Reset() {
-	e.now, e.fired, e.live, e.stopped = 0, 0, 0, false
+	e.now, e.fired, e.stopped = 0, 0, false
+	clear(e.queue[:cap(e.queue)])
 	e.queue = e.queue[:0]
+	clear(e.lane)
 	e.laneHead, e.laneLen, e.laneLastAt = 0, 0, 0
-	e.free = e.free[:0]
-	for i := range e.slots {
-		s := &e.slots[i]
-		s.seq = freeSeq
-		s.h, s.arg = nil, 0
-		e.free = append(e.free, int32(i))
-	}
 }
 
-// allocSlot reserves a slot for a new event and returns its queue/lane entry.
-func (e *Engine) allocSlot(at Time, h EventHandler, arg uint64) (queueEntry, EventID) {
+// stamp checks that at is not in the past and issues the next sequence
+// number.
+func (e *Engine) stamp(at Time) uint64 {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	var idx int32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		if len(e.slots) >= 1<<idxBits {
-			panic("sim: too many pending events")
-		}
-		e.slots = append(e.slots, eventSlot{})
-		idx = int32(len(e.slots) - 1)
-	}
-	seq := e.seq
-	if seq >= 1<<(64-idxBits) {
-		panic("sim: schedule sequence exhausted; Reset the engine")
-	}
 	e.seq++
-	s := &e.slots[idx]
-	s.seq, s.h, s.arg = seq, h, arg
-	e.live++
-	return queueEntry{at: at, key: seq<<idxBits | uint64(idx)}, EventID{idx: idx + 1, seq: seq}
-}
-
-// alloc reserves a slot and inserts its queue entry.
-func (e *Engine) alloc(at Time, h EventHandler, arg uint64) EventID {
-	ent, id := e.allocSlot(at, h, arg)
-	e.insert(ent)
-	return id
-}
-
-// release recycles a slot after its event fired or was cancelled.
-func (e *Engine) release(idx int32) {
-	s := &e.slots[idx]
-	s.seq = freeSeq
-	s.h, s.arg = nil, 0
-	e.free = append(e.free, idx)
+	return e.seq
 }
 
 // funcEvent adapts a closure to EventHandler, so Schedule and After ride the
@@ -180,7 +127,7 @@ func (e *Engine) Schedule(at Time, fn func()) EventID {
 	if fn == nil {
 		panic("sim: scheduling nil event function")
 	}
-	return e.alloc(at, funcEvent(fn), 0)
+	return e.ScheduleTyped(at, funcEvent(fn), 0)
 }
 
 // After runs fn after delay d from the current time.
@@ -199,7 +146,9 @@ func (e *Engine) ScheduleTyped(at Time, h EventHandler, arg uint64) EventID {
 	if h == nil {
 		panic("sim: scheduling nil event handler")
 	}
-	return e.alloc(at, h, arg)
+	seq := e.stamp(at)
+	e.insert(at, seq, h, arg)
+	return EventID{seq}
 }
 
 // AfterTyped runs handler.OnEvent after delay d from the current time.
@@ -221,12 +170,12 @@ func (e *Engine) ScheduleMonotoneTyped(at Time, h EventHandler, arg uint64) Even
 		panic("sim: scheduling nil event handler")
 	}
 	if at < e.laneLastAt {
-		return e.alloc(at, h, arg)
+		return e.ScheduleTyped(at, h, arg)
 	}
-	ent, id := e.allocSlot(at, h, arg)
+	seq := e.stamp(at)
 	e.laneLastAt = at
-	e.lanePush(ent)
-	return id
+	e.lanePush(at, seq, h, arg)
+	return EventID{seq}
 }
 
 // AfterMonotoneTyped runs handler.OnEvent after delay d via the monotone
@@ -238,121 +187,103 @@ func (e *Engine) AfterMonotoneTyped(d Duration, h EventHandler, arg uint64) Even
 	return e.ScheduleMonotoneTyped(e.now.Add(d), h, arg)
 }
 
-// lanePush appends an entry to the monotone FIFO, doubling the ring (from
-// 16) when full.
-func (e *Engine) lanePush(ent queueEntry) {
+// lanePush appends an event to the monotone FIFO, doubling the ring when
+// full. It starts at 4 records: an episode's one arrival source keeps a
+// single event on the lane.
+func (e *Engine) lanePush(at Time, seq uint64, h EventHandler, arg uint64) {
 	if e.laneLen == len(e.lane) {
-		grown := make([]queueEntry, 2*len(e.lane))
-		if len(grown) == 0 {
-			grown = make([]queueEntry, 16)
-		}
+		grown := make([]event, max(2*len(e.lane), 4))
 		for i := 0; i < e.laneLen; i++ {
 			grown[i] = e.lane[(e.laneHead+i)&(len(e.lane)-1)]
 		}
 		e.lane = grown
 		e.laneHead = 0
 	}
-	e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)] = ent
+	ev := &e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)]
+	ev.at, ev.seq, ev.h, ev.arg = at, seq, h, arg
 	e.laneLen++
 }
 
-// lanePop removes the lane head.
-func (e *Engine) lanePop() {
-	e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
-	e.laneLen--
-}
-
-// CancelID removes a scheduled event in O(1), reporting whether a live event
-// was cancelled: the slot is recycled immediately and the queue entry
-// tombstoned (dropped lazily when it becomes the earliest). Zero, fired, and
-// already-cancelled IDs are no-ops.
+// CancelID removes a pending event, reporting whether one was cancelled.
+// It scans the few pending events for the ID's sequence number and closes
+// the gap: a copy in the queue, a shift toward the tail in the lane. Zero,
+// fired, already-cancelled and pre-Reset IDs are no-ops.
 func (e *Engine) CancelID(id EventID) bool {
-	if id.idx == 0 {
+	if id.seq == 0 {
 		return false
 	}
-	idx := id.idx - 1
-	if int(idx) >= len(e.slots) || e.slots[idx].seq != id.seq {
-		return false
+	for i := range e.queue {
+		if e.queue[i].seq == id.seq {
+			copy(e.queue[i:], e.queue[i+1:])
+			e.queue = e.queue[:len(e.queue)-1]
+			return true
+		}
 	}
-	e.release(idx)
-	e.live--
-	return true
+	mask := len(e.lane) - 1
+	for i := 0; i < e.laneLen; i++ {
+		if e.lane[(e.laneHead+i)&mask].seq != id.seq {
+			continue
+		}
+		for ; i < e.laneLen-1; i++ {
+			e.lane[(e.laneHead+i)&mask] = e.lane[(e.laneHead+i+1)&mask]
+		}
+		e.laneLen--
+		return true
+	}
+	return false
 }
 
-// less orders queue entries by (at, seq): a strict total order, since seq is
-// unique per engine and forms the key's high bits.
-func less(a, b queueEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.key < b.key
-}
-
-// insert places ent in the descending queue. It walks from the earliest
-// end, moving each entry that fires before ent up one place, so it costs
-// one comparison and one move per entry that fires before ent.
-func (e *Engine) insert(ent queueEntry) {
-	q := append(e.queue, ent)
+// insert places an event, scheduled after every pending one, in the
+// descending queue. Its seq is the largest, so each entry at or before at
+// fires first: the walk from the earliest end moves those up one place and
+// stops at the first later one. insert and lanePush fill the record field
+// by field: assigning a whole event has the compiler build it on the stack
+// and copy it in 16-byte halves across its 8-byte stores, a store-forwarding
+// stall that made BenchmarkScheduleFireTyped 1.6× slower.
+func (e *Engine) insert(at Time, seq uint64, h EventHandler, arg uint64) {
+	q := append(e.queue, event{})
 	i := len(q) - 1
-	for i > 0 && less(q[i-1], ent) {
+	for i > 0 && q[i-1].at <= at {
 		q[i] = q[i-1]
 		i--
 	}
-	q[i] = ent
+	ev := &q[i]
+	ev.at, ev.seq, ev.h, ev.arg = at, seq, h, arg
 	e.queue = q
 }
 
-// fire executes the event in slot idx, which must be top's live occupant.
-func (e *Engine) fire(top queueEntry, idx int32, s *eventSlot) {
-	h, arg := s.h, s.arg
-	e.release(idx)
-	e.now = top.at
-	e.fired++
-	e.live--
-	h.OnEvent(top.at, arg)
-}
-
-// next locates the earliest live event across the queue and the monotone
-// lane, dropping tombstones of cancelled events on the way. It reports the
-// entry and whether it came from the lane; ok is false when nothing is
-// pending.
-func (e *Engine) next() (top queueEntry, fromLane, ok bool) {
+// next returns the earliest pending event, in place, and whether it is the
+// lane head rather than the queue's last entry; nil when nothing is pending.
+func (e *Engine) next() (ev *event, fromLane bool) {
 	n := len(e.queue)
-	for ; n > 0; n-- {
-		t := e.queue[n-1]
-		if e.slots[t.key&(1<<idxBits-1)].seq == t.key>>idxBits {
-			break
-		}
-	}
-	e.queue = e.queue[:n]
-	for e.laneLen > 0 {
-		t := e.lane[e.laneHead]
-		if e.slots[t.key&(1<<idxBits-1)].seq == t.key>>idxBits {
-			break
-		}
-		e.lanePop()
-	}
 	switch {
-	case n == 0 && e.laneLen == 0:
-		return queueEntry{}, false, false
-	case n == 0:
-		return e.lane[e.laneHead], true, true
 	case e.laneLen == 0:
-		return e.queue[n-1], false, true
-	case less(e.lane[e.laneHead], e.queue[n-1]):
-		return e.lane[e.laneHead], true, true
+		if n == 0 {
+			return nil, false
+		}
+		return &e.queue[n-1], false
+	case n == 0 || less(&e.lane[e.laneHead], &e.queue[n-1]):
+		return &e.lane[e.laneHead], true
 	default:
-		return e.queue[n-1], false, true
+		return &e.queue[n-1], false
 	}
 }
 
-// pop removes the entry next() returned from its source structure.
-func (e *Engine) pop(fromLane bool) {
+// fire removes ev, which next returned, from its source and executes it.
+// It copies the fields out first and leaves the popped record as it is:
+// zeroing it would add a 40-byte store to every event, and Reset drops the
+// handlers left behind.
+func (e *Engine) fire(ev *event, fromLane bool) {
+	at, h, arg := ev.at, ev.h, ev.arg
 	if fromLane {
-		e.lanePop()
+		e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
+		e.laneLen--
 	} else {
 		e.queue = e.queue[:len(e.queue)-1]
 	}
+	e.now = at
+	e.fired++
+	h.OnEvent(at, arg)
 }
 
 // Run executes events in timestamp order until the queue empties, the horizon
@@ -361,17 +292,15 @@ func (e *Engine) pop(fromLane bool) {
 func (e *Engine) Run(horizon Time) {
 	e.stopped = false
 	for !e.stopped {
-		top, fromLane, ok := e.next()
-		if !ok {
+		ev, fromLane := e.next()
+		if ev == nil {
 			break
 		}
-		if top.at > horizon {
+		if ev.at > horizon {
 			e.now = horizon
 			return
 		}
-		e.pop(fromLane)
-		idx := int32(top.key & (1<<idxBits - 1))
-		e.fire(top, idx, &e.slots[idx])
+		e.fire(ev, fromLane)
 	}
 	if !e.stopped && e.now < horizon && horizon < Forever {
 		e.now = horizon
@@ -381,13 +310,11 @@ func (e *Engine) Run(horizon Time) {
 // Step executes exactly one event if any is pending, and reports whether one
 // fired. Useful for fine-grained tests.
 func (e *Engine) Step() bool {
-	top, fromLane, ok := e.next()
-	if !ok {
+	ev, fromLane := e.next()
+	if ev == nil {
 		return false
 	}
-	e.pop(fromLane)
-	idx := int32(top.key & (1<<idxBits - 1))
-	e.fire(top, idx, &e.slots[idx])
+	e.fire(ev, fromLane)
 	return true
 }
 

@@ -76,14 +76,14 @@ func TestCancelID(t *testing.T) {
 }
 
 func TestCancelledSlotReuseDoesNotMisfire(t *testing.T) {
-	// A cancelled event's slot is recycled immediately; its stale queue entry
-	// must not fire the slot's next occupant early.
+	// A cancelled event leaves the queue at once; neither it nor the events
+	// scheduled after it may fire out of place.
 	e := NewEngine()
 	var order []int
 	rec := recordHandler{order: &order}
 	id := e.ScheduleTyped(5, rec, 99)
 	e.CancelID(id)
-	e.ScheduleTyped(20, rec, 0) // likely reuses the freed slot
+	e.ScheduleTyped(20, rec, 0) // reuses the freed queue place
 	e.ScheduleTyped(30, rec, 1)
 	e.Run(Forever)
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
@@ -207,6 +207,56 @@ func TestMonotoneFallbackToHeap(t *testing.T) {
 	}
 }
 
+// TestMonotoneCancelWrappedRing cancels from the middle of a lane ring that
+// has grown to 32 records and wrapped, so the shift that closes the gap crosses
+// the end of the array; the rest must fire in order.
+func TestMonotoneCancelWrappedRing(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	rec := recordHandler{order: &order}
+	var ids [41]EventID
+	for at := 1; at <= 20; at++ {
+		ids[at] = e.ScheduleMonotoneTyped(Time(at), rec, uint64(at))
+	}
+	for i := 0; i < 12; i++ {
+		e.Step()
+	}
+	for at := 21; at <= 40; at++ {
+		ids[at] = e.ScheduleMonotoneTyped(Time(at), rec, uint64(at))
+	}
+	if len(e.lane) != 32 || e.laneHead+e.laneLen <= len(e.lane) || len(e.queue) != 0 {
+		t.Fatalf("lane ring %d long, head %d, %d queued, %d in queue; want a wrapped 32-ring and an empty queue",
+			len(e.lane), e.laneHead, e.laneLen, len(e.queue))
+	}
+	if !e.CancelID(ids[30]) || !e.CancelID(ids[40]) {
+		t.Fatal("CancelID on a live lane event reported false")
+	}
+	if e.CancelID(ids[30]) || e.CancelID(ids[5]) {
+		t.Fatal("CancelID of a cancelled or fired lane event reported true")
+	}
+	if e.Pending() != 26 {
+		t.Fatalf("Pending() = %d after two cancels, want 26", e.Pending())
+	}
+	e.Run(Forever)
+	var want []int
+	for at := 1; at < 40; at++ {
+		if at != 30 {
+			want = append(want, at)
+		}
+	}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after drain, want 0", e.Pending())
+	}
+}
+
 func TestMonotoneCancel(t *testing.T) {
 	e := NewEngine()
 	var order []int
@@ -225,13 +275,13 @@ func TestMonotoneCancel(t *testing.T) {
 	}
 }
 
-// TestTypedSteadyStateAllocFree pins the tentpole invariant: once the arena
-// and queue are warm, the typed schedule→fire→reschedule cycle performs zero
-// heap allocations.
+// TestTypedSteadyStateAllocFree pins the invariant that once the queue is
+// warm, the typed schedule→fire→reschedule cycle performs zero heap
+// allocations.
 func TestTypedSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
 	h := &countingHandler{e: e, limit: 1 << 62}
-	// Warm up the slot arena and queue backing array.
+	// Warm up the queue backing array.
 	for i := 0; i < 64; i++ {
 		e.ScheduleTyped(e.Now()+1, nopHandler{}, 0)
 	}
@@ -353,16 +403,27 @@ func BenchmarkHeapChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkCancel measures O(1) lazy cancellation.
+// BenchmarkCancel schedules one event and cancels it out of a pending set
+// shaped like an episode's: ten events on the queue and one arrival on the
+// lane. The cancelled event lands at a pseudo-random place among them, so
+// each iteration pays an insert, the CancelID scan and the copy that closes
+// the gap.
 func BenchmarkCancel(b *testing.B) {
 	e := NewEngine()
+	for i := 1; i <= 10; i++ {
+		e.ScheduleTyped(Time(i*100), nopHandler{}, 0)
+	}
+	e.ScheduleMonotoneTyped(500, nopHandler{}, 0)
+	x := uint64(88172645463325252)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := e.ScheduleTyped(e.Now()+1000, nopHandler{}, 0)
-		e.CancelID(id)
-		if i&1023 == 1023 {
-			e.Run(e.Now() + 1) // drain tombstones periodically
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if !e.CancelID(e.ScheduleTyped(Time(1+x%1100), nopHandler{}, 0)) {
+			b.Fatal("CancelID of a pending event reported no cancel")
 		}
 	}
+	b.ReportMetric(float64(e.Pending()), "pending/op")
 }

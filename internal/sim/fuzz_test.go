@@ -15,7 +15,7 @@ type refEvent struct {
 
 // refQueue is the reference the engine is checked against: a container/heap
 // ordered by (at, schedule seq), with cancelled events skipped when they
-// surface. It has no lane, no slot arena and no packed keys.
+// surface. It has no lane and removes nothing in place.
 type refQueue []refEvent
 
 func (q refQueue) Len() int { return len(q) }
@@ -43,18 +43,21 @@ func (r *recorder) OnEvent(_ Time, arg uint64) { r.fired = append(r.fired, arg) 
 // FuzzEngineOrder decodes the input into a program of engine operations and
 // runs it against the engine and the reference queue side by side. Each op
 // is a byte pair: the first selects ScheduleTyped, ScheduleMonotoneTyped,
-// CancelID, Step or a closure Schedule, the second gives a delay (in ns past
-// Now, 0-15 so equal timestamps are common and monotone pushes often fall
-// below the lane's newest entry) or picks an issued ID to cancel, live or
-// not. A closure logs its sequence into the same record as the typed
-// handler, so all three schedule forms share one FIFO order. After every op
-// the fired payloads, Now() and Pending() must match, and CancelID must
-// report a cancel exactly when the reference event was still live.
+// CancelID, Step, a closure Schedule or Reset, the second gives a delay (in
+// ns past Now, 0-15 so equal timestamps are common and monotone pushes often
+// fall below the lane's newest entry) or picks an issued ID to cancel, live
+// or not. A closure logs its sequence into the same record as the typed
+// handler, so all three schedule forms share one FIFO order. Reset empties
+// the reference and rewinds its clock, so every ID issued before it is dead.
+// After every op the fired payloads, Now() and Pending() must match, and
+// CancelID must report a cancel exactly when the reference event was still
+// live.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 3, 0, 3, 1, 3, 3, 0, 3, 0, 3, 0})
 	f.Add([]byte{1, 9, 1, 2, 0, 0, 2, 0, 3, 0, 2, 1, 3, 0, 3, 0})
 	f.Add([]byte{1, 5, 1, 5, 0, 5, 1, 1, 3, 0, 1, 0, 2, 3, 3, 0, 3, 0, 3, 0})
 	f.Add([]byte{4, 2, 0, 2, 1, 2, 4, 2, 2, 0, 3, 0, 4, 0, 3, 0, 3, 0, 3, 0})
+	f.Add([]byte{1, 4, 0, 6, 3, 0, 5, 0, 2, 1, 1, 2, 0, 1, 2, 0, 3, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		e := NewEngine()
 		rec := &recorder{}
@@ -66,7 +69,7 @@ func FuzzEngineOrder(f *testing.F) {
 			live     = map[uint64]bool{} // schedule seq -> pending in the reference
 		)
 		for pc := 0; pc+1 < len(prog); pc += 2 {
-			op, x := prog[pc]%5, prog[pc+1]
+			op, x := prog[pc]%6, prog[pc+1]
 			switch op {
 			case 0, 1, 4:
 				at := refNow + Time(x%16)
@@ -105,6 +108,11 @@ func FuzzEngineOrder(f *testing.F) {
 				if got := e.Step(); got != wantFire {
 					t.Fatalf("op %d: Step() = %v, reference %v", pc/2, got, wantFire)
 				}
+			case 5:
+				e.Reset()
+				ref = ref[:0]
+				clear(live)
+				refNow = 0
 			}
 			if len(rec.fired) != len(refFired) {
 				t.Fatalf("op %d: engine fired %d events, reference %d", pc/2, len(rec.fired), len(refFired))

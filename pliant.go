@@ -11,8 +11,9 @@
 //   - Scenario construction and execution (RunScenario): an interactive
 //     service model (NGINX, memcached, or MongoDB), one or more approximate
 //     applications from the 24-app catalog, and a runtime policy (Pliant's
-//     controller, the precise baseline, a static-approximation ablation, or
-//     the impact-aware arbiter) colocated on a simulated server.
+//     controller, the precise baseline, a static-approximation ablation, the
+//     impact-aware arbiter, or the online variant-impact learner) colocated
+//     on a simulated server.
 //   - The approximation design-space exploration (Explore) that derives each
 //     application's pareto-frontier variants.
 //   - The experiment registry (Experiments, RunExperiment) that regenerates
