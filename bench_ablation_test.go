@@ -78,10 +78,13 @@ func BenchmarkAblationDecisionInterval(b *testing.B) {
 // most-approximate ablation, on a two-app colocation where arbitration
 // matters. The impact-aware and learner arbiters run again with canneal
 // listed first: the learner breaks ties toward the first app, so only that
-// order tells the two apart.
+// order tells the two apart. They run a third time on streamcluster and SNP,
+// whose per-step quality costs are close: the pair where a sweep found the
+// learner most often ahead of impact-aware.
 func BenchmarkAblationArbiter(b *testing.B) {
 	bayesianFirst := []string{"Bayesian", "canneal"}
 	cannealFirst := []string{"canneal", "Bayesian"}
+	closeCosts := []string{"streamcluster", "SNP"}
 	for _, r := range []struct {
 		name string
 		rt   pliant.RuntimeKind
@@ -93,6 +96,8 @@ func BenchmarkAblationArbiter(b *testing.B) {
 		{pliant.RuntimeStaticApprox.String(), pliant.RuntimeStaticApprox, bayesianFirst},
 		{pliant.RuntimeImpactAware.String() + ",canneal-first", pliant.RuntimeImpactAware, cannealFirst},
 		{pliant.RuntimeLearner.String() + ",canneal-first", pliant.RuntimeLearner, cannealFirst},
+		{pliant.RuntimeImpactAware.String() + ",streamcluster+SNP", pliant.RuntimeImpactAware, closeCosts},
+		{pliant.RuntimeLearner.String() + ",streamcluster+SNP", pliant.RuntimeLearner, closeCosts},
 	} {
 		b.Run(r.name, func(b *testing.B) {
 			ablate(b, func(c *pliant.ScenarioConfig) {

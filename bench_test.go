@@ -261,7 +261,7 @@ func BenchmarkSchedEnergyDiurnal(b *testing.B) {
 // faultStormBenchConfig is the fault-injection scenario: the eight-node
 // cluster riding a compressed diurnal day through a correlated rack outage
 // plus MTTF churn and telemetry dropouts, under the degrade-under-loss
-// bundle (the examples/faultstorm storm).
+// bundle.
 func faultStormBenchConfig() pliant.SchedConfig {
 	shape, _ := pliant.NewDiurnalLoad(0.25, 120)
 	var nodes []pliant.ClusterNode

@@ -149,27 +149,6 @@ func TestOverloadBeyondSaturation(t *testing.T) {
 	}
 }
 
-func TestInstrumentAppsFlag(t *testing.T) {
-	// The precise baseline normally runs uninstrumented; InstrumentApps
-	// forces the substrate overhead on, lengthening execution.
-	base := fastCfg(service.MongoDB, "water_spatial") // highest overhead: 8.9%
-	base.Runtime = Precise
-	plain, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := base
-	inst.InstrumentApps = true
-	instRes, err := Run(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if instRes.Apps[0].ExecTime <= plain.Apps[0].ExecTime {
-		t.Fatalf("instrumented run (%v) not slower than plain (%v)",
-			instRes.Apps[0].ExecTime, plain.Apps[0].ExecTime)
-	}
-}
-
 func TestDecisionIntervalExtremes(t *testing.T) {
 	// Very fine interval (100ms): more reports, still stable.
 	cfg := fastCfg(service.Memcached, "Bayesian")

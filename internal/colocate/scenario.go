@@ -129,11 +129,6 @@ type Config struct {
 	// MinAppCores is the per-app core floor for reclamation (default 1).
 	MinAppCores int
 
-	// InstrumentApps applies the dynamic-instrumentation overhead even when
-	// the policy never switches variants. The precise baseline runs
-	// uninstrumented, as in the paper.
-	InstrumentApps bool
-
 	// EnergyModel, when set, attaches a power model to the node: every
 	// decision-interval report carries that interval's utilization, watts,
 	// and joules (monitor.Report.Util/Watts/Joules), the trace gains a
@@ -598,11 +593,8 @@ func build(cfg Config) (*scenario, error) {
 
 // instrumented reports whether apps run under the instrumentation overhead:
 // any runtime that may switch variants needs the substrate attached. The
-// precise baseline runs uninstrumented unless explicitly requested.
+// precise baseline runs uninstrumented, as in the paper.
 func (s *scenario) instrumented() bool {
-	if s.cfg.InstrumentApps {
-		return true
-	}
 	if s.cfg.FixedVariants != nil {
 		return true
 	}

@@ -148,7 +148,10 @@ func (r *roundRobin) next(s Snapshot, pred func(AppView) bool) (int, bool) {
 }
 
 // largestApp returns the running app with the most cores among those above
-// MinAppCores (the first on a tie): it loses the smallest relative share.
+// MinAppCores: it loses the smallest relative share. A tie between equal
+// core counts goes to the app listed first, so the impact-aware and learner
+// results depend on the order a colocation lists its apps in; the goldens
+// and the arbiter ablation pin both orders of {Bayesian, canneal}.
 func largestApp(s Snapshot) (int, bool) {
 	best, bestCores := -1, -1
 	for i, a := range s.Apps {

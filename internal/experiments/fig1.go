@@ -165,22 +165,6 @@ func (r Fig1ImpactResult) Render() string {
 	return b.String()
 }
 
-// PreciseViolationFraction returns the fraction of (app, service) pairs
-// whose precise execution violated QoS — the paper's Fig. 1 observation is
-// that this "almost always" happens.
-func (r Fig1ImpactResult) PreciseViolationFraction() float64 {
-	if len(r.Rows) == 0 {
-		return 0
-	}
-	n := 0
-	for _, row := range r.Rows {
-		if len(row.P99OverQoS) > 0 && row.P99OverQoS[0] > 1 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(r.Rows))
-}
-
 // MostApproxImprovement returns the mean ratio of precise to most-approximate
 // tail latency across rows: how much approximation alone helps.
 func (r Fig1ImpactResult) MostApproxImprovement() float64 {

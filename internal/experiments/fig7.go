@@ -155,15 +155,3 @@ func (r Fig7Result) Render() string {
 	}
 	return b.String()
 }
-
-// InaccuracySpread returns the inaccuracy violin spread for a (service,
-// arity) cell; the paper's observation is that spreads tighten ("become more
-// centralized") as arity grows.
-func (r Fig7Result) InaccuracySpread(svc string, arity int) float64 {
-	for _, c := range r.Cells {
-		if c.Service == svc && c.Arity == arity {
-			return c.Inaccuracy.Spread()
-		}
-	}
-	return 0
-}

@@ -150,15 +150,3 @@ func (r Fig8Result) Render() string {
 	}
 	return b.String()
 }
-
-// MeetsUpTo returns the highest load at which Pliant kept the (service, app)
-// pair within QoS across the sweep.
-func (r Fig8Result) MeetsUpTo(svc, app string) float64 {
-	best := 0.0
-	for _, pt := range r.Points {
-		if pt.Service == svc && pt.App == app && pt.P99OverQoS <= 1.0 && pt.Load > best {
-			best = pt.Load
-		}
-	}
-	return best
-}

@@ -149,22 +149,8 @@ func (r *Runner) Inject(names ...string) error {
 		}
 		profs[i] = p
 	}
-	s := r.s
 	for _, prof := range profs {
-		j := &Job{
-			ID:         len(s.jobs),
-			App:        prof,
-			Pressure:   PressureOf(prof),
-			ArrivalSec: s.eng.Now().Seconds(),
-			StartSec:   -1,
-			FinishSec:  -1,
-			Node:       -1,
-			remaining:  1,
-			lastDomain: -1,
-		}
-		s.jobs = append(s.jobs, j)
-		s.pending = append(s.pending, j)
-		s.obsJobArrived()
+		r.s.admit(prof)
 	}
 	return nil
 }

@@ -498,7 +498,7 @@ func Run(cfg Config) (Result, error) {
 	return r.Finalize()
 }
 
-// arrive admits one job into the pending queue.
+// arrive admits the next job of the synthetic arrival stream.
 func (s *run) arrive() {
 	name := s.names[len(s.jobs)%len(s.names)]
 	prof, err := app.ByName(name)
@@ -506,6 +506,13 @@ func (s *run) arrive() {
 		s.fail(err)
 		return
 	}
+	s.admit(prof)
+}
+
+// admit puts one job of the given application into the pending queue at
+// the current instant: the one admission path of the arrival stream and
+// Runner.Inject.
+func (s *run) admit(prof app.Profile) {
 	j := &Job{
 		ID:         len(s.jobs),
 		App:        prof,

@@ -26,7 +26,6 @@ const (
 	Microsecond          = 1000 * Nanosecond
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
-	Minute               = 60 * Second
 )
 
 // Forever is a Time later than any time reachable in practice; Run(Forever)

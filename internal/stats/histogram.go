@@ -310,18 +310,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.observedMax
 }
 
-// P50, P95, P99, P999 are the common tail-latency quantiles.
-func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
-
-// P95 returns the 95th-percentile value.
-func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
-
 // P99 returns the 99th-percentile value — the QoS metric used throughout the
 // paper.
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// P999 returns the 99.9th-percentile value.
-func (h *Histogram) P999() float64 { return h.Quantile(0.999) }
 
 // Reset clears all recorded observations, retaining the configuration.
 func (h *Histogram) Reset() {
@@ -373,10 +364,10 @@ func (h *Histogram) Snapshot() Snapshot {
 		Mean:  h.Mean(),
 		Min:   h.Min(),
 		Max:   h.Max(),
-		P50:   h.P50(),
-		P95:   h.P95(),
+		P50:   h.Quantile(0.50),
+		P95:   h.Quantile(0.95),
 		P99:   h.P99(),
-		P999:  h.P999(),
+		P999:  h.Quantile(0.999),
 	}
 }
 

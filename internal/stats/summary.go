@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Running accumulates streaming mean/variance/extrema (Welford's algorithm).
 // It is the light-weight counterpart of Histogram for metrics where only
@@ -45,9 +42,6 @@ func (r *Running) Var() float64 {
 	}
 	return r.m2 / float64(r.n-1)
 }
-
-// Stddev returns the sample standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Var()) }
 
 // Min returns the smallest observation, or 0 if empty.
 func (r *Running) Min() float64 {

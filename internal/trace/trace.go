@@ -101,16 +101,6 @@ func (c Cause) String() string {
 	}
 }
 
-// Failure reports whether the cause is failure-shaped — the job stopped for
-// a reason other than finishing its work.
-func (c Cause) Failure() bool {
-	switch c {
-	case CauseEvict, CauseFail, CauseKill, CauseLost:
-		return true
-	}
-	return false
-}
-
 // CauseCounts is the per-cause census of a trace's jobs.
 type CauseCounts struct {
 	Finish  int

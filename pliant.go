@@ -380,20 +380,11 @@ type (
 	FaultPlan = fault.Plan
 	// FaultOutage is one scripted correlated failure-domain outage.
 	FaultOutage = fault.Outage
-	// FaultEvent is one compiled, typed fault event.
-	FaultEvent = fault.Event
 	// DegradeUnderLossController wraps a normal autoscaler and, while crashed
 	// capacity leaves demand unmet, wakes every reserve and snaps survivors
 	// to nominal frequency instead of shedding jobs.
 	DegradeUnderLossController = fault.DegradeUnderLoss
 )
-
-// CompileFaultPlan expands a plan into its deterministic event stream for
-// the given run seed, node count, and horizon — what the scheduler applies
-// internally, exposed for inspection and tests.
-func CompileFaultPlan(p FaultPlan, runSeed uint64, nodes int, horizonSec float64) []FaultEvent {
-	return p.Compile(runSeed, nodes, horizonSec)
-}
 
 // Observability (internal/obs): a deterministic, virtual-time view into a
 // scheduling run. An Observer attached via SchedConfig.Obs carries three
