@@ -154,6 +154,7 @@ type Instance struct {
 
 	cur      int
 	cores    int
+	speed    float64 // prof.speed(cores), kept with cores off the Advance path
 	slowdown float64
 	overhead float64 // 1 + instrumentation overhead, set when instrumented
 
@@ -209,6 +210,7 @@ func (a *Instance) Init(eng *sim.Engine, rng *sim.RNG, prof Profile, variants []
 		rng:         rng,
 		variants:    variants,
 		cores:       cores,
+		speed:       prof.speed(cores),
 		slowdown:    1.0,
 		overhead:    1.0,
 		phaseShift:  rng.Float64() * 2 * math.Pi,
@@ -262,6 +264,7 @@ func (a *Instance) SetCores(n int) {
 		n = 1
 	}
 	a.cores = n
+	a.speed = a.prof.speed(n)
 }
 
 // SetSlowdown updates the contention inflation on the application's own
@@ -297,7 +300,7 @@ func (a *Instance) SetVariant(i int) {
 func (a *Instance) rate() float64 {
 	eff := a.variants[a.cur]
 	denom := a.prof.NominalExecSec * eff.TimeScale * a.overhead * a.slowdown
-	return a.prof.speed(a.cores) / denom
+	return a.speed / denom
 }
 
 // Advance moves the application's internal clock to now, consuming work at

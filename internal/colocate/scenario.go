@@ -369,6 +369,7 @@ type scenario struct {
 	mon       monitor.Monitor
 	physics   sim.Ticker
 	policyRNG sim.RNG
+	ctl       core.Controller // the built-in runtimes' controller
 
 	slots     []appSlot
 	histogram *stats.Histogram // whole-run latency
@@ -565,15 +566,18 @@ func build(cfg Config) (*scenario, error) {
 		switch cfg.Runtime {
 		case Pliant:
 			s.rng.SplitInto(&s.policyRNG, 3)
-			s.policy = core.NewPliantPolicy(&s.policyRNG)
+			s.ctl.Init(core.RoundRobin, &s.policyRNG)
+			s.policy = &s.ctl
 		case Precise:
 			s.policy = core.PrecisePolicy{}
 		case StaticApprox:
 			s.policy = core.StaticApproxPolicy{}
 		case ImpactAware:
-			s.policy = core.NewImpactAwarePolicy()
+			s.ctl.Init(core.ImpactAware, nil)
+			s.policy = &s.ctl
 		case Learner:
-			s.policy = core.NewLearnerPolicy()
+			s.ctl.Init(core.Learner, nil)
+			s.policy = &s.ctl
 		default:
 			return nil, fmt.Errorf("colocate: unknown runtime %v", cfg.Runtime)
 		}

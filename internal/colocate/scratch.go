@@ -13,15 +13,16 @@ import (
 // one episode: the scenario with its event engine (queue and lane arrays),
 // RNG streams, core allocation, contention model, service instance (with
 // its pending-request queue), open-loop client, monitor (with its ticker and
-// interval histogram), physics ticker, whole-run histogram, result trace
-// (with its point buffers), per-interval p99 buffer, contention and policy
-// buffers and result rows; and per app slot, the application instance and
-// its instrumented process. Across episodes it also keeps, per application
-// name, the resolved catalog profile and variant table, the trace series
-// keys and the tenant IDs. An online scheduler runs thousands of short
-// colocation episodes; threading one Scratch per worker through
-// Config.Scratch lets every episode after the first re-initialise this
-// state in place instead of allocating it.
+// interval histogram), physics ticker, the built-in runtimes' controller
+// (with its arbiters' state and its action buffer), whole-run histogram,
+// result trace (with its point buffers), per-interval p99 buffer,
+// contention and policy buffers and result rows; and per app slot, the
+// application instance and its instrumented process. Across episodes it
+// also keeps, per application name, the resolved catalog profile and
+// variant table, the trace series keys and the tenant IDs. An online
+// scheduler runs thousands of short colocation episodes; threading one
+// Scratch per worker through Config.Scratch lets every episode after the
+// first re-initialise this state in place instead of allocating it.
 //
 // A Scratch is owned by one sequential stream of episodes — it is not safe
 // for concurrent use. Reuse is invisible to results: every component restarts

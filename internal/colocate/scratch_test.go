@@ -176,31 +176,36 @@ func stormEpisode(tb testing.TB) Config {
 }
 
 // maxWarmEpisodeAllocs is the allocation ceiling of a storm-shaped episode
-// on a warm Scratch (67 before the Scratch owned the whole episode). What is
-// left is the Pliant controller with its round-robin arbiter.
-const maxWarmEpisodeAllocs = 2
+// on a warm Scratch (67 before the Scratch owned the whole episode). Nothing
+// is left: the arena owns every component, the controller with its
+// arbiters and the buffer its Decide lends included.
+const maxWarmEpisodeAllocs = 0
 
 // TestWarmScratchEpisodeAllocs pins how little a warm-Scratch episode
-// allocates: the arena re-initialises the scenario and every component in
-// place, so only what the ceiling's comment names is left.
+// allocates, under the paper's round-robin arbiter and the impact-aware
+// one: the arena re-initialises the scenario and every component in place,
+// so only what the ceiling's comment names is left.
 func TestWarmScratchEpisodeAllocs(t *testing.T) {
-	cfg := stormEpisode(t)
-	cfg.Scratch = &Scratch{}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	var runErr error
-	allocs := testing.AllocsPerRun(20, func() {
+	for _, rt := range []RuntimeKind{Pliant, ImpactAware} {
+		cfg := stormEpisode(t)
+		cfg.Runtime = rt
+		cfg.Scratch = &Scratch{}
 		if _, err := Run(cfg); err != nil {
-			runErr = err
+			t.Fatal(err)
 		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	t.Logf("warm-scratch storm episode: %.0f allocations", allocs)
-	if allocs > maxWarmEpisodeAllocs {
-		t.Fatalf("warm-scratch storm episode allocates %.0f times, ceiling %d", allocs, maxWarmEpisodeAllocs)
+		var runErr error
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Run(cfg); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		t.Logf("warm-scratch storm episode, %v: %.0f allocations", rt, allocs)
+		if allocs > maxWarmEpisodeAllocs {
+			t.Fatalf("warm-scratch storm episode under %v allocates %.0f times, ceiling %d", rt, allocs, maxWarmEpisodeAllocs)
+		}
 	}
 }
 

@@ -8,7 +8,11 @@ package core
 // lowest output-quality cost per variant step one level (rather than
 // jumping), reclaims cores from the largest application, and when reverting
 // restores the application whose quality is suffering most.
-func NewImpactAwarePolicy() Policy { return newController("impact-aware", impactAware{}) }
+func NewImpactAwarePolicy() Policy {
+	c := &Controller{}
+	c.Init(ImpactAware, nil)
+	return c
+}
 
 type impactAware struct{}
 

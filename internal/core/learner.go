@@ -26,7 +26,9 @@ const (
 // app whose current arm has the worst learned relief, so quality is
 // restored where approximation demonstrably buys the least.
 func NewLearnerPolicy() Policy {
-	return newController("learner", &ucbLearner{explore: explorationBonus, q: make(map[[2]int]*armEstimate)})
+	c := &Controller{}
+	c.Init(Learner, nil)
+	return c
 }
 
 type ucbLearner struct {

@@ -28,12 +28,12 @@ func snapWithP99(p99OverQoS float64, apps ...AppView) Snapshot {
 // learnerUnderTest is a learner controller with its arbiter's state in
 // reach of the tests.
 type learnerUnderTest struct {
-	*controller
+	*Controller
 	*ucbLearner
 }
 
 func learner() learnerUnderTest {
-	c := NewLearnerPolicy().(*controller)
+	c := NewLearnerPolicy().(*Controller)
 	c.patience = 1
 	return learnerUnderTest{c, c.arb.(*ucbLearner)}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"github.com/approx-sched/pliant/internal/sim"
@@ -31,7 +32,7 @@ type arbiter interface {
 	restore(s Snapshot) (app int, ok bool)
 }
 
-// controller is the paper's runtime algorithm (Fig. 3), one action per
+// Controller is the paper's runtime algorithm (Fig. 3), one action per
 // interval at most, with an arbiter choosing the app:
 //
 //   - On a QoS violation, approximate one app further; once none can be,
@@ -41,12 +42,67 @@ type arbiter interface {
 //     core whose app still runs and holds it (LIFO), else step one app's
 //     variant back toward precise.
 //   - With slack at or below the threshold, hold state.
-type controller struct {
+//
+// A Controller holds the state of every arbiter it can run, so one value
+// serves a stream of episodes: Init restarts it in place. The zero value is
+// not ready to use, and a Controller must not be copied once initialised
+// (its arbiter points into it).
+type Controller struct {
 	name       string
-	arb        arbiter
-	patience   int   // high-slack intervals before each revert
-	slackRun   int   // consecutive high-slack intervals observed
-	yieldStack []int // app indices in core-reclaim order
+	arb        arbiter   // &rr, impactAware{} or &ucb
+	patience   int       // high-slack intervals before each revert
+	slackRun   int       // consecutive high-slack intervals observed
+	yieldStack []int     // app indices in core-reclaim order
+	act        [1]Action // the buffer Decide lends its action in
+
+	rr  roundRobin
+	ucb ucbLearner
+}
+
+// Arbiter names the rule a Controller uses to choose the app it acts on.
+type Arbiter int
+
+// The arbiters: the paper's and the two Sec. 6.5 extensions.
+const (
+	// RoundRobin is the paper's arbiter (Sec. 4.4), starting from a
+	// position drawn from the Init RNG.
+	RoundRobin Arbiter = iota
+	// ImpactAware acts on the app whose quality suffers least
+	// (NewImpactAwarePolicy).
+	ImpactAware
+	// Learner learns each variant's tail-latency relief online
+	// (NewLearnerPolicy).
+	Learner
+)
+
+// Init (re)initialises c in place to the state a fresh policy with arbiter
+// arb starts from. Only RoundRobin draws from rng, once, at the first
+// report; the others ignore it. The yield stack keeps its capacity and the
+// learner's arm table is cleared, not remade.
+func (c *Controller) Init(arb Arbiter, rng *sim.RNG) {
+	c.patience = DefaultSlackPatience
+	c.slackRun = 0
+	c.yieldStack = c.yieldStack[:0]
+	switch arb {
+	case RoundRobin:
+		c.name = "pliant"
+		c.rr = roundRobin{rng: rng}
+		c.arb = &c.rr
+	case ImpactAware:
+		c.name = "impact-aware"
+		c.arb = impactAware{}
+	case Learner:
+		c.name = "learner"
+		q := c.ucb.q
+		if q == nil {
+			q = make(map[[2]int]*armEstimate)
+		}
+		clear(q)
+		c.ucb = ucbLearner{explore: explorationBonus, q: q}
+		c.arb = &c.ucb
+	default:
+		panic(fmt.Sprintf("core: unknown arbiter %d", arb))
+	}
 }
 
 // NewPliantPolicy returns the paper's policy (Sec. 4.3–4.4): on a violation
@@ -54,18 +110,17 @@ type controller struct {
 // prolonged degraded performance", and both that choice and core reclaims
 // go round-robin from a position the RNG draws ("selected randomly").
 func NewPliantPolicy(rng *sim.RNG) Policy {
-	return newController("pliant", &roundRobin{rng: rng})
-}
-
-func newController(name string, arb arbiter) *controller {
-	return &controller{name: name, arb: arb, patience: DefaultSlackPatience}
+	c := &Controller{}
+	c.Init(RoundRobin, rng)
+	return c
 }
 
 // Name identifies the policy in traces and reports.
-func (c *controller) Name() string { return c.name }
+func (c *Controller) Name() string { return c.name }
 
-// Decide implements Policy.
-func (c *controller) Decide(s Snapshot) []Action {
+// Decide implements Policy. The returned slice is c's own one-action buffer,
+// lent until the next Decide.
+func (c *Controller) Decide(s Snapshot) []Action {
 	if !slices.ContainsFunc(s.Apps, func(a AppView) bool { return !a.Done }) {
 		return nil
 	}
@@ -74,11 +129,11 @@ func (c *controller) Decide(s Snapshot) []Action {
 	if s.Report.Violation {
 		c.slackRun = 0
 		if i, to, ok := c.arb.approximate(s); ok {
-			return []Action{{Kind: SwitchVariant, App: i, To: to}}
+			return c.lend(Action{Kind: SwitchVariant, App: i, To: to})
 		}
 		if i, ok := c.arb.reclaim(s); ok {
 			c.yieldStack = append(c.yieldStack, i)
-			return []Action{{Kind: ReclaimCore, App: i}}
+			return c.lend(Action{Kind: ReclaimCore, App: i})
 		}
 		return nil // nothing left to actuate
 	}
@@ -94,13 +149,20 @@ func (c *controller) Decide(s Snapshot) []Action {
 		i := c.yieldStack[len(c.yieldStack)-1]
 		c.yieldStack = c.yieldStack[:len(c.yieldStack)-1]
 		if !s.Apps[i].Done && s.Apps[i].YieldedCores > 0 {
-			return []Action{{Kind: ReturnCore, App: i}}
+			return c.lend(Action{Kind: ReturnCore, App: i})
 		}
 	}
 	if i, ok := c.arb.restore(s); ok {
-		return []Action{{Kind: SwitchVariant, App: i, To: s.Apps[i].Variant - 1}}
+		return c.lend(Action{Kind: SwitchVariant, App: i, To: s.Apps[i].Variant - 1})
 	}
 	return nil // everything precise at fair shares: steady state
+}
+
+// lend stores a in the controller's buffer and returns it as a one-action
+// result, so an acting interval allocates nothing.
+func (c *Controller) lend(a Action) []Action {
+	c.act[0] = a
+	return c.act[:]
 }
 
 // roundRobin is the paper's arbiter (Sec. 4.4): every choice scans the apps

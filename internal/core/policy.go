@@ -83,6 +83,9 @@ func (a Action) String() string {
 // Policy decides the actions for one decision interval. Implementations are
 // deterministic given their construction-time seed and the snapshot stream.
 // The snapshot's Apps slice is lent for the call only; see Snapshot.Apps.
+// Lending runs the other way too: the returned slice is valid until the
+// next Decide, which may overwrite it (the built-in controller returns its
+// own one-action buffer), so a caller that keeps actions must copy them.
 type Policy interface {
 	Name() string
 	Decide(s Snapshot) []Action

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,8 +31,8 @@ func appView(variant, most, cores, yielded int) AppView {
 // pliant returns the policy with the paper's literal revert rule (a single
 // high-slack interval triggers reversion) so the Fig. 3 transitions can be
 // asserted step by step. The hysteresis default is tested separately.
-func pliant() *controller {
-	p := NewPliantPolicy(sim.NewRNG(1)).(*controller)
+func pliant() *Controller {
+	p := NewPliantPolicy(sim.NewRNG(1)).(*Controller)
 	p.patience = 1
 	return p
 }
@@ -126,14 +127,14 @@ func TestMultiAppRoundRobinSwitchesOnePerInterval(t *testing.T) {
 	p := pliant()
 	a := appView(0, 4, 4, 0)
 	b := appView(0, 6, 4, 0)
-	first := p.Decide(snap(true, -0.5, a, b))
+	first := slices.Clone(p.Decide(snap(true, -0.5, a, b))) // lent: kept across the next Decide
 	if len(first) != 1 || first[0].Kind != SwitchVariant {
 		t.Fatalf("first = %v", first)
 	}
 	// Apply: the chosen app is now most-approximate.
 	apps := []AppView{a, b}
 	apps[first[0].App].Variant = first[0].To
-	second := p.Decide(snap(true, -0.5, apps...))
+	second := slices.Clone(p.Decide(snap(true, -0.5, apps...))) // lent: kept across the next Decide
 	if len(second) != 1 || second[0].Kind != SwitchVariant {
 		t.Fatalf("second = %v", second)
 	}
@@ -151,13 +152,13 @@ func TestMultiAppRoundRobinSwitchesOnePerInterval(t *testing.T) {
 func TestMultiAppCoreReclaimRotates(t *testing.T) {
 	p := pliant()
 	apps := []AppView{appView(4, 4, 4, 0), appView(6, 6, 4, 0)}
-	first := p.Decide(snap(true, -0.5, apps...))
+	first := slices.Clone(p.Decide(snap(true, -0.5, apps...))) // lent: kept across the next Decide
 	if first[0].Kind != ReclaimCore {
 		t.Fatalf("first = %v", first)
 	}
 	apps[first[0].App].Cores--
 	apps[first[0].App].YieldedCores++
-	second := p.Decide(snap(true, -0.5, apps...))
+	second := slices.Clone(p.Decide(snap(true, -0.5, apps...))) // lent: kept across the next Decide
 	if second[0].Kind != ReclaimCore {
 		t.Fatalf("second = %v", second)
 	}
@@ -169,10 +170,10 @@ func TestMultiAppCoreReclaimRotates(t *testing.T) {
 func TestReturnCoreLIFO(t *testing.T) {
 	p := pliant()
 	apps := []AppView{appView(4, 4, 4, 0), appView(6, 6, 4, 0)}
-	first := p.Decide(snap(true, -0.5, apps...))
+	first := slices.Clone(p.Decide(snap(true, -0.5, apps...))) // lent: kept across the next Decide
 	apps[first[0].App].Cores--
 	apps[first[0].App].YieldedCores++
-	second := p.Decide(snap(true, -0.5, apps...))
+	second := slices.Clone(p.Decide(snap(true, -0.5, apps...))) // lent: kept across the next Decide
 	apps[second[0].App].Cores--
 	apps[second[0].App].YieldedCores++
 	// Slack: cores return most-recent-first.
@@ -247,7 +248,7 @@ func TestImpactAwarePicksCheapestApp(t *testing.T) {
 }
 
 func TestImpactAwareRevertsDearestFirst(t *testing.T) {
-	p := NewImpactAwarePolicy().(*controller)
+	p := NewImpactAwarePolicy().(*Controller)
 	p.patience = 1
 	cheap := appView(2, 4, 4, 0)
 	cheap.QualityPerStep = 0.1
@@ -272,7 +273,7 @@ func TestImpactAwareReclaimsFromLargestApp(t *testing.T) {
 func TestSlackPatienceDelaysReverts(t *testing.T) {
 	// With the default hysteresis, reverts require SlackPatience consecutive
 	// high-slack intervals; any violation resets the count.
-	p := NewPliantPolicy(sim.NewRNG(1)).(*controller)
+	p := NewPliantPolicy(sim.NewRNG(1)).(*Controller)
 	p.patience = 3
 	a := appView(4, 4, 7, 1)
 	// Two high-slack intervals: no action yet.
@@ -296,7 +297,7 @@ func TestSlackPatienceDelaysReverts(t *testing.T) {
 		t.Fatal("revert did not fire after patience elapsed")
 	}
 	// In-band slack (≤ threshold) also resets the streak.
-	p2 := NewPliantPolicy(sim.NewRNG(1)).(*controller)
+	p2 := NewPliantPolicy(sim.NewRNG(1)).(*Controller)
 	p2.patience = 2
 	_ = p2.Decide(snap(false, 0.5, a))
 	_ = p2.Decide(snap(false, 0.05, a)) // hold: resets
@@ -326,7 +327,7 @@ func TestActionStrings(t *testing.T) {
 // the snapshot it was derived from.
 func TestPliantOneActionProperty(t *testing.T) {
 	f := func(seed uint64, steps []uint8) bool {
-		p := NewPliantPolicy(sim.NewRNG(seed)).(*controller)
+		p := NewPliantPolicy(sim.NewRNG(seed)).(*Controller)
 		p.patience = 1
 		apps := []AppView{appView(0, 4, 4, 0), appView(0, 6, 4, 0), appView(0, 2, 4, 0)}
 		svc := 4

@@ -1146,8 +1146,11 @@ func (s *run) finalize() Result {
 		out.ShardProfiles = o.Profile.Shards()
 	}
 
-	waitSum := 0.0
-	var inaccs []float64
+	// Size the rows once; a run with no arrivals keeps Jobs nil.
+	waitSum, inaccSum := 0.0, 0.0
+	if len(s.jobs) > 0 {
+		out.Jobs = make([]JobOutcome, 0, len(s.jobs))
+	}
 	for _, j := range s.jobs {
 		o := JobOutcome{
 			ID:         j.ID,
@@ -1178,14 +1181,16 @@ func (s *run) finalize() Result {
 		}
 		if j.Done {
 			out.Completed++
-			inaccs = append(inaccs, j.Inaccuracy)
+			inaccSum += j.Inaccuracy
 		}
 		out.Jobs = append(out.Jobs, o)
 	}
 	if out.Placed > 0 {
 		out.MeanWaitSec = waitSum / float64(out.Placed)
 	}
-	out.MeanInaccuracy = stats.Mean(inaccs)
+	if out.Completed > 0 {
+		out.MeanInaccuracy = inaccSum / float64(out.Completed)
+	}
 	return out
 }
 

@@ -130,6 +130,70 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// neverArrives is a job stream whose first arrival lies past any horizon.
+type neverArrives struct{}
+
+func (neverArrives) Next(*sim.RNG, sim.Time) sim.Duration { return 1 << 62 }
+func (neverArrives) Rate() float64                        { return 0 }
+
+// TestZeroArrivalRunKeepsJobsNil pins the empty fold: a run in which no job
+// arrives reports Jobs as nil, not an empty slice.
+func TestZeroArrivalRunKeepsJobsNil(t *testing.T) {
+	cfg := fastConfig(FirstFit{})
+	cfg.Arrivals = neverArrives{}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Arrived != 0 || res.Jobs != nil {
+		t.Fatalf("arrived %d, Jobs %#v; want 0 and nil", res.Arrived, res.Jobs)
+	}
+}
+
+// TestFinalizeAllocsIndependentOfJobs pins that Finalize sizes its per-job
+// rows once: a run with about four times the arrivals makes the same number
+// of allocations, where growing the rows by append would add some.
+func TestFinalizeAllocsIndependentOfJobs(t *testing.T) {
+	const runs = 2
+	finalizeAllocs := func(jobsPerSec float64) (arrived int, allocs float64) {
+		cfg := fastConfig(FirstFit{})
+		cfg.JobsPerSec = jobsPerSec
+		cfg.Shards = 1
+		runners := make([]*Runner, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range runners {
+			r, err := NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for more := true; more; {
+				if more, err = r.StepWindow(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runners[i] = r
+		}
+		next := 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			res, err := runners[next].Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrived = res.Arrived
+			next++
+		})
+		return arrived, allocs
+	}
+	n, few := finalizeAllocs(0.15)
+	n4, many := finalizeAllocs(0.6)
+	t.Logf("Finalize: %d arrivals %.0f allocations, %d arrivals %.0f allocations", n, few, n4, many)
+	if n == 0 || n4 < 3*n {
+		t.Fatalf("arrivals %d and %d do not span the intended 4x", n, n4)
+	}
+	if many != few {
+		t.Fatalf("Finalize allocates %.0f times for %d jobs and %.0f for %d; want equal", few, n, many, n4)
+	}
+}
+
 // TestDeterminism is the reproducibility contract: equal configs give
 // structurally identical results, including every job outcome and every
 // trace point.

@@ -162,7 +162,9 @@ func ParseHints(r io.Reader) (AppProfile, error) { return accept.Parse(r) }
 
 // Runtime policies.
 type (
-	// Policy decides actuation for each decision interval.
+	// Policy decides actuation for each decision interval. The actions a
+	// Decide returns are valid until its next call: the built-in policies
+	// reuse one buffer, so copy them to keep them.
 	Policy = core.Policy
 	// PolicySnapshot is the per-interval controller input. Its Apps slice
 	// is valid only during Decide and is rewritten at the next report:
