@@ -1,5 +1,5 @@
-// Command pliant-lint runs the repo's determinism and hot-path invariant
-// analyzers (internal/lint) over Go packages and reports violations as
+// Command pliant-lint runs the repo's determinism invariant analyzers
+// (internal/lint) over Go packages and reports violations as
 // "file:line: [rule] message" lines (paths relative to the module root).
 //
 // The suite enforces the reproducibility contract as a source property,
@@ -7,19 +7,19 @@
 // (wallclock), no global math/rand in internal/ (unseededrand), no
 // map-iteration order leaking into ordered output or float sums
 // (maporder), no goroutines outside the sanctioned concurrency files
-// (spawn), every RNG seed derived from a Seed-named value (seedflow), and
-// no allocation-forcing constructs in //pliant:hotpath functions
-// (hotpathalloc). Shard-state ownership is the race detector's job, not
-// this tool's. Findings are suppressed in place with reasoned
-// "//pliant:allow <rule> — reason" comments; an allow naming a rule that is
-// not in the catalog is itself a finding.
+// (spawn), and every RNG seed derived from a Seed-named value (seedflow).
+// Shard-state ownership is the race detector's job and zero-allocation
+// paths are the batched AllocsPerRun pins' job, not this tool's. Findings
+// are suppressed in place with reasoned "//pliant:allow <rule> — reason"
+// comments; an allow naming a rule that is not in the catalog is itself a
+// finding.
 //
 // Usage:
 //
 //	pliant-lint ./...                        # whole module (testdata skipped)
 //	pliant-lint ./internal/sched ./internal/sim
-//	pliant-lint -rules seedflow,hotpathalloc ./...
-//	pliant-lint -json ./... > lint.json      # sorted diagnostics + hotpath set
+//	pliant-lint -rules seedflow,maporder ./...
+//	pliant-lint -json ./... > lint.json      # sorted diagnostics
 //	pliant-lint -catalog                     # print the rule catalog
 //
 // Exit status: 0 clean, 1 diagnostics found, 2 usage or load error.
@@ -116,9 +116,8 @@ func main() {
 		if err := enc.Encode(struct {
 			Packages    int               `json:"packages"`
 			Rules       []string          `json:"rules"`
-			Hotpaths    []string          `json:"hotpaths"`
 			Diagnostics []lint.Diagnostic `json:"diagnostics"`
-		}{len(pkgs), names, lint.Hotpaths(pkgs), diags}); err != nil {
+		}{len(pkgs), names, diags}); err != nil {
 			fatal(err)
 		}
 	} else {

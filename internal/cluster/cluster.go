@@ -118,8 +118,6 @@ const telemetryAlpha = 0.3
 
 // Observe folds one monitor report into the telemetry. Pass it (or a wrapper)
 // as the colocation's OnReport hook.
-//
-//pliant:hotpath
 func (t *Telemetry) Observe(r monitor.Report) {
 	ratio := float64(r.P99) / float64(r.QoS)
 	if t.Reports == 0 {

@@ -121,16 +121,32 @@ func TestTelemetryEnergyObserve(t *testing.T) {
 }
 
 // TestTelemetryObserveAllocFree pins the acceptance criterion: folding an
-// energy-bearing report into node telemetry allocates nothing.
+// energy-bearing report into node telemetry allocates nothing. It counts
+// the total over a batch of reports, so amortized growth fails it too. Each
+// batch starts from empty telemetry, so the first report and the first
+// energy-bearing report seed their EWMAs, and it alternates met and
+// violated reports.
 func TestTelemetryObserveAllocFree(t *testing.T) {
 	qos := sim.Duration(10 * sim.Millisecond)
-	r := monitor.Report{
+	met := monitor.Report{
 		P99: qos, QoS: qos, Interval: sim.Second,
 		Seen: 1000, Watts: 100, Joules: 100,
 	}
+	violated := met
+	violated.P99, violated.Violation = 2*qos, true
 	var tel Telemetry
-	avg := testing.AllocsPerRun(1000, func() { tel.Observe(r) })
-	if avg != 0 {
-		t.Errorf("Telemetry.Observe allocates %.2f allocs/op, want 0", avg)
+	const n = 1000
+	allocs := testing.AllocsPerRun(1, func() {
+		tel = Telemetry{}
+		for i := 0; i < n; i++ {
+			tel.Observe(met)
+			tel.Observe(violated)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d Telemetry.Observe calls allocate %.2f times in total, want 0", 2*n, allocs)
+	}
+	if tel.ViolationFrac != 0.5 {
+		t.Errorf("ViolationFrac = %v after alternating reports, want 0.5", tel.ViolationFrac)
 	}
 }

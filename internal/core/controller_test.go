@@ -99,14 +99,19 @@ func TestReinitDecidesAsFresh(t *testing.T) {
 			c.Init(prev, sim.NewRNG(seed+1))
 			drive(c, dirty)
 		}
-		if len(c.yieldStack) == 0 || len(c.ucb.q) == 0 {
-			t.Fatalf("arbiter %d: the dirtying runs left yield stack %v and %d learner arms", arb, c.yieldStack, len(c.ucb.q))
+		if len(c.yieldStack) == 0 || len(c.ucb.arms) == 0 {
+			t.Fatalf("arbiter %d: the dirtying runs left yield stack %v and %d learner arms", arb, c.yieldStack, len(c.ucb.arms))
 		}
 		c.Init(arb, sim.NewRNG(seed))
 		// What the script may not reach, such as the learner's trial count,
 		// is checked directly: the active arbiter's state is a fresh one's.
+		// The learner's arm table is compared by length, since Init keeps
+		// its capacity.
 		f := fresh[arb]().(*Controller)
-		if arb == RoundRobin && !reflect.DeepEqual(c.rr, f.rr) || arb == Learner && !reflect.DeepEqual(c.ucb, f.ucb) {
+		cu, fu := c.ucb, f.ucb
+		cu.arms, fu.arms = nil, nil
+		if arb == RoundRobin && !reflect.DeepEqual(c.rr, f.rr) ||
+			arb == Learner && (len(c.ucb.arms) != 0 || !reflect.DeepEqual(cu, fu)) {
 			t.Fatalf("arbiter %d: re-initialised arbiter state %+v %+v, fresh %+v %+v", arb, c.rr, c.ucb, f.rr, f.ucb)
 		}
 		if got := drive(c, script); !reflect.DeepEqual(got, want) {

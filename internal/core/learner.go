@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // The learner's tuning: the UCB optimism scale and the EMA weight of a new
 // observation.
@@ -32,11 +35,11 @@ func NewLearnerPolicy() Policy {
 }
 
 type ucbLearner struct {
-	explore float64                 // optimism scale; 0 disables exploration
-	q       map[[2]int]*armEstimate // (app, target variant) -> estimate
-	trials  int                     // credited switches so far
-	pending *armEstimate            // the switched-to arm awaiting credit
-	lastP99 float64                 // p99/QoS at the previous report
+	explore float64       // optimism scale; 0 disables exploration
+	arms    []armEstimate // estimates, indexed by arm(app, target variant)
+	trials  int           // credited switches so far
+	pending int           // index of the switched-to arm awaiting credit, or -1
+	lastP99 float64       // p99/QoS at the previous report
 }
 
 type armEstimate struct {
@@ -51,23 +54,32 @@ func (l *ucbLearner) observe(s Snapshot) {
 	if s.Report.QoS > 0 {
 		cur = float64(s.Report.P99) / float64(s.Report.QoS)
 	}
-	if arm := l.pending; arm != nil {
+	if l.pending >= 0 {
+		arm := &l.arms[l.pending]
 		relief := l.lastP99 - cur // positive = the switch helped
 		arm.mean = (1-learnerAlpha)*arm.mean + learnerAlpha*relief
 		arm.visits++
 		l.trials++
 	}
-	l.pending = nil
+	l.pending = -1
 	l.lastP99 = cur
 }
 
-func (l *ucbLearner) arm(app, variant int) *armEstimate {
-	a, ok := l.q[[2]int{app, variant}]
-	if !ok {
-		a = &armEstimate{}
-		l.q[[2]int{app, variant}] = a
+// arm returns the index in l.arms of the (app, variant) estimate, growing
+// the table with fresh estimates to reach it, so index l.arms only after
+// the call. The table keeps its capacity across Init, so a warm learner
+// grows it without allocating.
+func (l *ucbLearner) arm(app, variant int) int {
+	// The Cantor pairing numbers every (app, variant) pair without a bound
+	// on either, and keeps the small pairs an episode uses at the front.
+	k := (app+variant)*(app+variant+1)/2 + variant
+	if n := len(l.arms); k >= n {
+		// Not append(l.arms, make(...)...): built with -race, that form
+		// allocates on every growth, even within capacity.
+		l.arms = slices.Grow(l.arms, k+1-n)[:k+1]
+		clear(l.arms[n:])
 	}
-	return a
+	return k
 }
 
 // bonus is the UCB-style optimism term: unvisited arms look attractive.
@@ -85,7 +97,8 @@ func (l *ucbLearner) approximate(s Snapshot) (int, int, bool) {
 		if a.Done || a.Variant >= a.MostApproximate {
 			continue
 		}
-		arm := l.arm(i, a.Variant+1)
+		k := l.arm(i, a.Variant+1)
+		arm := l.arms[k]
 		if score := arm.mean + l.bonus(arm.visits); score > bestScore {
 			best, bestScore = i, score
 		}
@@ -107,7 +120,8 @@ func (l *ucbLearner) restore(s Snapshot) (int, bool) {
 		if a.Done || a.Variant == 0 {
 			continue
 		}
-		if m := l.arm(i, a.Variant).mean; m < worstScore {
+		k := l.arm(i, a.Variant)
+		if m := l.arms[k].mean; m < worstScore {
 			worst, worstScore = i, m
 		}
 	}

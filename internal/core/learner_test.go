@@ -41,10 +41,17 @@ func learner() learnerUnderTest {
 // Estimate returns the learned relief for an (app, variant) arm — 0 and
 // false if never credited.
 func (p learnerUnderTest) Estimate(app, variant int) (float64, bool) {
-	if a, ok := p.q[[2]int{app, variant}]; ok && a.visits > 0 {
+	k := p.arm(app, variant) // may grow p.arms: index it after
+	if a := p.arms[k]; a.visits > 0 {
 		return a.mean, true
 	}
 	return 0, false
+}
+
+// setArm implants a learned estimate for an (app, variant) arm.
+func (p learnerUnderTest) setArm(app, variant int, mean float64, visits int) {
+	k := p.arm(app, variant) // may grow p.arms: index it after
+	p.arms[k] = armEstimate{mean: mean, visits: visits}
 }
 
 func TestLearnerEscalatesIncrementally(t *testing.T) {
@@ -84,10 +91,8 @@ func TestLearnerPrefersProvenArm(t *testing.T) {
 	_ = p.Decide(snapWithP99(3.0, a, b)) // some first action
 	// Manually implant estimates (the public Estimate path is read-only, so
 	// replay history instead): app0→v1 credited with big relief.
-	p.arm(0, 1).mean = 2.0
-	p.arm(0, 1).visits = 3
-	p.arm(1, 1).mean = 0.01
-	p.arm(1, 1).visits = 3
+	p.setArm(0, 1, 2.0, 3)
+	p.setArm(1, 1, 0.01, 3)
 
 	acts := p.Decide(snapWithP99(2.5, a, b))
 	if len(acts) != 1 || acts[0].App != 0 {
@@ -113,10 +118,8 @@ func TestLearnerRelaxesWorstArm(t *testing.T) {
 	p.explore = 0
 	a := appView(2, 4, 4, 0) // current variant 2
 	b := appView(2, 4, 4, 0)
-	p.arm(0, 2).mean = 1.5 // app0's current variant delivers big relief
-	p.arm(0, 2).visits = 2
-	p.arm(1, 2).mean = 0.05 // app1's delivers almost nothing
-	p.arm(1, 2).visits = 2
+	p.setArm(0, 2, 1.5, 2)  // app0's current variant delivers big relief
+	p.setArm(1, 2, 0.05, 2) // app1's delivers almost nothing
 	acts := p.Decide(snapWithP99(0.2, a, b))
 	if len(acts) != 1 || acts[0].Kind != SwitchVariant || acts[0].App != 1 || acts[0].To != 1 {
 		t.Fatalf("acts = %v, want step-down on the useless arm (app 1)", acts)
@@ -129,8 +132,7 @@ func TestLearnerExplorationPrefersUnvisited(t *testing.T) {
 	b := appView(0, 4, 4, 0)
 	// App 0's first step is known mediocre; app 1 never tried. With the
 	// default optimism, the unvisited arm wins.
-	p.arm(0, 1).mean = 0.05
-	p.arm(0, 1).visits = 5
+	p.setArm(0, 1, 0.05, 5)
 	p.trials = 5
 	acts := p.Decide(snapWithP99(2.0, a, b))
 	if len(acts) != 1 || acts[0].App != 1 {

@@ -77,8 +77,8 @@ const (
 
 // Init (re)initialises c in place to the state a fresh policy with arbiter
 // arb starts from. Only RoundRobin draws from rng, once, at the first
-// report; the others ignore it. The yield stack keeps its capacity and the
-// learner's arm table is cleared, not remade.
+// report; the others ignore it. The yield stack and the learner's arm table
+// are emptied but keep their capacity.
 func (c *Controller) Init(arb Arbiter, rng *sim.RNG) {
 	c.patience = DefaultSlackPatience
 	c.slackRun = 0
@@ -93,12 +93,7 @@ func (c *Controller) Init(arb Arbiter, rng *sim.RNG) {
 		c.arb = impactAware{}
 	case Learner:
 		c.name = "learner"
-		q := c.ucb.q
-		if q == nil {
-			q = make(map[[2]int]*armEstimate)
-		}
-		clear(q)
-		c.ucb = ucbLearner{explore: explorationBonus, q: q}
+		c.ucb = ucbLearner{explore: explorationBonus, arms: c.ucb.arms[:0], pending: -1}
 		c.arb = &c.ucb
 	default:
 		panic(fmt.Sprintf("core: unknown arbiter %d", arb))

@@ -94,8 +94,6 @@ func (e *swapEvent) OnEvent(_ sim.Time, arg uint64) {
 
 // swapTo performs the drwrap_replace-style pointer swap for every
 // approximated function, then switches the application model.
-//
-//pliant:hotpath
 func (p *Process) swapTo(variant int) {
 	if p.app.Done() {
 		return

@@ -170,25 +170,37 @@ func TestTooManyVariantsRejected(t *testing.T) {
 
 // A signal schedules its swap as a typed event and the swap itself only
 // switches the app model, so actuation allocates nothing once the engine's
-// arenas are warm.
+// arenas are warm. The pin counts the total over a batch of cycles, so
+// amortized growth fails it too, and each batch also lands a swap on a
+// finished process, the branch a live run reaches when an app completes
+// while its signal is in flight.
 func TestSwitchAndSwapAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	p := launchCanneal(t, eng)
+	done := launchCanneal(t, sim.NewEngine())
+	done.App().Advance(sim.Time(300 * sim.Second)) // run to completion
+	const n = 100
 	v := 1
-	cycle := func() {
-		if err := p.SwitchTo(v); err != nil {
-			t.Fatal(err)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			if err := p.SwitchTo(v); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run(eng.Now() + sim.Time(2*DefaultSwitchLatency))
+			if p.Variant() != v {
+				t.Fatalf("variant %d after the swap, want %d", p.Variant(), v)
+			}
+			v = 3 - v // alternate 1 and 2 so every swap is effective
 		}
-		eng.Run(eng.Now() + sim.Time(2*DefaultSwitchLatency))
-		if p.Variant() != v {
-			t.Fatalf("variant %d after the swap, want %d", p.Variant(), v)
-		}
-		v = 3 - v // alternate 1 and 2 so every swap is effective
-	}
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("SwitchTo plus the swap allocates %.1f times", avg)
+		done.swapTo(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("%d SwitchTo calls plus their swaps allocate %v times in total, want 0", n, allocs)
 	}
 	if p.App().Switches() == 0 {
 		t.Fatal("no swap landed")
+	}
+	if done.Variant() != 0 {
+		t.Fatal("a finished process switched variant")
 	}
 }

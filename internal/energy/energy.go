@@ -176,8 +176,6 @@ func (a *Accumulator) Reset(at sim.Time) {
 // Advance accrues energy at the given constant draw from the last observed
 // instant to now. Out-of-order instants are ignored rather than accruing
 // negative energy.
-//
-//pliant:hotpath
 func (a *Accumulator) Advance(now sim.Time, watts float64) {
 	if now <= a.last {
 		return

@@ -124,16 +124,26 @@ func TestAccumulatorIntegratesPower(t *testing.T) {
 
 // TestEnergyAccountingAllocFree pins the acceptance criterion: energy
 // accumulation is pure arithmetic on the telemetry path — zero allocations.
+// It counts the total over a batch of calls, so amortized growth (an append
+// that reallocates once in a hundred calls) fails it too. Each batch starts
+// from a reset accumulator and reaches both branches of Advance: an
+// in-order instant accrues, a repeated or earlier one is ignored.
 func TestEnergyAccountingAllocFree(t *testing.T) {
 	m := ModelFor(platform.TablePlatform())
 	var a Accumulator
-	a.Reset(0)
-	now := sim.Time(0)
-	avg := testing.AllocsPerRun(1000, func() {
-		now += sim.Time(sim.Second)
-		a.Advance(now, m.PowerAt(0.6, 1))
+	const n = 1000
+	allocs := testing.AllocsPerRun(1, func() {
+		a.Reset(0)
+		for i := 1; i <= n; i++ {
+			now := sim.Time(i) * sim.Time(sim.Second)
+			a.Advance(now, m.PowerAt(0.6, 1))
+			a.Advance(now-sim.Time(sim.Second), m.PowerAt(0.6, 1))
+		}
 	})
-	if avg != 0 {
-		t.Errorf("energy accounting allocates %.2f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("%d Advance calls allocate %v times in total, want 0", 2*n, allocs)
+	}
+	if want := sim.Time(n) * sim.Time(sim.Second); a.Last() != want {
+		t.Errorf("Last = %v after the batch, want %v", a.Last(), want)
 	}
 }

@@ -38,14 +38,31 @@ func TestEvaluateIntoMatchesEvaluate(t *testing.T) {
 	}
 }
 
+// TestEvaluateIntoAllocFree pins EvaluateInto at zero allocations over a
+// batch of calls, so amortized growth fails it as well as a per-call
+// allocation. The batch evaluates the contended mix alone and with a
+// tenant that overcommits the LLC, whose negative bandwidth demand counts
+// as zero and whose negative sensitivity is clamped to no slowdown, so
+// every branch runs.
 func TestEvaluateIntoAllocFree(t *testing.T) {
 	m, err := New(platform.TablePlatform())
 	if err != nil {
 		t.Fatal(err)
 	}
 	demands := contended()
-	slow := make([]float64, len(demands))
-	if avg := testing.AllocsPerRun(1000, func() { m.EvaluateInto(demands, slow) }); avg != 0 {
-		t.Fatalf("EvaluateInto allocates %.1f times per call", avg)
+	odd := append(contended(), Demand{Tenant: "c", LLCMB: 5, MemBWGBs: -1, Sensitivity: Sensitivity{LLC: -1, MemBW: -1}})
+	slow := make([]float64, len(odd))
+	const n = 1000
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			m.EvaluateInto(demands, slow)
+			m.EvaluateInto(odd, slow)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d EvaluateInto calls allocate %.1f times in total, want 0", 2*n, allocs)
+	}
+	if slow[len(odd)-1] != 1 {
+		t.Fatalf("negative-sensitivity slowdown %v, want the clamp to 1", slow[len(odd)-1])
 	}
 }

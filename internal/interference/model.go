@@ -149,8 +149,6 @@ func (m *Model) Evaluate(demands []Demand) Result {
 // Bandwidth: when the summed demand exceeds the achievable peak, memory
 // accesses queue; every tenant sees the same relative shortfall, weighted by
 // its bandwidth sensitivity.
-//
-//pliant:hotpath
 func (m *Model) EvaluateInto(demands []Demand, slow []float64) Pressure {
 	var p Pressure
 	for _, d := range demands {

@@ -144,7 +144,6 @@ func TestMapOrderFixture(t *testing.T)     { checkFixture(t, "testdata/maporder/
 func TestSpawnFixture(t *testing.T)        { checkFixture(t, "testdata/spawn/pump") }
 func TestAllowFixture(t *testing.T)        { checkFixture(t, "testdata/allow/sim") }
 func TestSeedflowFixture(t *testing.T)     { checkFixture(t, "testdata/seedflow/gen") }
-func TestHotpathAllocFixture(t *testing.T) { checkFixture(t, "testdata/hotpathalloc/hot") }
 
 // fixtureDirs lists every leaf fixture package under testdata.
 func fixtureDirs(t *testing.T) []string {
@@ -185,8 +184,7 @@ func TestFixturePackagesAreDirty(t *testing.T) {
 // positionDirs are the fixture packages the position pins and the
 // ordering pin lint together.
 var positionDirs = []string{
-	"testdata/wallclock/sim", "testdata/maporder/sched",
-	"testdata/seedflow/gen", "testdata/hotpathalloc/hot",
+	"testdata/wallclock/sim", "testdata/maporder/sched", "testdata/seedflow/gen",
 }
 
 // positionPin pins the exact file:line of one planted violation: the
@@ -226,13 +224,12 @@ func TestWallclockDiagnosticPosition(t *testing.T) {
 }
 
 // TestDataflowDiagnosticPositions pins one planted violation per rule that
-// follows values past a single call: map-order float accumulation, seed
-// flow and hot-path allocation.
+// follows values past a single call: map-order float accumulation and seed
+// flow.
 func TestDataflowDiagnosticPositions(t *testing.T) {
 	checkPins(t, lintDirs(t, positionDirs...), []positionPin{
 		{"maporder", "internal/lint/testdata/maporder/sched/floatsum.go", 9, "float accumulation"},
 		{"seedflow", "internal/lint/testdata/seedflow/gen/gen.go", 47, "rand.New"},
-		{"hotpathalloc", "internal/lint/testdata/hotpathalloc/hot/hot.go", 41, "fmt"},
 	})
 }
 
@@ -269,7 +266,7 @@ func TestFindingsSortedAndOrderIndependent(t *testing.T) {
 // TestDefaultRuleCatalog pins the suite's composition and order.
 func TestDefaultRuleCatalog(t *testing.T) {
 	want := []string{
-		"wallclock", "unseededrand", "maporder", "spawn", "seedflow", "hotpathalloc",
+		"wallclock", "unseededrand", "maporder", "spawn", "seedflow",
 	}
 	rules := lint.DefaultRules()
 	if len(rules) != len(want) {
@@ -279,23 +276,6 @@ func TestDefaultRuleCatalog(t *testing.T) {
 		if r.Name() != want[i] {
 			t.Errorf("DefaultRules[%d] = %s, want %s", i, r.Name(), want[i])
 		}
-	}
-}
-
-// TestHotpathAnnotationSet asserts the committed tree carries the hot-path
-// contract: at least five //pliant:hotpath annotations, each backed by an
-// AllocsPerRun runtime pin elsewhere in the test suite. Deleting the
-// annotations would silently disable the hotpathalloc gate; this test (and
-// a CI step over pliant-lint -json) makes that loud.
-func TestHotpathAnnotationSet(t *testing.T) {
-	l := getLoader(t)
-	dirs, err := l.Walk(l.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := lint.Hotpaths(loadDirs(t, dirs...))
-	if len(hot) < 5 {
-		t.Fatalf("repo has %d //pliant:hotpath annotations (%v), want at least 5", len(hot), hot)
 	}
 }
 
@@ -340,8 +320,6 @@ func TestRuleScoping(t *testing.T) {
 		{"seedflow", mod + "/cmd/pliant-run", false},
 		{"seedflow", mod + "/internal/sched", true},
 		{"seedflow", mod + "/examples/quickstart", false},
-		{"hotpathalloc", mod + "/internal/sim", true},
-		{"hotpathalloc", mod + "/cmd/pliant-sched", false},
 	}
 	for _, c := range cases {
 		r, ok := byName[c.rule]

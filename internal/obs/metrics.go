@@ -56,8 +56,6 @@ type Counter struct {
 }
 
 // Inc adds 1.
-//
-//pliant:hotpath
 func (c *Counter) Inc() { c.v++ }
 
 // Add adds d (must be non-negative to keep Prometheus semantics).
@@ -90,8 +88,6 @@ type Histogram struct {
 }
 
 // Observe records one value. Alloc-free.
-//
-//pliant:hotpath
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {

@@ -81,32 +81,50 @@ func int64sEqual(a, b []int64) bool {
 
 // TestTracerEmitAllocFree pins the record path at zero allocations — the
 // tracer rides the scheduler's per-decision path, so a single allocation per
-// record would dominate obs-on runs.
+// record would dominate obs-on runs. It counts the total over a batch of
+// records, so amortized growth fails it too. Each batch rewinds the ring,
+// fills it and laps it twice, so both branches of Emit run in the measured
+// batch.
 func TestTracerEmitAllocFree(t *testing.T) {
-	tr := NewTracer(1 << 10)
+	const capacity = 1 << 10
+	tr := NewTracer(capacity)
 	r := Record{At: 5, Kind: KindPlacement, Node: 2, Window: 1, A: 7, B: 3, C: 0}
-	allocs := testing.AllocsPerRun(2000, func() {
-		tr.Emit(r)
+	allocs := testing.AllocsPerRun(1, func() {
+		tr.ring, tr.n = tr.ring[:0], 0
+		for i := 0; i < 3*capacity; i++ {
+			tr.Emit(r)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Tracer.Emit allocates %v/op, want 0", allocs)
+		t.Fatalf("%d Tracer.Emit calls allocate %v times in total, want 0", 3*capacity, allocs)
+	}
+	if tr.Dropped() != 2*capacity {
+		t.Fatalf("Dropped = %d after lapping the ring twice, want %d", tr.Dropped(), 2*capacity)
 	}
 }
 
 // TestRegistryObserveAllocFree pins counter increments and histogram
-// observations — the metrics record path — at zero allocations.
+// observations — the metrics record path — at zero allocations, counted
+// over a batch of calls. The observed values fall below, between and above
+// the bucket bounds.
 func TestRegistryObserveAllocFree(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("pliant_test_total", "test counter")
 	g := reg.Gauge("pliant_test_depth", "test gauge")
 	h := reg.Histogram("pliant_test_ratio", "test histogram", []float64{0.5, 1, 2})
-	allocs := testing.AllocsPerRun(2000, func() {
-		c.Inc()
-		g.Set(3)
-		h.Observe(1.5)
+	const n = 1000
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			c.Inc()
+			g.Set(3)
+			h.Observe(0.25 * float64(i%12))
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("metrics record path allocates %v/op, want 0", allocs)
+		t.Fatalf("%d metric updates allocate %v times in total, want 0", 3*n, allocs)
+	}
+	if h.counts[0] == 0 || h.counts[len(h.counts)-1] == 0 {
+		t.Fatalf("bucket counts %v: the batch missed the lowest or the overflow bucket", h.counts)
 	}
 }
 

@@ -109,14 +109,11 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Emit appends one record, overwriting the oldest if the ring is full.
-//
-//pliant:hotpath
 func (t *Tracer) Emit(r Record) {
 	if int(r.Kind) < kindCount {
 		t.byKind[r.Kind]++
 	}
 	if len(t.ring) < cap(t.ring) {
-		//pliant:allow hotpathalloc — cap-guarded: the ring is preallocated at construction and this append never grows it
 		t.ring = append(t.ring, r)
 	} else {
 		t.ring[t.n%uint64(cap(t.ring))] = r

@@ -40,8 +40,6 @@ type FirstFit struct{}
 func (FirstFit) Name() string { return "first-fit" }
 
 // Place implements Policy.
-//
-//pliant:hotpath
 func (FirstFit) Place(_ Job, nodes []NodeState) int {
 	for i := range nodes {
 		if nodes[i].Free > 0 {
@@ -60,8 +58,6 @@ type BestFit struct{}
 func (BestFit) Name() string { return "best-fit" }
 
 // Place implements Policy.
-//
-//pliant:hotpath
 func (BestFit) Place(_ Job, nodes []NodeState) int {
 	best, bestFree := -1, math.MaxInt
 	for i := range nodes {
@@ -83,8 +79,6 @@ type Spread struct{}
 func (Spread) Name() string { return "spread-first" }
 
 // Place implements Policy.
-//
-//pliant:hotpath
 func (Spread) Place(_ Job, nodes []NodeState) int {
 	best, bestFree := -1, 0
 	for i := range nodes {
@@ -154,8 +148,6 @@ func PressureOf(p app.Profile) float64 {
 }
 
 // Place implements Policy.
-//
-//pliant:hotpath
 func (p TelemetryAware) Place(job Job, nodes []NodeState) int {
 	tol := p.Tolerance
 	if tol == nil {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/app"
@@ -153,9 +154,13 @@ func TestSpreadPicksEmptiestNode(t *testing.T) {
 }
 
 // TestPoliciesAllocFree pins the four built-in policies' Place at zero
-// allocations over a 256-node cluster view — the runtime half of their
-// //pliant:hotpath annotations. Every node has residents and telemetry, so
-// TelemetryAware walks its whole ranking path.
+// allocations, counted over a batch of calls so that amortized growth fails
+// it as well as a per-call allocation. The batch offers three 256-node
+// views that together reach every branch: a mixed view where every node has
+// residents and telemetry, so TelemetryAware walks its whole ranking path; a
+// full view with no free slot; and a hot view where every free node breaches
+// the admission threshold, offered to a fresh job (deferred) and to one
+// already deferred (forced onto the least-bad node).
 func TestPoliciesAllocFree(t *testing.T) {
 	free := make([]int, 256)
 	for i := range free {
@@ -167,15 +172,36 @@ func TestPoliciesAllocFree(t *testing.T) {
 		nodes[i].Pressure = 0.5
 		nodes[i].Telemetry = cluster.Telemetry{Reports: 1, P99OverQoS: 0.9 + float64(i%5)/10}
 	}
+	full := states(make([]int, len(free))...)
+	hot := slices.Clone(nodes)
+	for i := range hot {
+		hot[i].Telemetry.P99OverQoS = 2
+	}
 	j := testJob(t, "canneal")
+	deferred := j
+	deferred.Deferrals = 1
+	const n = 100
 	for _, p := range []Policy{FirstFit{}, BestFit{}, Spread{}, TelemetryAware{}} {
-		choice := -1
-		avg := testing.AllocsPerRun(100, func() { choice = p.Place(j, nodes) })
-		if avg != 0 {
-			t.Errorf("%s: %v allocs per Place, want 0", p.Name(), avg)
+		var choice, onFull, onHot, forced int
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < n; i++ {
+				choice = p.Place(j, nodes)
+				onFull = p.Place(j, full)
+				onHot = p.Place(j, hot)
+				forced = p.Place(deferred, hot)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %d Place calls allocate %v times in total, want 0", p.Name(), 4*n, allocs)
 		}
-		if choice < 0 {
+		if choice < 0 || forced < 0 {
 			t.Errorf("%s deferred on a cluster with free slots", p.Name())
+		}
+		if onFull != -1 {
+			t.Errorf("%s placed %d on a full cluster, want -1", p.Name(), onFull)
+		}
+		if gate := p.Name() == "telemetry-aware"; gate != (onHot < 0) {
+			t.Errorf("%s placed %d on an all-violating cluster", p.Name(), onHot)
 		}
 	}
 }

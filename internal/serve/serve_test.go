@@ -492,9 +492,49 @@ func TestSynthesizeJobsCap(t *testing.T) {
 	}
 }
 
+// TestFaultScheduleBound: Resolve refuses a fault plan whose expected
+// schedule exceeds maxFaultEvents, whether from a tiny MTTF over a long
+// horizon or from outages over a large domain, and passes the plans the
+// benchmarks and the CLI's documented churn run. Refusal happens before
+// NewRunner would compile the schedule.
+func TestFaultScheduleBound(t *testing.T) {
+	nodes := func(n int) []string {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = "memcached"
+		}
+		return names
+	}
+	wide := make([]OutageSpec, 4096) // 2·256 events each, twice maxFaultEvents
+	for i := range wide {
+		wide[i] = OutageSpec{AtSec: 1, Domain: 0, DurationSec: 1}
+	}
+	cases := []struct {
+		name string
+		sp   Spec
+		want string // "" = accepted
+	}{
+		{"tiny-mttf", Spec{MTTFSec: 1e-9, HorizonSec: 1e9}, "mttf_sec"},
+		{"wide-outages", Spec{Nodes: nodes(256), FaultDomain: 256, Outages: wide}, "outages"},
+		{"storm", Spec{Nodes: nodes(256), HorizonSec: 120, MTTFSec: 300, MTTRSec: 10}, ""},
+		{"cli-churn", Spec{MTTFSec: 120, MTTRSec: 15}, ""},
+		{"day-on-max-nodes", Spec{Nodes: nodes(maxNodes), HorizonSec: 86400, MTTFSec: 3600}, ""},
+	}
+	for _, c := range cases {
+		_, err := c.sp.Resolve()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err %v, want a refusal naming %s", c.name, err, c.want)
+		}
+	}
+}
+
 // TestSpecBoundsRejected: a horizon or epoch past what sim.Duration holds,
-// and a nodes list past maxNodes, are 400s that name the field, instead of
-// wrapping negative or sizing a cluster by body length.
+// a nodes list past maxNodes, and a fault plan past maxFaultEvents are 400s
+// that name the field, instead of wrapping negative, sizing a cluster by
+// body length or compiling billions of fault events.
 func TestSpecBoundsRejected(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Options{}))
 	defer ts.Close()
@@ -504,6 +544,7 @@ func TestSpecBoundsRejected(t *testing.T) {
 		{"horizon", `{"horizon_sec": 1e10}`, "horizon_sec"},
 		{"epoch", `{"epoch_sec": 1e10}`, "epoch_sec"},
 		{"nodes", `{"nodes": [` + strings.Repeat(`"nginx",`, maxNodes) + `"nginx"]}`, "nodes"},
+		{"faults", `{"mttf_sec": 1e-9, "horizon_sec": 1e9}`, "mttf_sec"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(c.body))

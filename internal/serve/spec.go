@@ -89,7 +89,8 @@ type Spec struct {
 	Autoscale string `json:"autoscale,omitempty"`
 
 	// Fault knobs, as -mttf/-mttr/-fault-domain/-outage/-retries/
-	// -trace-faults.
+	// -trace-faults. Resolve refuses a plan expected to compile to more
+	// than maxFaultEvents events.
 	MTTFSec     float64      `json:"mttf_sec,omitempty"`
 	MTTRSec     float64      `json:"mttr_sec,omitempty"`
 	FaultDomain int          `json:"fault_domain,omitempty"`
@@ -309,6 +310,13 @@ func (sp Spec) Resolve() (Resolved, error) {
 	if err != nil {
 		return Resolved{}, err
 	}
+	if plan != nil {
+		// Negated so NaN is refused too.
+		if n := faultEvents(plan, len(nodes), horizon); !(n <= maxFaultEvents) {
+			return Resolved{}, fmt.Errorf("serve: the fault plan (mttf_sec %g, mttr_sec %g, %d outages) expects about %.3g events over %d nodes and %g s, more than %d",
+				plan.MTTFSec, plan.MTTRSec, len(plan.Outages), n, len(nodes), horizon, maxFaultEvents)
+		}
+	}
 	cfg.Faults = plan
 
 	polNames := sp.Policies
@@ -492,6 +500,32 @@ func FaultPlanFor(fromTrace bool, tr *trace.Trace, horizonSec, mttf, mttr float6
 		return nil, nil
 	}
 	return &plan, nil
+}
+
+// maxFaultEvents caps the expected length of a session's fault schedule,
+// which NewRunner compiles whole before the first window at 32 bytes per
+// fault.Event. At maxSpecBytes/32 the schedule holds no more bytes than the
+// largest spec body, so a few JSON numbers cannot make a session hold more
+// than an upload could. The storm benchmark's plan (256 nodes, 120 s, MTTF
+// 300 s) expects about 200 events, and an hourly MTTF on maxNodes nodes
+// over a day about 200,000.
+const maxFaultEvents = maxSpecBytes / 32
+
+// faultEvents bounds the expected length of plan's compiled schedule on
+// nodes over horizonSec from above. Each node's crash/recover cycle yields
+// two events and lasts MTTF plus a repair that Compile floors at 1 s (an
+// unset MTTR counts as that floor), and each outage crashes and recovers
+// every node of its domain.
+func faultEvents(plan *fault.Plan, nodes int, horizonSec float64) float64 {
+	n := 0.0
+	if plan.MTTFSec > 0 {
+		n = 2 * float64(nodes) * horizonSec / (plan.MTTFSec + max(plan.MTTRSec, 1))
+	}
+	for _, o := range plan.Outages {
+		lo, hi := plan.DomainNodes(o.Domain, nodes)
+		n += 2 * float64(hi-lo)
+	}
+	return n
 }
 
 // maxSynthJobs caps TraceSpec.Synthesize.Jobs at the largest trace an inline

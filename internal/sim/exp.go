@@ -37,8 +37,6 @@ const (
 // gives 2^(j/256), j = k mod 256, as a float64 hi and a relative tail; a
 // degree-5 polynomial gives e^r - 1, and the result is scale + scale·tmp
 // with scale = hi·2^⌊k/256⌋ and tmp = tail + (e^r - 1).
-//
-//pliant:hotpath
 func exp(x float64) float64 {
 	kd := float64(x*expInvLn2N) + expShift
 	ki := math.Float64bits(kd) // the low bits hold k in two's complement

@@ -139,8 +139,6 @@ type zigLayer struct {
 
 // stdNorm returns a standard normal variate. 98.5% of tries land inside
 // their layer's rectangle and cost one Uint64 and no transcendental call.
-//
-//pliant:hotpath
 func (r *RNG) stdNorm() float64 {
 	for {
 		u := r.Uint64()
@@ -178,8 +176,6 @@ func (r *RNG) stdNorm() float64 {
 // stdExp returns a unit-mean exponential variate, by the same ziggurat over
 // exp(-x) with an unsigned 52-bit mantissa (97.8% of tries stop at the
 // rectangle).
-//
-//pliant:hotpath
 func (r *RNG) stdExp() float64 {
 	for {
 		u := r.Uint64()

@@ -265,16 +265,33 @@ func BenchmarkLogNormal(b *testing.B) {
 	}
 }
 
-// TestSamplersAllocFree pins the per-request samplers to zero allocations.
+// TestSamplersAllocFree pins the per-request samplers, and the exp they
+// share, at zero allocations over a batch of draws, so amortized growth
+// fails it as well as a per-call allocation. Each batch reseeds the
+// generator and draws enough that both ziggurats reach their tails and
+// wedges; exp also gets NaN, infinities, and arguments that overflow,
+// underflow or land in the subnormal range.
 func TestSamplersAllocFree(t *testing.T) {
 	r := NewRNG(1)
-	for name, f := range map[string]func(){
-		"Norm":      func() { sampleSink += r.Norm(0, 1) },
-		"Exp":       func() { sampleSink += r.Exp(1) },
-		"LogNormal": func() { sampleSink += r.LogNormal(0, 1) },
+	args := []float64{math.NaN(), math.Inf(-1), -750, -709.5, 0.5, 709.5, 750, math.Inf(1)}
+	const n = 1 << 16
+	for _, c := range []struct {
+		name string
+		draw func(i int) float64
+	}{
+		{"Norm", func(int) float64 { return r.Norm(0, 1) }},
+		{"Exp", func(int) float64 { return r.Exp(1) }},
+		{"LogNormal", func(int) float64 { return r.LogNormal(0, 1) }},
+		{"exp", func(i int) float64 { return exp(args[i%len(args)]) }},
 	} {
-		if avg := testing.AllocsPerRun(1000, f); avg != 0 {
-			t.Errorf("%s allocates %v allocs/op, want 0", name, avg)
+		allocs := testing.AllocsPerRun(1, func() {
+			r.Reseed(1)
+			for i := 0; i < n; i++ {
+				sampleSink += c.draw(i)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d %s draws allocate %v times in total, want 0", n, c.name, allocs)
 		}
 	}
 }

@@ -205,8 +205,6 @@ func (h *Histogram) bucketValue(i int) float64 { return h.table.values[i] }
 // Record adds one observation. Non-positive and NaN values are ignored:
 // latencies and durations are strictly positive in this codebase, so such a
 // value indicates a harmless sampling artifact rather than a datum.
-//
-//pliant:hotpath
 func (h *Histogram) Record(v float64) {
 	if math.IsNaN(v) || v <= 0 {
 		return

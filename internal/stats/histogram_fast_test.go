@@ -122,18 +122,34 @@ func TestTableSharedAcrossHistograms(t *testing.T) {
 	}
 }
 
+// TestRecordAllocFree pins Record at zero allocations over a batch of
+// calls, so amortized growth fails it as well as a per-call allocation.
+// Each batch starts from a reset histogram and reaches every branch: ignored
+// NaN and non-positive values, underflow below min, in-range values, values
+// past max, and new extremes on both sides.
 func TestRecordAllocFree(t *testing.T) {
 	h := NewLatencyHistogram()
-	v := 123456.7
-	avg := testing.AllocsPerRun(1000, func() {
-		h.Record(v)
-		v = v*1.37 + 101
-		if v > 1e12 {
-			v = 150
+	edge := []float64{math.NaN(), -1, 0, 50, 1e15, math.MaxFloat64}
+	const n = 1000
+	allocs := testing.AllocsPerRun(1, func() {
+		h.Reset()
+		v := 123456.7
+		for i := 0; i < n; i++ {
+			h.Record(v)
+			v = v*1.37 + 101
+			if v > 1e12 {
+				v = 150
+			}
+		}
+		for _, v := range edge {
+			h.Record(v)
 		}
 	})
-	if avg != 0 {
-		t.Fatalf("Record allocates %v allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Fatalf("%d Record calls allocate %v times in total, want 0", n+len(edge), allocs)
+	}
+	if h.underflow != 1 || h.Max() != math.MaxFloat64 {
+		t.Fatalf("underflow %d, max %v: the edge values did not land", h.underflow, h.Max())
 	}
 }
 
