@@ -13,7 +13,6 @@ import (
 
 	"github.com/approx-sched/pliant/internal/approx"
 	"github.com/approx-sched/pliant/internal/interference"
-	"github.com/approx-sched/pliant/internal/platform"
 	"github.com/approx-sched/pliant/internal/sim"
 )
 
@@ -391,14 +390,13 @@ const llcScaleExp = 0.75
 
 // Demand reports the application's current pressure on shared resources.
 // Finished applications exert no pressure.
-func (a *Instance) Demand(tenant platform.TenantID, now sim.Time) interference.Demand {
+func (a *Instance) Demand(now sim.Time) interference.Demand {
 	if a.finished {
-		return interference.Demand{Tenant: tenant, Sensitivity: a.prof.Sensitivity}
+		return interference.Demand{Sensitivity: a.prof.Sensitivity}
 	}
 	eff := a.variants[a.cur]
 	ph := a.phase(now)
 	return interference.Demand{
-		Tenant:      tenant,
 		LLCMB:       a.prof.LLCMB * math.Pow(eff.TrafficScale, llcScaleExp) * ph,
 		MemBWGBs:    a.prof.BWPerCoreGBs * float64(a.cores) * eff.TrafficScale * ph,
 		Sensitivity: a.prof.Sensitivity,

@@ -410,12 +410,12 @@ func TestVariantClampingAndSwitchCount(t *testing.T) {
 func TestDemandScalesWithVariantAndCores(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newTestInstance(t, eng, 8)
-	d0 := a.Demand("app", 0)
+	d0 := a.Demand(0)
 	if d0.LLCMB != 40 || d0.MemBWGBs != 16 {
 		t.Fatalf("precise demand = %+v", d0)
 	}
 	a.SetVariant(2) // traffic scale 0.5
-	d2 := a.Demand("app", 0)
+	d2 := a.Demand(0)
 	if d2.MemBWGBs != 8 {
 		t.Fatalf("approx bw = %v, want 8", d2.MemBWGBs)
 	}
@@ -423,7 +423,7 @@ func TestDemandScalesWithVariantAndCores(t *testing.T) {
 		t.Fatalf("approx llc = %v, want between 20 and 40 (sublinear)", d2.LLCMB)
 	}
 	a.SetCores(4)
-	if got := a.Demand("app", 0).MemBWGBs; got != 4 {
+	if got := a.Demand(0).MemBWGBs; got != 4 {
 		t.Fatalf("bw on 4 cores = %v, want 4", got)
 	}
 }
@@ -435,7 +435,7 @@ func TestFinishedAppExertsNoPressure(t *testing.T) {
 	if !a.Done() {
 		t.Fatal("not done after 100s")
 	}
-	d := a.Demand("app", eng.Now())
+	d := a.Demand(eng.Now())
 	if d.LLCMB != 0 || d.MemBWGBs != 0 {
 		t.Fatalf("finished app demand = %+v", d)
 	}
@@ -457,7 +457,7 @@ func TestPhaseOscillatesDemand(t *testing.T) {
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for s := 0.0; s < 10; s += 0.5 {
-		d := a.Demand("app", sim.Time(s*float64(sim.Second)))
+		d := a.Demand(sim.Time(s * float64(sim.Second)))
 		if d.MemBWGBs < lo {
 			lo = d.MemBWGBs
 		}

@@ -347,13 +347,8 @@ type scenario struct {
 
 	eng   *sim.Engine
 	rng   sim.RNG
-	alloc platform.Allocation
+	alloc platform.Allocation // slot svcSlot is the service's, slot i+1 app i's
 	model interference.Model
-
-	// tenants are the allocation IDs: the service first, then app i at
-	// index i+1. Built in build, read by every contention refresh.
-	svcTenant platform.TenantID
-	tenants   []platform.TenantID
 
 	// svcCfg is the service preset at the episode's time scale, taken from
 	// presets, which keeps each (class, time scale) the scenario has run,
@@ -376,7 +371,7 @@ type scenario struct {
 	trace     *stats.Trace
 
 	// Buffers reused across contention refreshes and policy reports:
-	// demands[0] and slow[0] are the service's, entry i+1 app i's.
+	// demands and slow are indexed by slot, like alloc.
 	demands      []interference.Demand
 	slow         []float64
 	views        []core.AppView
@@ -479,17 +474,13 @@ func build(cfg Config) (*scenario, error) {
 	}
 
 	// Fair initial allocation: the service and every app get equal shares.
-	s.svcTenant = "svc"
-	s.tenants = append(s.tenants[:0], s.svcTenant)
 	for i, name := range cfg.AppNames {
-		sl := &s.slots[i]
-		sl.data = cfg.Scratch.appData(name)
-		s.tenants = append(s.tenants, sl.data.tenant(i))
+		s.slots[i].data = cfg.Scratch.appData(name)
 	}
-	if err := s.alloc.FairShare(s.tenants...); err != nil {
+	if err := s.alloc.FairShare(n + 1); err != nil {
 		return nil, err
 	}
-	fairSvcCores := s.alloc.Cores(s.svcTenant)
+	fairSvcCores := s.alloc.Cores(svcSlot)
 
 	// Frequency state: lower states slow service and apps alike through the
 	// same multiplicative path contention uses, and the power curve draws
@@ -540,7 +531,7 @@ func build(cfg Config) (*scenario, error) {
 			// variant table is unaffected — effects are relative multipliers.
 			prof.NominalExecSec *= cfg.AppWorkScale[i]
 		}
-		cores := s.alloc.Cores(s.tenantOf(i))
+		cores := s.alloc.Cores(i + 1)
 		s.rng.SplitInto(&sl.rng, uint64(10+i))
 		if err := sl.inst.Init(s.eng, &sl.rng, prof, variants, cores, s.finishFn); err != nil {
 			return nil, err
@@ -626,19 +617,20 @@ func (s *scenario) appFinished() {
 	}
 }
 
-// tenantOf returns the allocation tenant ID for app index i.
-func (s *scenario) tenantOf(i int) platform.TenantID { return s.tenants[i+1] }
+// svcSlot is the service's tenant slot in the allocation and the
+// contention buffers; app i is at slot i+1.
+const svcSlot = 0
 
 // refreshContention recomputes the interference model from current demands
 // and pushes slowdowns into the service and every app.
 func (s *scenario) refreshContention() {
 	now := s.eng.Now()
-	s.demands = append(s.demands[:0], s.svc.Demand(s.svcTenant))
+	s.demands = append(s.demands[:0], s.svc.Demand())
 	for i := range s.slots {
-		s.demands = append(s.demands, s.slots[i].inst.Demand(s.tenantOf(i), now))
+		s.demands = append(s.demands, s.slots[i].inst.Demand(now))
 	}
 	s.model.EvaluateInto(s.demands, s.slow)
-	s.svc.SetSlowdown(s.slow[0] * s.freqSlow)
+	s.svc.SetSlowdown(s.slow[svcSlot] * s.freqSlow)
 	for i := range s.slots {
 		s.slots[i].inst.SetSlowdown(s.slow[i+1] * s.freqSlow)
 	}
@@ -787,30 +779,30 @@ func (s *scenario) apply(act core.Action) error {
 			return fmt.Errorf("%v on app %s: %w", act, sl.data.name, err)
 		}
 	case core.ReclaimCore:
-		tenant := s.tenantOf(act.App)
-		if s.alloc.Cores(tenant) <= s.cfg.MinAppCores {
+		slot := act.App + 1
+		if s.alloc.Cores(slot) <= s.cfg.MinAppCores {
 			return nil
 		}
-		if err := s.alloc.Move(tenant, s.svcTenant, 1); err != nil {
+		if err := s.alloc.Move(slot, svcSlot, 1); err != nil {
 			return fmt.Errorf("%v: %w", act, err)
 		}
 		sl.yielded++
 		if sl.yielded > sl.maxYield {
 			sl.maxYield = sl.yielded
 		}
-		sl.inst.SetCores(s.alloc.Cores(tenant))
-		s.svc.SetCores(s.alloc.Cores(s.svcTenant))
+		sl.inst.SetCores(s.alloc.Cores(slot))
+		s.svc.SetCores(s.alloc.Cores(svcSlot))
 	case core.ReturnCore:
 		if sl.yielded == 0 {
 			return nil
 		}
-		tenant := s.tenantOf(act.App)
-		if err := s.alloc.Move(s.svcTenant, tenant, 1); err != nil {
+		slot := act.App + 1
+		if err := s.alloc.Move(svcSlot, slot, 1); err != nil {
 			return fmt.Errorf("%v: %w", act, err)
 		}
 		sl.yielded--
-		sl.inst.SetCores(s.alloc.Cores(tenant))
-		s.svc.SetCores(s.alloc.Cores(s.svcTenant))
+		sl.inst.SetCores(s.alloc.Cores(slot))
+		s.svc.SetCores(s.alloc.Cores(svcSlot))
 	default:
 		return fmt.Errorf("%v has an unknown kind", act)
 	}

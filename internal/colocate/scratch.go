@@ -1,12 +1,9 @@
 package colocate
 
 import (
-	"fmt"
-
 	"github.com/approx-sched/pliant/internal/app"
 	"github.com/approx-sched/pliant/internal/approx"
 	"github.com/approx-sched/pliant/internal/dse"
-	"github.com/approx-sched/pliant/internal/platform"
 )
 
 // Scratch is a reusable episode arena. It owns the whole simulated world of
@@ -17,9 +14,11 @@ import (
 // (with its arbiters' state and its action buffer), whole-run histogram,
 // result trace (with its point buffers), per-interval p99 buffer,
 // contention and policy buffers and result rows; and per app slot, the
-// application instance and its instrumented process. Across episodes it
-// also keeps, per application name, the resolved catalog profile and
-// variant table, the trace series keys and the tenant IDs. An online
+// application instance and its instrumented process. A tenant is a slot:
+// the core allocation and the contention buffers hold the service at slot 0
+// and app i at slot i+1, so nothing names a tenant but its index. Across
+// episodes the Scratch also keeps, per application name, the resolved
+// catalog profile and variant table and the trace series keys. An online
 // scheduler runs thousands of short colocation episodes; threading one
 // Scratch per worker through Config.Scratch lets every episode after the
 // first re-initialise this state in place instead of allocating it.
@@ -69,12 +68,11 @@ func (sc *Scratch) appData(name string) *appData {
 }
 
 // appData is what describes an application name independently of any one
-// episode: its trace series keys, its tenant ID at each slot index, and,
-// once resolved from the catalog, its profile and shared variant table.
+// episode and of the slot it runs in: its trace series keys and, once
+// resolved from the catalog, its profile and shared variant table.
 type appData struct {
-	name    string
-	keys    seriesKeys
-	tenants []platform.TenantID // tenants[i] is the ID at slot i, "" until first use
+	name string
+	keys seriesKeys
 
 	// prof is the catalog profile (with its own Sites copy), valid once
 	// variants is non-nil. Both are read-only: a resumed job scales
@@ -88,17 +86,6 @@ func newAppData(name string) *appData {
 		name: name,
 		keys: seriesKeys{variant: "variant." + name, yielded: "yielded." + name},
 	}
-}
-
-// tenant returns the allocation tenant ID of this application at slot i.
-func (d *appData) tenant(i int) platform.TenantID {
-	for len(d.tenants) <= i {
-		d.tenants = append(d.tenants, "")
-	}
-	if d.tenants[i] == "" {
-		d.tenants[i] = platform.TenantID(fmt.Sprintf("app%d:%s", i, d.name))
-	}
-	return d.tenants[i]
 }
 
 // resolve returns the application's profile and variant table. A profile in

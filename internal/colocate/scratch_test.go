@@ -208,9 +208,12 @@ func TestWarmScratchEpisodeAllocs(t *testing.T) {
 }
 
 // BenchmarkEpisodeWarmScratch times one storm-shaped episode on a warm
-// Scratch, the configuration TestWarmScratchEpisodeAllocs pins.
+// Scratch, the configuration TestWarmScratchEpisodeAllocs pins: 30
+// intervals, over which the controller reclaims cores and switches
+// variants (at one interval it only observes).
 func BenchmarkEpisodeWarmScratch(b *testing.B) {
 	cfg := stormEpisode(b)
+	cfg.MaxDuration = 30 * sim.Second
 	cfg.Scratch = &Scratch{}
 	if _, err := Run(cfg); err != nil {
 		b.Fatal(err)

@@ -21,8 +21,6 @@ import (
 
 // Demand is one tenant's instantaneous pressure on shared resources.
 type Demand struct {
-	Tenant platform.TenantID
-
 	// LLCMB is the tenant's working-set demand on the shared LLC, in MB.
 	// When the sum across tenants exceeds capacity, everyone's effective
 	// occupancy shrinks proportionally and miss rates rise.
@@ -107,37 +105,9 @@ type Pressure struct {
 	BWOvercommit float64
 }
 
-// Result is the outcome of evaluating the model against a set of demands.
-type Result struct {
-	Pressure  Pressure
-	slowdowns map[platform.TenantID]float64
-}
-
-// Slowdown returns the multiplicative execution-time inflation for tenant
-// (1.0 = no interference). Unknown tenants return 1.0.
-func (r Result) Slowdown(t platform.TenantID) float64 {
-	if s, ok := r.slowdowns[t]; ok {
-		return s
-	}
-	return 1.0
-}
-
-// Evaluate computes the current slowdown for every tenant in demands. A
-// tenant listed twice gets the slowdown of its last demand.
-func (m *Model) Evaluate(demands []Demand) Result {
-	slow := make([]float64, len(demands))
-	res := Result{
-		Pressure:  m.EvaluateInto(demands, slow),
-		slowdowns: make(map[platform.TenantID]float64, len(demands)),
-	}
-	for i, d := range demands {
-		res.slowdowns[d.Tenant] = slow[i]
-	}
-	return res
-}
-
-// EvaluateInto is Evaluate without the per-call map: it writes the slowdown
-// of demands[i] to slow[i] (slow must be at least as long as demands) and
+// EvaluateInto computes the current slowdown of every tenant: it writes
+// the multiplicative execution-time inflation of demands[i] (1.0 = no
+// interference) to slow[i] (slow must be at least as long as demands) and
 // returns the pressure. Callers that refresh contention many times per run
 // reuse one slow buffer and allocate nothing.
 //

@@ -19,6 +19,12 @@ func model(t *testing.T) *Model {
 	return m
 }
 
+// eval returns the pressure and the slowdown at each slot of demands.
+func eval(m *Model, demands ...Demand) (Pressure, []float64) {
+	slow := make([]float64, len(demands))
+	return m.EvaluateInto(demands, slow), slow
+}
+
 func TestNewRejectsInvalidSpec(t *testing.T) {
 	bad := platform.TablePlatform()
 	bad.LLCMB = 0
@@ -43,50 +49,46 @@ func TestKneeStartsContentionEarly(t *testing.T) {
 	cap := m.Spec().LLCMB
 	// Demand at 90% of capacity: under proportional sharing there is no
 	// shortfall, but past the knee there is.
-	res := m.Evaluate([]Demand{
-		{Tenant: "a", LLCMB: cap * 0.9, Sensitivity: Sensitivity{LLC: 1}},
-	})
-	if got := res.Slowdown("a"); got <= 1.0 {
+	_, slow := eval(m, Demand{LLCMB: cap * 0.9, Sensitivity: Sensitivity{LLC: 1}})
+	if got := slow[0]; got <= 1.0 {
 		t.Fatalf("slowdown at 90%% occupancy = %v, want > 1 with knee", got)
 	}
 	// Demand below the knee: no contention.
-	res = m.Evaluate([]Demand{
-		{Tenant: "a", LLCMB: cap * 0.7, Sensitivity: Sensitivity{LLC: 1}},
-	})
-	if got := res.Slowdown("a"); got != 1.0 {
+	_, slow = eval(m, Demand{LLCMB: cap * 0.7, Sensitivity: Sensitivity{LLC: 1}})
+	if got := slow[0]; got != 1.0 {
 		t.Fatalf("slowdown at 70%% occupancy = %v, want 1.0", got)
 	}
 }
 
 func TestNoContentionNoSlowdown(t *testing.T) {
 	m := model(t)
-	res := m.Evaluate([]Demand{
-		{Tenant: "svc", LLCMB: 10, MemBWGBs: 5, Sensitivity: Sensitivity{LLC: 2, MemBW: 2}},
-		{Tenant: "app", LLCMB: 10, MemBWGBs: 5, Sensitivity: Sensitivity{LLC: 1, MemBW: 1}},
-	})
-	if got := res.Slowdown("svc"); got != 1.0 {
+	p, slow := eval(m,
+		Demand{LLCMB: 10, MemBWGBs: 5, Sensitivity: Sensitivity{LLC: 2, MemBW: 2}},
+		Demand{LLCMB: 10, MemBWGBs: 5, Sensitivity: Sensitivity{LLC: 1, MemBW: 1}},
+	)
+	if got := slow[0]; got != 1.0 {
 		t.Fatalf("uncontended svc slowdown = %v, want 1.0", got)
 	}
-	if got := res.Slowdown("app"); got != 1.0 {
+	if got := slow[1]; got != 1.0 {
 		t.Fatalf("uncontended app slowdown = %v, want 1.0", got)
 	}
-	if res.Pressure.LLCOvercommit != 0 || res.Pressure.BWOvercommit != 0 {
-		t.Fatalf("unexpected overcommit: %+v", res.Pressure)
+	if p.LLCOvercommit != 0 || p.BWOvercommit != 0 {
+		t.Fatalf("unexpected overcommit: %+v", p)
 	}
 }
 
 func TestLLCOvercommitSlowsSensitiveTenant(t *testing.T) {
 	m := model(t)
 	// Combined demand 110MB on a 55MB LLC: each tenant gets half its demand.
-	res := m.Evaluate([]Demand{
-		{Tenant: "svc", LLCMB: 55, Sensitivity: Sensitivity{LLC: 2}},
-		{Tenant: "app", LLCMB: 55, Sensitivity: Sensitivity{LLC: 0.5}},
-	})
+	_, slow := eval(m,
+		Demand{LLCMB: 55, Sensitivity: Sensitivity{LLC: 2}},
+		Demand{LLCMB: 55, Sensitivity: Sensitivity{LLC: 0.5}},
+	)
 	// Shortfall is 0.5 each; svc inflates by 1+2*0.5=2, app by 1.25.
-	if got := res.Slowdown("svc"); got != 2.0 {
+	if got := slow[0]; got != 2.0 {
 		t.Fatalf("svc slowdown = %v, want 2.0", got)
 	}
-	if got := res.Slowdown("app"); got != 1.25 {
+	if got := slow[1]; got != 1.25 {
 		t.Fatalf("app slowdown = %v, want 1.25", got)
 	}
 }
@@ -94,52 +96,56 @@ func TestLLCOvercommitSlowsSensitiveTenant(t *testing.T) {
 func TestBWOvercommit(t *testing.T) {
 	m := model(t)
 	peak := m.Spec().MemBWGBs
-	res := m.Evaluate([]Demand{
-		{Tenant: "svc", MemBWGBs: peak, Sensitivity: Sensitivity{MemBW: 1}},
-		{Tenant: "app", MemBWGBs: peak, Sensitivity: Sensitivity{MemBW: 1}},
-	})
+	p, slow := eval(m,
+		Demand{MemBWGBs: peak, Sensitivity: Sensitivity{MemBW: 1}},
+		Demand{MemBWGBs: peak, Sensitivity: Sensitivity{MemBW: 1}},
+	)
 	// Each gets half its demand: shortfall 0.5, slowdown 1.5.
-	if got := res.Slowdown("svc"); got != 1.5 {
+	if got := slow[0]; got != 1.5 {
 		t.Fatalf("svc slowdown = %v, want 1.5", got)
 	}
-	if res.Pressure.BWOvercommit != 1.0 {
-		t.Fatalf("BWOvercommit = %v, want 1.0", res.Pressure.BWOvercommit)
+	if p.BWOvercommit != 1.0 {
+		t.Fatalf("BWOvercommit = %v, want 1.0", p.BWOvercommit)
 	}
 }
 
 func TestZeroDemandTenantUnaffected(t *testing.T) {
 	m := model(t)
-	res := m.Evaluate([]Demand{
-		{Tenant: "idle", LLCMB: 0, MemBWGBs: 0, Sensitivity: Sensitivity{LLC: 5, MemBW: 5}},
-		{Tenant: "hog1", LLCMB: 60, MemBWGBs: 80, Sensitivity: Sensitivity{LLC: 1, MemBW: 1}},
-		{Tenant: "hog2", LLCMB: 60, MemBWGBs: 80, Sensitivity: Sensitivity{LLC: 1, MemBW: 1}},
-	})
+	_, slow := eval(m,
+		Demand{LLCMB: 0, MemBWGBs: 0, Sensitivity: Sensitivity{LLC: 5, MemBW: 5}},
+		Demand{LLCMB: 60, MemBWGBs: 80, Sensitivity: Sensitivity{LLC: 1, MemBW: 1}},
+		Demand{LLCMB: 60, MemBWGBs: 80, Sensitivity: Sensitivity{LLC: 1, MemBW: 1}},
+	)
 	// A tenant that touches neither resource can't be slowed by them.
-	if got := res.Slowdown("idle"); got != 1.0 {
+	if got := slow[0]; got != 1.0 {
 		t.Fatalf("idle slowdown = %v, want 1.0", got)
 	}
-	if res.Slowdown("hog1") <= 1.0 {
+	if slow[1] <= 1.0 {
 		t.Fatal("contending tenant not slowed")
 	}
 }
 
+// A slot with no demand and no sensitivity — a tenant the model knows
+// nothing about — keeps slowdown 1.0 beside an overcommitting co-runner,
+// and evaluating no tenants reports no pressure.
 func TestUnknownTenantDefaultsToOne(t *testing.T) {
 	m := model(t)
-	res := m.Evaluate(nil)
-	if res.Slowdown("ghost") != 1.0 {
+	if p := m.EvaluateInto(nil, nil); p != (Pressure{}) {
+		t.Fatalf("pressure of no tenants = %+v, want zero", p)
+	}
+	_, slow := eval(m, Demand{}, Demand{LLCMB: 200, MemBWGBs: 200, Sensitivity: Sensitivity{LLC: 1, MemBW: 1}})
+	if slow[0] != 1.0 {
 		t.Fatal("unknown tenant should have slowdown 1.0")
 	}
 }
 
 func TestNegativeDemandClamped(t *testing.T) {
 	m := model(t)
-	res := m.Evaluate([]Demand{
-		{Tenant: "weird", LLCMB: -10, MemBWGBs: -10, Sensitivity: Sensitivity{LLC: 1, MemBW: 1}},
-	})
-	if res.Pressure.LLCDemandMB != 0 || res.Pressure.BWDemandGBs != 0 {
-		t.Fatalf("negative demand leaked into pressure: %+v", res.Pressure)
+	p, slow := eval(m, Demand{LLCMB: -10, MemBWGBs: -10, Sensitivity: Sensitivity{LLC: 1, MemBW: 1}})
+	if p.LLCDemandMB != 0 || p.BWDemandGBs != 0 {
+		t.Fatalf("negative demand leaked into pressure: %+v", p)
 	}
-	if res.Slowdown("weird") != 1.0 {
+	if slow[0] != 1.0 {
 		t.Fatal("negative demand produced slowdown")
 	}
 }
@@ -149,11 +155,11 @@ func TestReducingDemandReducesSlowdown(t *testing.T) {
 	// monotonically reduce the victim's slowdown.
 	m := model(t)
 	sens := Sensitivity{LLC: 1.5, MemBW: 1.2}
-	victim := Demand{Tenant: "svc", LLCMB: 20, MemBWGBs: 10, Sensitivity: sens}
+	victim := Demand{LLCMB: 20, MemBWGBs: 10, Sensitivity: sens}
 	prev := 1e18
 	for bw := 120.0; bw >= 0; bw -= 20 {
-		res := m.Evaluate([]Demand{victim, {Tenant: "app", LLCMB: 80, MemBWGBs: bw, Sensitivity: Sensitivity{LLC: 0.5, MemBW: 0.5}}})
-		s := res.Slowdown("svc")
+		_, slow := eval(m, victim, Demand{LLCMB: 80, MemBWGBs: bw, Sensitivity: Sensitivity{LLC: 0.5, MemBW: 0.5}})
+		s := slow[0]
 		if s > prev {
 			t.Fatalf("slowdown not monotone in co-runner bandwidth: %v after %v", s, prev)
 		}
@@ -165,19 +171,18 @@ func TestReducingDemandReducesSlowdown(t *testing.T) {
 func TestSlowdownBoundsProperty(t *testing.T) {
 	m := model(t)
 	f := func(llc1, bw1, llc2, bw2 uint16, sLLC, sBW uint8) bool {
-		res := m.Evaluate([]Demand{
-			{Tenant: "a", LLCMB: float64(llc1), MemBWGBs: float64(bw1),
+		_, slow := eval(m,
+			Demand{LLCMB: float64(llc1), MemBWGBs: float64(bw1),
 				Sensitivity: Sensitivity{LLC: float64(sLLC) / 16, MemBW: float64(sBW) / 16}},
-			{Tenant: "b", LLCMB: float64(llc2), MemBWGBs: float64(bw2),
+			Demand{LLCMB: float64(llc2), MemBWGBs: float64(bw2),
 				Sensitivity: Sensitivity{LLC: 1, MemBW: 1}},
-		})
-		for _, id := range []platform.TenantID{"a", "b"} {
-			s := res.Slowdown(id)
+		)
+		for i, s := range slow {
 			if s < 1 || s != s /* NaN */ {
 				return false
 			}
 			// Shortfall fractions are < 1, so slowdown < 1 + sLLC + sBW.
-			if id == "b" && s >= 3 {
+			if i == 1 && s >= 3 {
 				return false
 			}
 		}
@@ -190,8 +195,8 @@ func TestSlowdownBoundsProperty(t *testing.T) {
 
 func TestPressureString(t *testing.T) {
 	m := model(t)
-	res := m.Evaluate([]Demand{{Tenant: "x", LLCMB: 100, MemBWGBs: 100}})
-	if !strings.Contains(res.Pressure.String(), "llc=") {
-		t.Fatalf("Pressure.String() = %q", res.Pressure.String())
+	p, _ := eval(m, Demand{LLCMB: 100, MemBWGBs: 100})
+	if !strings.Contains(p.String(), "llc=") {
+		t.Fatalf("Pressure.String() = %q", p.String())
 	}
 }

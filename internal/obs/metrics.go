@@ -13,22 +13,19 @@ type Label struct {
 	Key, Value string
 }
 
-// instKind discriminates registry instruments.
-type instKind uint8
-
-const (
-	instCounter instKind = iota
-	instGauge
-	instHistogram
-)
-
 // instrument is the registry's shared bookkeeping for one metric.
 type instrument struct {
-	kind   instKind
 	name   string
 	help   string
 	labels []Label
 }
+
+// base returns the shared bookkeeping of the *Counter, *Gauge or
+// *Histogram that embeds m.
+func (m *instrument) base() *instrument { return m }
+
+// metric is a registered *Counter, *Gauge or *Histogram.
+type metric interface{ base() *instrument }
 
 // id renders the Prometheus-style identity "name{k="v",...}" used for
 // de-duplication, CSV headers, and the text exposition.
@@ -108,12 +105,8 @@ func (h *Histogram) Sum() float64 { return h.sum }
 // writer emits, so output bytes are deterministic — plus the window-boundary
 // snapshots the CSV export renders.
 type Registry struct {
-	order []*instrument
-	byID  map[string]interface{}
-
-	counters   map[*instrument]*Counter
-	gauges     map[*instrument]*Gauge
-	histograms map[*instrument]*Histogram
+	order []metric
+	byID  map[string]metric
 
 	// Window-boundary snapshots: snapTimes[i] is the boundary instant in
 	// seconds; snapRows[i] holds one value per scalar column (counters and
@@ -124,36 +117,27 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byID:       make(map[string]interface{}),
-		counters:   make(map[*instrument]*Counter),
-		gauges:     make(map[*instrument]*Gauge),
-		histograms: make(map[*instrument]*Histogram),
-	}
+	return &Registry{byID: make(map[string]metric)}
 }
 
 // Counter registers (or returns the existing) counter with the given
 // identity.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{instrument: instrument{kind: instCounter, name: name, help: help, labels: labels}}
+	c := &Counter{instrument: instrument{name: name, help: help, labels: labels}}
 	if got, ok := r.byID[c.id()]; ok {
 		return got.(*Counter)
 	}
-	r.byID[c.id()] = c
-	r.order = append(r.order, &c.instrument)
-	r.counters[&c.instrument] = c
+	r.add(c)
 	return c
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{instrument: instrument{kind: instGauge, name: name, help: help, labels: labels}}
+	g := &Gauge{instrument: instrument{name: name, help: help, labels: labels}}
 	if got, ok := r.byID[g.id()]; ok {
 		return got.(*Gauge)
 	}
-	r.byID[g.id()] = g
-	r.order = append(r.order, &g.instrument)
-	r.gauges[&g.instrument] = g
+	r.add(g)
 	return g
 }
 
@@ -161,7 +145,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // ascending upper bounds.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	h := &Histogram{
-		instrument: instrument{kind: instHistogram, name: name, help: help, labels: labels},
+		instrument: instrument{name: name, help: help, labels: labels},
 		bounds:     append([]float64(nil), bounds...),
 	}
 	if got, ok := r.byID[h.id()]; ok {
@@ -169,10 +153,14 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	}
 	sort.Float64s(h.bounds)
 	h.counts = make([]uint64, len(h.bounds)+1)
-	r.byID[h.id()] = h
-	r.order = append(r.order, &h.instrument)
-	r.histograms[&h.instrument] = h
+	r.add(h)
 	return h
+}
+
+// add registers a new instrument at the end of the registration order.
+func (r *Registry) add(m metric) {
+	r.byID[m.base().id()] = m
+	r.order = append(r.order, m)
 }
 
 // Snapshot records the current value of every instrument at boundary instant
@@ -181,14 +169,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 func (r *Registry) Snapshot(tSec float64) {
 	row := make([]float64, 0, r.columns())
 	for _, m := range r.order {
-		switch m.kind {
-		case instCounter:
-			row = append(row, r.counters[m].v)
-		case instGauge:
-			row = append(row, r.gauges[m].v)
-		case instHistogram:
-			h := r.histograms[m]
-			row = append(row, float64(h.n), h.sum)
+		switch m := m.(type) {
+		case *Counter:
+			row = append(row, m.v)
+		case *Gauge:
+			row = append(row, m.v)
+		case *Histogram:
+			row = append(row, float64(m.n), m.sum)
 		}
 	}
 	r.snapTimes = append(r.snapTimes, tSec)
@@ -202,7 +189,7 @@ func (r *Registry) Snapshots() int { return len(r.snapTimes) }
 func (r *Registry) columns() int {
 	n := 0
 	for _, m := range r.order {
-		if m.kind == instHistogram {
+		if _, ok := m.(*Histogram); ok {
 			n += 2
 		} else {
 			n++

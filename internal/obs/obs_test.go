@@ -65,6 +65,18 @@ func TestTracerRecordsSince(t *testing.T) {
 	if want := []int64{12, 13, 14, 15}; !int64sEqual(got, want) || cursor != 16 {
 		t.Fatalf("lagging drain = %v cursor %d, want %v cursor 16", got, cursor, want)
 	}
+
+	// A total that is not a multiple of the capacity: the oldest retained
+	// record, 15, sits mid-ring, so a slot off by the ring's base reads the
+	// wrong record.
+	emit(16, 19)
+	if got, next := drain(6); !int64sEqual(got, []int64{15, 16, 17, 18}) || next != 19 {
+		t.Fatalf("mid-ring lagging drain = %v cursor %d, want [15 16 17 18] cursor 19", got, next)
+	}
+	got, cursor = drain(cursor)
+	if want := []int64{16, 17, 18}; !int64sEqual(got, want) || cursor != 19 {
+		t.Fatalf("mid-ring drain = %v cursor %d, want %v cursor 19", got, cursor, want)
+	}
 }
 
 func int64sEqual(a, b []int64) bool {

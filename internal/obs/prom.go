@@ -25,26 +25,26 @@ func ftoa(v float64) string {
 func WriteMetricsProm(w io.Writer, r *Registry) error {
 	bw := bufio.NewWriter(w)
 	for _, m := range r.order {
-		fmt.Fprintf(bw, "# HELP %s %s\n", m.name, m.help)
-		switch m.kind {
-		case instCounter:
-			fmt.Fprintf(bw, "# TYPE %s counter\n", m.name)
-			fmt.Fprintf(bw, "%s %s\n", m.id(), ftoa(r.counters[m].v))
-		case instGauge:
-			fmt.Fprintf(bw, "# TYPE %s gauge\n", m.name)
-			fmt.Fprintf(bw, "%s %s\n", m.id(), ftoa(r.gauges[m].v))
-		case instHistogram:
-			h := r.histograms[m]
-			fmt.Fprintf(bw, "# TYPE %s histogram\n", m.name)
+		in := m.base()
+		fmt.Fprintf(bw, "# HELP %s %s\n", in.name, in.help)
+		switch m := m.(type) {
+		case *Counter:
+			fmt.Fprintf(bw, "# TYPE %s counter\n", in.name)
+			fmt.Fprintf(bw, "%s %s\n", in.id(), ftoa(m.v))
+		case *Gauge:
+			fmt.Fprintf(bw, "# TYPE %s gauge\n", in.name)
+			fmt.Fprintf(bw, "%s %s\n", in.id(), ftoa(m.v))
+		case *Histogram:
+			fmt.Fprintf(bw, "# TYPE %s histogram\n", in.name)
 			cum := uint64(0)
-			for i, ub := range h.bounds {
-				cum += h.counts[i]
-				fmt.Fprintf(bw, "%s %d\n", bucketID(m, ftoa(ub)), cum)
+			for i, ub := range m.bounds {
+				cum += m.counts[i]
+				fmt.Fprintf(bw, "%s %d\n", bucketID(in, ftoa(ub)), cum)
 			}
-			cum += h.counts[len(h.bounds)]
-			fmt.Fprintf(bw, "%s %d\n", bucketID(m, "+Inf"), cum)
-			fmt.Fprintf(bw, "%s %s\n", suffixedID(m, "_sum"), ftoa(h.sum))
-			fmt.Fprintf(bw, "%s %d\n", suffixedID(m, "_count"), h.n)
+			cum += m.counts[len(m.bounds)]
+			fmt.Fprintf(bw, "%s %d\n", bucketID(in, "+Inf"), cum)
+			fmt.Fprintf(bw, "%s %s\n", suffixedID(in, "_sum"), ftoa(m.sum))
+			fmt.Fprintf(bw, "%s %d\n", suffixedID(in, "_count"), m.n)
 		}
 	}
 	return bw.Flush()
@@ -74,10 +74,11 @@ func WriteMetricsCSV(w io.Writer, r *Registry) error {
 	cw := csv.NewWriter(w)
 	header := []string{"t_seconds"}
 	for _, m := range r.order {
-		if m.kind == instHistogram {
-			header = append(header, m.id()+"_count", m.id()+"_sum")
+		id := m.base().id()
+		if _, ok := m.(*Histogram); ok {
+			header = append(header, id+"_count", id+"_sum")
 		} else {
-			header = append(header, m.id())
+			header = append(header, id)
 		}
 	}
 	if err := cw.Write(header); err != nil {

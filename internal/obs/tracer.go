@@ -93,7 +93,8 @@ type Record struct {
 // Tracer is a bounded ring of Records. Emit is alloc-free and O(1); on
 // overflow the oldest records are overwritten (the newest tail of a run is
 // the interesting part of a truncated trace) and Dropped counts the loss —
-// deterministically, because emission order is deterministic.
+// deterministically, because emission order is deterministic. Record i
+// (counting from 0 over the whole run) always lives at ring[i % cap(ring)].
 type Tracer struct {
 	ring   []Record
 	n      uint64 // total records ever emitted
@@ -114,10 +115,9 @@ func (t *Tracer) Emit(r Record) {
 		t.byKind[r.Kind]++
 	}
 	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, r)
-	} else {
-		t.ring[t.n%uint64(cap(t.ring))] = r
+		t.ring = t.ring[:len(t.ring)+1] // until the ring wraps, n == len(ring)-1 here
 	}
+	t.ring[t.n%uint64(cap(t.ring))] = r
 	t.n++
 }
 
@@ -146,37 +146,11 @@ func (t *Tracer) CountOf(k Kind) uint64 {
 // gone (Dropped counts them), so a lagging consumer loses the oldest
 // records, never the ordering of the ones it gets.
 func (t *Tracer) RecordsSince(cursor uint64, fn func(Record)) uint64 {
-	if cursor >= t.n {
-		return t.n
-	}
-	oldest := t.n - uint64(len(t.ring))
-	if cursor < oldest {
-		cursor = oldest
-	}
-	if len(t.ring) > 0 {
-		base := t.n % uint64(cap(t.ring)) // write cursor == slot of the oldest retained record when wrapped
-		for i := cursor; i < t.n; i++ {
-			if t.n <= uint64(len(t.ring)) {
-				fn(t.ring[i])
-			} else {
-				fn(t.ring[(base+(i-oldest))%uint64(len(t.ring))])
-			}
-		}
+	for i := max(cursor, t.Dropped()); i < t.n; i++ {
+		fn(t.ring[i%uint64(cap(t.ring))])
 	}
 	return t.n
 }
 
 // Records calls fn over the retained records in emission order.
-func (t *Tracer) Records(fn func(Record)) {
-	if t.n <= uint64(len(t.ring)) {
-		for _, r := range t.ring {
-			fn(r)
-		}
-		return
-	}
-	// Wrapped: the oldest retained record sits at the write cursor.
-	start := int(t.n % uint64(cap(t.ring)))
-	for i := 0; i < len(t.ring); i++ {
-		fn(t.ring[(start+i)%len(t.ring)])
-	}
-}
+func (t *Tracer) Records(fn func(Record)) { t.RecordsSince(0, fn) }

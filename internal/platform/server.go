@@ -10,8 +10,6 @@ package platform
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 )
 
 // Spec describes a server model. All capacities refer to one socket, since
@@ -106,21 +104,19 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// TenantID identifies a colocated workload on a server.
-type TenantID string
-
-// Allocation tracks which cores each tenant owns on the colocation socket.
-// Core identity matters only for accounting; scheduling treats a tenant's
-// cores as fungible workers, exactly as cpuset pinning does at the modeled
-// granularity.
+// Allocation tracks how many cores each tenant owns on the colocation
+// socket. Tenants are slots: the colocation's service is slot 0 and app i
+// is slot i+1. Core identity matters only for accounting; scheduling treats
+// a tenant's cores as fungible workers, exactly as cpuset pinning does at
+// the modeled granularity. FairShare hands out every usable core and Move
+// only moves them, so the counts always sum to the spec's usable cores.
 type Allocation struct {
 	spec   Spec
-	counts map[TenantID]int
-	order  []TenantID
-	used   int // running sum of counts, so Free is O(1)
+	counts []int // counts[slot] is the tenant's core count
 }
 
-// NewAllocation returns an empty allocation over spec's usable cores.
+// NewAllocation returns an allocation over spec's usable cores with no
+// tenants.
 func NewAllocation(spec Spec) (*Allocation, error) {
 	a := &Allocation{}
 	if err := a.Init(spec); err != nil {
@@ -129,142 +125,52 @@ func NewAllocation(spec Spec) (*Allocation, error) {
 	return a, nil
 }
 
-// Init (re)initialises a in place to the empty allocation NewAllocation
-// builds, keeping its tenant map and order storage for reuse. On error a is
-// unchanged.
+// Init (re)initialises a in place to the allocation NewAllocation builds,
+// keeping its count storage for reuse. On error a is unchanged.
 func (a *Allocation) Init(spec Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if a.counts == nil {
-		a.counts = make(map[TenantID]int)
-	} else {
-		clear(a.counts)
-	}
 	a.spec = spec
-	a.order = a.order[:0]
-	a.used = 0
+	a.counts = a.counts[:0]
 	return nil
 }
 
 // Spec returns the server spec backing this allocation.
 func (a *Allocation) Spec() Spec { return a.spec }
 
-// Free returns the number of unassigned cores. The used total is maintained
-// incrementally, so this is O(1) — it sits on the controller's
-// reclaim/return path.
-func (a *Allocation) Free() int {
-	return a.spec.UsableCores() - a.used
-}
+// Cores returns the number of cores the tenant at slot owns.
+func (a *Allocation) Cores(slot int) int { return a.counts[slot] }
 
-// Cores returns the number of cores tenant currently owns.
-func (a *Allocation) Cores(t TenantID) int { return a.counts[t] }
-
-// Tenants returns tenant IDs in registration order.
-func (a *Allocation) Tenants() []TenantID {
-	return append([]TenantID(nil), a.order...)
-}
-
-// Grant gives n additional cores to tenant, registering it if new.
-func (a *Allocation) Grant(t TenantID, n int) error {
-	if n < 0 {
-		return fmt.Errorf("platform: negative grant %d to %s", n, t)
-	}
-	if n > a.Free() {
-		return fmt.Errorf("platform: granting %d cores to %s exceeds %d free", n, t, a.Free())
-	}
-	if _, ok := a.counts[t]; !ok {
-		a.order = append(a.order, t)
-	}
-	a.counts[t] += n
-	a.used += n
-	return nil
-}
-
-// Revoke takes n cores away from tenant. It fails rather than leave a tenant
-// with negative cores; revoking a tenant's last core is allowed (the paper
-// reclaims cores one at a time but never models suspending the app entirely —
-// callers enforce their own floor).
-func (a *Allocation) Revoke(t TenantID, n int) error {
-	if n < 0 {
-		return fmt.Errorf("platform: negative revoke %d from %s", n, t)
-	}
-	if a.counts[t] < n {
-		return fmt.Errorf("platform: revoking %d cores from %s which has %d", n, t, a.counts[t])
-	}
-	a.counts[t] -= n
-	a.used -= n
-	return nil
-}
-
-// Move transfers n cores from one tenant to another atomically.
-func (a *Allocation) Move(from, to TenantID, n int) error {
-	if err := a.Revoke(from, n); err != nil {
-		return err
-	}
-	if err := a.Grant(to, n); err != nil {
-		// Roll back; Grant can only fail on bookkeeping bugs since Revoke
-		// freed exactly n cores.
-		a.counts[from] += n
-		a.used += n
-		return err
-	}
-	return nil
-}
-
-// FairShare splits the usable cores evenly across the given tenants (the
+// FairShare splits the usable cores evenly across slots 0..tenants-1 (the
 // paper's starting state: "a fair allocation of cores"). Remainder cores go
-// to the earliest tenants. Existing assignments are replaced, reusing the
+// to the lowest slots. Existing assignments are replaced, reusing the
 // allocation's storage.
-func (a *Allocation) FairShare(tenants ...TenantID) error {
-	if len(tenants) == 0 {
-		return fmt.Errorf("platform: FairShare needs at least one tenant")
+func (a *Allocation) FairShare(tenants int) error {
+	if tenants < 1 {
+		return fmt.Errorf("platform: FairShare needs at least one tenant, got %d", tenants)
 	}
-	// A socket hosts a handful of tenants, so a pairwise duplicate check
-	// beats building a set.
-	for i, t := range tenants {
-		if slices.Contains(tenants[:i], t) {
-			return fmt.Errorf("platform: duplicate tenant %s", t)
-		}
-	}
-	clear(a.counts)
-	a.order = append(a.order[:0], tenants...)
-	a.used = 0
+	a.counts = slices.Grow(a.counts[:0], tenants)[:tenants]
 	total := a.spec.UsableCores()
-	base := total / len(tenants)
-	rem := total % len(tenants)
-	for i, t := range tenants {
-		c := base
+	base, rem := total/tenants, total%tenants
+	for i := range a.counts {
+		a.counts[i] = base
 		if i < rem {
-			c++
+			a.counts[i]++
 		}
-		a.counts[t] = c
-		a.used += c
 	}
 	return nil
 }
 
-// Snapshot returns a stable-ordered copy of the per-tenant core counts.
-func (a *Allocation) Snapshot() map[TenantID]int {
-	out := make(map[TenantID]int, len(a.counts))
-	for k, v := range a.counts {
-		out[k] = v
+// Move transfers n cores from slot from to slot to. It refuses, changing
+// nothing, a negative n or one larger than from owns; moving a tenant's last
+// core is allowed (the paper reclaims cores one at a time but never models
+// suspending the app entirely — callers enforce their own floor).
+func (a *Allocation) Move(from, to, n int) error {
+	if n < 0 || a.counts[from] < n {
+		return fmt.Errorf("platform: moving %d cores from slot %d which has %d", n, from, a.counts[from])
 	}
-	return out
-}
-
-// String renders the allocation compactly for traces and logs.
-func (a *Allocation) String() string {
-	ids := append([]TenantID(nil), a.order...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var b strings.Builder
-	b.WriteString("cores{")
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", id, a.counts[id])
-	}
-	fmt.Fprintf(&b, " free=%d}", a.Free())
-	return b.String()
+	a.counts[to] += n
+	a.counts[from] -= n
+	return nil
 }

@@ -1,7 +1,7 @@
 package platform
 
 import (
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -73,136 +73,100 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestAllocationGrantRevoke(t *testing.T) {
-	a, err := NewAllocation(TablePlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := a.Spec().UsableCores()
-	if a.Free() != total {
-		t.Fatalf("Free = %d, want %d", a.Free(), total)
-	}
-	if err := a.Grant("svc", 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Grant("app", 8); err != nil {
-		t.Fatal(err)
-	}
-	if a.Cores("svc") != 8 || a.Cores("app") != 8 {
-		t.Fatalf("cores: svc=%d app=%d", a.Cores("svc"), a.Cores("app"))
-	}
-	if a.Free() != total-16 {
-		t.Fatalf("Free = %d", a.Free())
-	}
-	if err := a.Grant("x", a.Free()+1); err == nil {
-		t.Fatal("overcommitting grant succeeded")
-	}
-	if err := a.Revoke("app", 3); err != nil {
-		t.Fatal(err)
-	}
-	if a.Cores("app") != 5 {
-		t.Fatalf("app cores = %d, want 5", a.Cores("app"))
-	}
-	if err := a.Revoke("app", 6); err == nil {
-		t.Fatal("over-revoke succeeded")
-	}
-	if err := a.Revoke("app", -1); err == nil {
-		t.Fatal("negative revoke succeeded")
-	}
-	if err := a.Grant("app", -1); err == nil {
-		t.Fatal("negative grant succeeded")
-	}
-}
-
 func TestAllocationMove(t *testing.T) {
 	a, _ := NewAllocation(TablePlatform())
-	if err := a.FairShare("svc", "app"); err != nil {
+	if err := a.FairShare(2); err != nil {
 		t.Fatal(err)
 	}
-	before := a.Cores("svc") + a.Cores("app")
-	if err := a.Move("app", "svc", 1); err != nil {
+	before := a.Cores(0) + a.Cores(1)
+	if err := a.Move(1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if a.Cores("svc")+a.Cores("app") != before {
+	if a.Cores(0)+a.Cores(1) != before {
 		t.Fatal("Move changed total core count")
 	}
-	if err := a.Move("app", "svc", 1000); err == nil {
+	if a.Cores(0) != 9 || a.Cores(1) != 7 {
+		t.Fatalf("cores after Move: svc=%d app=%d, want 9 and 7", a.Cores(0), a.Cores(1))
+	}
+	if err := a.Move(1, 0, 1000); err == nil {
 		t.Fatal("impossible Move succeeded")
+	}
+	if err := a.Move(1, 0, -1); err == nil {
+		t.Fatal("negative Move succeeded")
+	}
+	if a.Cores(0) != 9 || a.Cores(1) != 7 {
+		t.Fatalf("refused Moves changed the counts: svc=%d app=%d", a.Cores(0), a.Cores(1))
 	}
 }
 
 func TestFairShare(t *testing.T) {
 	a, _ := NewAllocation(TablePlatform())
-	if err := a.FairShare("svc", "a1", "a2"); err != nil {
+	if err := a.FairShare(3); err != nil {
 		t.Fatal(err)
 	}
 	total := a.Spec().UsableCores()
 	sum := 0
-	counts := []int{a.Cores("svc"), a.Cores("a1"), a.Cores("a2")}
+	counts := []int{a.Cores(0), a.Cores(1), a.Cores(2)}
 	for _, c := range counts {
 		sum += c
 	}
 	if sum != total {
 		t.Fatalf("fair share sums to %d, want %d", sum, total)
 	}
-	// No tenant differs from another by more than one core.
+	// No tenant differs from another by more than one core, and the
+	// remainder goes to the lowest slots.
 	for _, c := range counts {
 		if c < total/3 || c > total/3+1 {
 			t.Fatalf("unfair share: %v", counts)
 		}
 	}
-	if a.Free() != 0 {
-		t.Fatalf("Free = %d after fair share", a.Free())
+	if counts[0] != 6 || counts[1] != 5 || counts[2] != 5 {
+		t.Fatalf("fair share of 16 cores = %v, want [6 5 5]", counts)
 	}
-	if err := a.FairShare(); err == nil {
+	if err := a.FairShare(0); err == nil {
 		t.Fatal("FairShare with no tenants succeeded")
 	}
-	if err := a.FairShare("x", "x"); err == nil {
-		t.Fatal("FairShare with duplicate tenants succeeded")
-	}
 }
 
-func TestTenantsOrderAndSnapshot(t *testing.T) {
-	a, _ := NewAllocation(TablePlatform())
-	_ = a.Grant("b", 1)
-	_ = a.Grant("a", 2)
-	ts := a.Tenants()
-	if len(ts) != 2 || ts[0] != "b" || ts[1] != "a" {
-		t.Fatalf("Tenants = %v, want registration order [b a]", ts)
-	}
-	snap := a.Snapshot()
-	snap["b"] = 99
-	if a.Cores("b") != 1 {
-		t.Fatal("Snapshot aliases internal state")
-	}
-	if !strings.Contains(a.String(), "free=") {
-		t.Fatalf("String() = %q", a.String())
-	}
-}
-
-// Property: any sequence of grants/revokes keeps 0 <= used <= usable and
-// per-tenant counts non-negative.
+// Property: any sequence of FairShares (over any tenant count, reusing the
+// storage) and Moves keeps every count non-negative and their sum at the
+// usable cores, and a refused Move changes nothing.
 func TestAllocationInvariantProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
+	f := func(tenants uint8, ops []uint16) bool {
 		a, _ := NewAllocation(SmallPlatform())
-		tenants := []TenantID{"s", "x", "y"}
-		for _, op := range ops {
-			t := tenants[int(op)%len(tenants)]
-			n := int(op/16)%4 + 1
-			if op%2 == 0 {
-				_ = a.Grant(t, n) // errors allowed; invariants must hold regardless
-			} else {
-				_ = a.Revoke(t, n)
+		k := int(tenants)%6 + 1
+		if err := a.FairShare(k); err != nil {
+			return false
+		}
+		counts := func() []int {
+			c := make([]int, k)
+			for i := range c {
+				c[i] = a.Cores(i)
 			}
-			used := 0
-			for _, id := range tenants {
-				c := a.Cores(id)
+			return c
+		}
+		for _, op := range ops {
+			if op>>14 == 3 { // one op in four shares afresh
+				k = int(op)%6 + 1
+				if err := a.FairShare(k); err != nil {
+					return false
+				}
+			} else {
+				from, to := int(op)%k, int(op>>4)%k
+				n := int(op>>8)%8 - 1 // -1..6: refusals as well as moves
+				before := counts()
+				if err := a.Move(from, to, n); err != nil && !slices.Equal(counts(), before) {
+					return false
+				}
+			}
+			sum := 0
+			for _, c := range counts() {
 				if c < 0 {
 					return false
 				}
-				used += c
+				sum += c
 			}
-			if used > a.Spec().UsableCores() || a.Free() < 0 {
+			if sum != a.Spec().UsableCores() {
 				return false
 			}
 		}

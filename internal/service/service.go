@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"github.com/approx-sched/pliant/internal/interference"
-	"github.com/approx-sched/pliant/internal/platform"
 	"github.com/approx-sched/pliant/internal/sim"
 	"github.com/approx-sched/pliant/internal/workload"
 )
@@ -314,9 +313,8 @@ func (s *Instance) drainQueue() {
 // Allocated (not instantaneously busy) cores are used so the demand is a
 // stable per-interval quantity, the granularity at which the contention
 // model is evaluated.
-func (s *Instance) Demand(tenant platform.TenantID) interference.Demand {
+func (s *Instance) Demand() interference.Demand {
 	return interference.Demand{
-		Tenant:      tenant,
 		LLCMB:       s.cfg.LLCMB,
 		MemBWGBs:    s.cfg.BWPerCoreGBs * float64(s.cores),
 		Sensitivity: s.cfg.Sensitivity,

@@ -228,9 +228,9 @@ func TestDemandReportsPressure(t *testing.T) {
 	cfg.LLCMB = 12
 	cfg.BWPerCoreGBs = 1.5
 	svc, _ := New(eng, sim.NewRNG(1), cfg, 4, nil)
-	d := svc.Demand("svc")
-	if d.Tenant != "svc" {
-		t.Fatalf("tenant = %s", d.Tenant)
+	d := svc.Demand()
+	if d.Sensitivity != cfg.Sensitivity {
+		t.Fatalf("sensitivity = %+v, want the preset's %+v", d.Sensitivity, cfg.Sensitivity)
 	}
 	if d.LLCMB != 12 {
 		t.Fatalf("LLCMB = %v", d.LLCMB)
