@@ -35,12 +35,14 @@ package obs
 // Options sizes an Observer.
 type Options struct {
 	// TraceCapacity bounds the tracer ring (records kept; the newest win on
-	// overflow). 0 means DefaultTraceCapacity.
+	// overflow). The ring grows to it, not past what the run emits.
+	// 0 means DefaultTraceCapacity.
 	TraceCapacity int
 }
 
-// DefaultTraceCapacity holds a full diurnal day of a mid-size cluster's
-// decision records with comfortable headroom.
+// DefaultTraceCapacity bounds the ring at a full diurnal day of a mid-size
+// cluster's decision records with comfortable headroom. It is a limit, not
+// an allocation: the ring grows to what the run emits and stops here.
 const DefaultTraceCapacity = 1 << 16
 
 // Observer bundles the three observability channels one scheduling run

@@ -94,9 +94,11 @@ func int64sEqual(a, b []int64) bool {
 // TestTracerEmitAllocFree pins the record path at zero allocations — the
 // tracer rides the scheduler's per-decision path, so a single allocation per
 // record would dominate obs-on runs. It counts the total over a batch of
-// records, so amortized growth fails it too. Each batch rewinds the ring,
-// fills it and laps it twice, so both branches of Emit run in the measured
-// batch.
+// records. Each batch rewinds the ring, fills it and laps it twice, so the
+// fill and wrap branches of Emit run in the measured batch; the growth
+// branch runs only in AllocsPerRun's warm-up call, which grows the ring to
+// its capacity, and is covered by TestTracerReserveAllocsOnce and
+// FuzzTracerGrowth instead.
 func TestTracerEmitAllocFree(t *testing.T) {
 	const capacity = 1 << 10
 	tr := NewTracer(capacity)
@@ -300,7 +302,10 @@ func TestNewObserverDefaults(t *testing.T) {
 	if o.Tracer == nil || o.Metrics == nil || o.Profile == nil {
 		t.Fatal("New left a channel nil")
 	}
-	if cap(o.Tracer.ring) != DefaultTraceCapacity {
-		t.Fatalf("default capacity = %d", cap(o.Tracer.ring))
+	if o.Tracer.capacity != DefaultTraceCapacity {
+		t.Fatalf("default capacity = %d", o.Tracer.capacity)
+	}
+	if cap(o.Tracer.ring) != 0 {
+		t.Fatalf("New allocated a %d-record ring before any record", cap(o.Tracer.ring))
 	}
 }

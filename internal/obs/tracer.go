@@ -90,34 +90,57 @@ type Record struct {
 	A, B, C int64
 }
 
-// Tracer is a bounded ring of Records. Emit is alloc-free and O(1); on
-// overflow the oldest records are overwritten (the newest tail of a run is
-// the interesting part of a truncated trace) and Dropped counts the loss —
-// deterministically, because emission order is deterministic. Record i
-// (counting from 0 over the whole run) always lives at ring[i % cap(ring)].
+// Tracer is a bounded ring of Records. Emit is O(1); on overflow the oldest
+// records are overwritten (the newest tail of a run is the interesting part
+// of a truncated trace) and Dropped counts the loss — deterministically,
+// because emission order is deterministic. The capacity is a limit, not an
+// allocation: the backing array starts empty and grows by doubling to what
+// the run emits, at most to the capacity, and the ring wraps only once it
+// is full-size. So record i (counting from 0 over the whole run) always
+// lives at ring[i % capacity], and once the ring is full-size Emit makes no
+// allocations.
 type Tracer struct {
-	ring   []Record
-	n      uint64 // total records ever emitted
-	byKind [kindCount]uint64
+	ring     []Record
+	capacity int
+	n        uint64 // total records ever emitted
+	byKind   [kindCount]uint64
 }
 
-// NewTracer returns a tracer keeping at most capacity records.
+// NewTracer returns a tracer keeping at most capacity records. It allocates
+// no ring up front.
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]Record, 0, capacity)}
+	return &Tracer{capacity: max(capacity, 1)}
 }
 
-// Emit appends one record, overwriting the oldest if the ring is full.
+// Reserve makes room for the next n records, so that emitting them does not
+// allocate. Room past the capacity is never allocated (n is clamped to it:
+// Reserve(math.MaxInt) sizes the ring whole), since once the ring is
+// full-size Emit overwrites instead. Each growth at least doubles the
+// backing array, and the last one makes it exactly the capacity.
+func (t *Tracer) Reserve(n int) {
+	need := len(t.ring) + min(max(n, 0), t.capacity-len(t.ring))
+	if need <= cap(t.ring) {
+		return
+	}
+	grown := make([]Record, len(t.ring), min(t.capacity, max(need, 2*cap(t.ring))))
+	copy(grown, t.ring)
+	t.ring = grown
+}
+
+// Emit appends one record, overwriting the oldest if the ring is full. A
+// record that finds no room short of the capacity grows the ring through
+// Reserve, out of line.
 func (t *Tracer) Emit(r Record) {
 	if int(r.Kind) < kindCount {
 		t.byKind[r.Kind]++
 	}
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.capacity {
+		if len(t.ring) == cap(t.ring) {
+			t.Reserve(1)
+		}
 		t.ring = t.ring[:len(t.ring)+1] // until the ring wraps, n == len(ring)-1 here
 	}
-	t.ring[t.n%uint64(cap(t.ring))] = r
+	t.ring[t.n%uint64(t.capacity)] = r
 	t.n++
 }
 
@@ -147,7 +170,7 @@ func (t *Tracer) CountOf(k Kind) uint64 {
 // records, never the ordering of the ones it gets.
 func (t *Tracer) RecordsSince(cursor uint64, fn func(Record)) uint64 {
 	for i := max(cursor, t.Dropped()); i < t.n; i++ {
-		fn(t.ring[i%uint64(cap(t.ring))])
+		fn(t.ring[i%uint64(t.capacity)])
 	}
 	return t.n
 }

@@ -10,6 +10,8 @@
 package sched
 
 import (
+	"math"
+
 	"github.com/approx-sched/pliant/internal/autoscale"
 	"github.com/approx-sched/pliant/internal/fault"
 	"github.com/approx-sched/pliant/internal/obs"
@@ -95,6 +97,10 @@ func (s *run) initObs() {
 		}
 	}
 	if o.Tracer != nil && s.cfg.Trace != nil {
+		// A replayed trace is a cluster-scale run that wraps the ring: it
+		// gets the whole ring here, at set-up, rather than growing it
+		// window by window. Every other run grows the ring as it emits.
+		o.Tracer.Reserve(math.MaxInt) // clamped to the capacity
 		o.Tracer.Emit(obs.Record{
 			At: 0, Kind: obs.KindReplayDrop, Node: -1, Window: 0,
 			A: int64(s.cfg.Trace.Dropped), B: int64(s.cfg.Trace.Defaulted), C: int64(len(s.cfg.Trace.Jobs)),

@@ -59,6 +59,12 @@ func batchExports(t *testing.T, sp Spec, policy int) (jsonHash, csvHash string) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return exportHashes(t, out)
+}
+
+// exportHashes returns the JSON and CSV export hashes of one result.
+func exportHashes(t *testing.T, out sched.Result) (jsonHash, csvHash string) {
+	t.Helper()
 	var j, c bytes.Buffer
 	if err := export.WriteSchedResultJSON(&j, out); err != nil {
 		t.Fatal(err)

@@ -149,6 +149,11 @@ func (s *Server) CreateSession(sp Spec) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.startSession(res)
+}
+
+// startSession admits and starts a session of a resolved spec.
+func (s *Server) startSession(res Resolved) (*Session, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()

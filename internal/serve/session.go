@@ -47,6 +47,7 @@ type Session struct {
 	doneCh   chan struct{}
 	events   *hub
 	eventSeq uint64
+	finished bool // finish has reported the session; pump goroutine only
 
 	mu       sync.Mutex
 	state    SessionState
@@ -165,9 +166,15 @@ func (s *Session) Done() bool {
 
 // pump is the session goroutine: inject queued submissions, step every
 // engine one window in lockstep, publish the window's snapshots/verdict/SSE
-// frames, repeat to the horizon (or a stop), then drain and finalize.
+// frames, repeat to the horizon (or a stop), then drain and finalize. A
+// panic on it (a policy's or an autoscaler's) fails this session alone.
 func (s *Session) pump() {
 	defer close(s.doneCh)
+	defer func() {
+		if p := recover(); p != nil {
+			s.abort(p)
+		}
+	}()
 	var tick *time.Ticker
 	if s.res.PaceMS > 0 {
 		//pliant:allow wallclock — pace_ms is opt-in real-time pacing for wall-clock consumers; windows advance identically with or without it
@@ -301,7 +308,33 @@ func (s *Session) finish(err error, stopped bool) {
 	}
 	state := s.state
 	s.mu.Unlock()
+	s.finished = true
 	s.publishEvent("done", map[string]interface{}{"session": s.ID, "state": string(state)})
+	s.events.close()
+	if s.metrics != nil {
+		s.metrics.onSessionFinished()
+	}
+}
+
+// abort ends a session whose pump panicked. Its engines may have stopped
+// mid-window, so they are closed, not finalized, and the session keeps no
+// results; the panic is reported on its status and on the event stream. A
+// panic inside finish (a policy's, say, from Finalize) lands here too; one
+// after finish has reported the session leaves that report standing.
+func (s *Session) abort(p interface{}) {
+	if s.finished {
+		return
+	}
+	msg := fmt.Sprintf("serve: session %s panicked: %v", s.ID, p)
+	s.mu.Lock()
+	s.state = StateFailed
+	s.failMsg = msg
+	s.results = nil
+	s.mu.Unlock()
+	for _, r := range s.runners {
+		r.Close()
+	}
+	s.publishEvent("done", map[string]interface{}{"session": s.ID, "state": string(StateFailed), "error": msg})
 	s.events.close()
 	if s.metrics != nil {
 		s.metrics.onSessionFinished()

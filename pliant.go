@@ -399,9 +399,12 @@ type (
 type (
 	// Observer bundles the three observability channels for one run.
 	Observer = obs.Observer
-	// ObserverOptions tunes observer construction (trace ring capacity).
+	// ObserverOptions tunes observer construction (the trace ring's
+	// capacity, a limit the ring grows to rather than allocates up front).
 	ObserverOptions = obs.Options
-	// ObsTracer is the bounded, alloc-free virtual-time decision tracer.
+	// ObsTracer is the bounded virtual-time decision tracer: its ring grows
+	// by doubling to what the run emits, up to its capacity, and once it is
+	// full-size Emit makes no allocations.
 	ObsTracer = obs.Tracer
 	// ObsRecord is one fixed-size tracer record.
 	ObsRecord = obs.Record
