@@ -170,21 +170,11 @@ type Instance struct {
 	onFinish func()
 }
 
-// NewInstance creates an application instance. variants must begin with the
-// precise effect (TimeScale 1, Inaccuracy 0); the remainder must be ordered
-// from least to most approximate, as produced by the design-space
-// exploration.
-func NewInstance(eng *sim.Engine, rng *sim.RNG, prof Profile, variants []approx.Effect, cores int, onFinish func()) (*Instance, error) {
-	a := &Instance{}
-	if err := a.Init(eng, rng, prof, variants, cores, onFinish); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Init (re)initialises a in place to the state NewInstance builds, drawing
-// the phase shift from rng exactly as NewInstance does. On error a is
-// unchanged and rng has not been drawn from.
+// Init (re)initialises a in place as an application instance starting now,
+// drawing its phase shift from rng. variants must begin with the precise
+// effect (TimeScale 1, Inaccuracy 0); the remainder must be ordered from
+// least to most approximate, as produced by the design-space exploration.
+// On error a is unchanged and rng has not been drawn from.
 func (a *Instance) Init(eng *sim.Engine, rng *sim.RNG, prof Profile, variants []approx.Effect, cores int, onFinish func()) error {
 	if err := prof.Validate(); err != nil {
 		return err
@@ -226,9 +216,6 @@ func (a *Instance) Profile() Profile { return a.prof }
 // Effect returns the effect of variant i (0 = precise) without copying the
 // table; i must lie in [0, MostApproximate()].
 func (a *Instance) Effect(i int) approx.Effect { return a.variants[i] }
-
-// VariantCount returns the number of approximate (non-precise) variants.
-func (a *Instance) VariantCount() int { return len(a.variants) - 1 }
 
 // Variant returns the index of the active variant (0 = precise).
 func (a *Instance) Variant() int { return a.cur }

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -36,8 +37,14 @@ func testVariants() []approx.Effect {
 
 func newTestInstance(t *testing.T, eng *sim.Engine, cores int) *Instance {
 	t.Helper()
-	a, err := NewInstance(eng, sim.NewRNG(7), testProfile(), testVariants(), cores, nil)
-	if err != nil {
+	return newInstance(t, eng, sim.NewRNG(7), testProfile(), testVariants(), cores, nil)
+}
+
+// newInstance returns an instance initialised on eng.
+func newInstance(t *testing.T, eng *sim.Engine, rng *sim.RNG, prof Profile, variants []approx.Effect, cores int, onFinish func()) *Instance {
+	t.Helper()
+	a := &Instance{}
+	if err := a.Init(eng, rng, prof, variants, cores, onFinish); err != nil {
 		t.Fatal(err)
 	}
 	return a
@@ -271,33 +278,45 @@ func TestExecTimeOnScaling(t *testing.T) {
 	}
 }
 
-func TestNewInstanceValidation(t *testing.T) {
+// TestInitValidation re-initialises a running instance with each bad input:
+// every one is refused, leaves the instance as it was and draws nothing
+// from the rng it was given.
+func TestInitValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(1)
 	prof := testProfile()
-	if _, err := NewInstance(eng, rng, prof, nil, 4, nil); err == nil {
-		t.Fatal("empty variants accepted")
-	}
-	if _, err := NewInstance(eng, rng, prof, []approx.Effect{{TimeScale: 0.5}}, 4, nil); err == nil {
-		t.Fatal("non-precise first variant accepted")
-	}
+	a := newTestInstance(t, eng, 4)
+	a.SetVariant(1)
+	a.Advance(sim.Time(sim.Second))
+	before := fmt.Sprintf("%#v", *a)
 	unordered := []approx.Effect{approx.Precise(), {TimeScale: 0.5, TrafficScale: 1, Inaccuracy: 4}, {TimeScale: 0.7, TrafficScale: 1, Inaccuracy: 1}}
-	if _, err := NewInstance(eng, rng, prof, unordered, 4, nil); err == nil {
-		t.Fatal("unordered variants accepted")
-	}
-	if _, err := NewInstance(eng, rng, prof, testVariants(), 0, nil); err == nil {
-		t.Fatal("zero cores accepted")
+	for _, c := range []struct {
+		name     string
+		variants []approx.Effect
+		cores    int
+	}{
+		{"empty variants", nil, 4},
+		{"non-precise first variant", []approx.Effect{{TimeScale: 0.5}}, 4},
+		{"unordered variants", unordered, 4},
+		{"zero cores", testVariants(), 0},
+	} {
+		rng := sim.NewRNG(1)
+		if err := a.Init(eng, rng, prof, c.variants, c.cores, nil); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		if after := fmt.Sprintf("%#v", *a); after != before {
+			t.Fatalf("%s: refused Init changed the instance\n%s\nwant\n%s", c.name, after, before)
+		}
+		if got, want := rng.Uint64(), sim.NewRNG(1).Uint64(); got != want {
+			t.Fatalf("%s: refused Init drew from the rng", c.name)
+		}
 	}
 }
 
 func TestPreciseRunFinishesOnTime(t *testing.T) {
 	eng := sim.NewEngine()
 	finished := false
-	a, err := NewInstance(eng, sim.NewRNG(7), testProfile(), testVariants(), ReferenceCores,
+	a := newInstance(t, eng, sim.NewRNG(7), testProfile(), testVariants(), ReferenceCores,
 		func() { finished = true })
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Advance in steps to 10s: app should finish exactly at nominal time.
 	for s := 1; s <= 10; s++ {
 		eng.Schedule(sim.Time(s)*sim.Time(sim.Second), func() { a.Advance(eng.Now()) })
@@ -319,9 +338,10 @@ func TestApproximateRunIsFasterAndInaccurate(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newTestInstance(t, eng, ReferenceCores)
 	a.SetVariant(2) // TimeScale 0.5, Inaccuracy 4%
-	stop := eng.Ticker(100*sim.Millisecond, func(now sim.Time) { a.Advance(now) })
+	var tick sim.Ticker
+	tick.Start(eng, 100*sim.Millisecond, func(now sim.Time) { a.Advance(now) })
 	eng.Run(sim.Time(20 * sim.Second))
-	stop()
+	tick.Stop()
 	if !a.Done() {
 		t.Fatal("app did not finish")
 	}
@@ -342,9 +362,10 @@ func TestMixedVariantInaccuracyIsWorkWeighted(t *testing.T) {
 		}
 		a.SetVariant(2)
 	})
-	stop := eng.Ticker(250*sim.Millisecond, func(now sim.Time) { a.Advance(now) })
+	var tick sim.Ticker
+	tick.Start(eng, 250*sim.Millisecond, func(now sim.Time) { a.Advance(now) })
 	eng.Run(sim.Time(20 * sim.Second))
-	stop()
+	tick.Stop()
 	if !a.Done() {
 		t.Fatal("not done")
 	}
@@ -358,9 +379,10 @@ func TestMixedVariantInaccuracyIsWorkWeighted(t *testing.T) {
 func TestFewerCoresSlowProgress(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newTestInstance(t, eng, 4) // half of reference: 2x time at ParallelExp 1
-	stop := eng.Ticker(sim.Second, func(now sim.Time) { a.Advance(now) })
+	var tick sim.Ticker
+	tick.Start(eng, sim.Second, func(now sim.Time) { a.Advance(now) })
 	eng.Run(sim.Time(30 * sim.Second))
-	stop()
+	tick.Stop()
 	near(t, a.ExecTime(), 20*sim.Second)
 }
 
@@ -368,9 +390,10 @@ func TestSlowdownDilatesExecution(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newTestInstance(t, eng, ReferenceCores)
 	a.SetSlowdown(2.0)
-	stop := eng.Ticker(sim.Second, func(now sim.Time) { a.Advance(now) })
+	var tick sim.Ticker
+	tick.Start(eng, sim.Second, func(now sim.Time) { a.Advance(now) })
 	eng.Run(sim.Time(30 * sim.Second))
-	stop()
+	tick.Stop()
 	near(t, a.ExecTime(), 20*sim.Second)
 }
 
@@ -378,9 +401,10 @@ func TestInstrumentationOverheadDilates(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newTestInstance(t, eng, ReferenceCores)
 	a.SetInstrumented(0.10)
-	stop := eng.Ticker(100*sim.Millisecond, func(now sim.Time) { a.Advance(now) })
+	var tick sim.Ticker
+	tick.Start(eng, 100*sim.Millisecond, func(now sim.Time) { a.Advance(now) })
 	eng.Run(sim.Time(30 * sim.Second))
-	stop()
+	tick.Stop()
 	near(t, a.ExecTime(), 11*sim.Second)
 }
 
@@ -402,8 +426,8 @@ func TestVariantClampingAndSwitchCount(t *testing.T) {
 	if a.Switches() != 2 {
 		t.Fatalf("no-op switch counted: %d", a.Switches())
 	}
-	if a.VariantCount() != 2 {
-		t.Fatalf("VariantCount = %d", a.VariantCount())
+	if a.MostApproximate() != 2 {
+		t.Fatalf("MostApproximate = %d", a.MostApproximate())
 	}
 }
 
@@ -451,10 +475,7 @@ func TestPhaseOscillatesDemand(t *testing.T) {
 	prof := testProfile()
 	prof.PhaseAmp = 0.4
 	prof.PhasePeriodSec = 10
-	a, err := NewInstance(eng, sim.NewRNG(3), prof, testVariants(), 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newInstance(t, eng, sim.NewRNG(3), prof, testVariants(), 8, nil)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for s := 0.0; s < 10; s += 0.5 {
 		d := a.Demand(sim.Time(s * float64(sim.Second)))
@@ -482,10 +503,7 @@ func TestNonDeterministicVariantAddsNoise(t *testing.T) {
 	exceeded := false
 	for seed := uint64(0); seed < 10; seed++ {
 		eng := sim.NewEngine()
-		a, err := NewInstance(eng, sim.NewRNG(seed), prof, variants, 8, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := newInstance(t, eng, sim.NewRNG(seed), prof, variants, 8, nil)
 		a.SetVariant(1)
 		a.Advance(sim.Time(100 * sim.Second))
 		if !a.Done() {
@@ -508,8 +526,8 @@ func TestNonDeterministicVariantAddsNoise(t *testing.T) {
 func TestProgressMonotoneProperty(t *testing.T) {
 	f := func(seed uint64, steps []uint8) bool {
 		eng := sim.NewEngine()
-		a, err := NewInstance(eng, sim.NewRNG(seed), testProfile(), testVariants(), 4, nil)
-		if err != nil {
+		a := &Instance{}
+		if err := a.Init(eng, sim.NewRNG(seed), testProfile(), testVariants(), 4, nil); err != nil {
 			return false
 		}
 		now := sim.Time(0)

@@ -25,18 +25,9 @@ type Generator struct {
 	sent    uint64
 }
 
-// New creates a generator. Call Start to begin offering load.
-func New(eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.ArrivalProcess) (*Generator, error) {
-	g := &Generator{}
-	if err := g.Init(eng, rng, svc, arrival); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Init (re)initialises g in place to the state New builds: stopped, nothing
-// sent. No arrival of g may still be pending: run Init on a fresh or reset
-// engine. On error g is unchanged.
+// Init (re)initialises g in place, stopped with nothing sent; call Start to
+// begin offering load. No arrival of g may still be pending: run Init on a
+// fresh or reset engine. On error g is unchanged.
 func (g *Generator) Init(eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.ArrivalProcess) error {
 	if eng == nil || rng == nil || svc == nil || arrival == nil {
 		return fmt.Errorf("client: nil dependency")

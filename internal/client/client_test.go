@@ -25,24 +25,39 @@ func testService(eng *sim.Engine, onLat func(sim.Duration)) *service.Instance {
 	return svc
 }
 
-func TestNewValidation(t *testing.T) {
+// newGenerator returns a generator initialised on eng.
+func newGenerator(t *testing.T, eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.ArrivalProcess) *Generator {
+	t.Helper()
+	g := &Generator{}
+	if err := g.Init(eng, rng, svc, arrival); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestInitValidation re-initialises a running generator with each bad
+// input: every one is refused and leaves the generator as it was.
+func TestInitValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)
 	svc := testService(eng, nil)
-	if _, err := New(nil, rng, svc, workload.Uniform{QPS: 10}); err == nil {
-		t.Fatal("nil engine accepted")
-	}
-	if _, err := New(eng, nil, svc, workload.Uniform{QPS: 10}); err == nil {
-		t.Fatal("nil rng accepted")
-	}
-	if _, err := New(eng, rng, nil, workload.Uniform{QPS: 10}); err == nil {
-		t.Fatal("nil service accepted")
-	}
-	if _, err := New(eng, rng, svc, nil); err == nil {
-		t.Fatal("nil arrival accepted")
-	}
-	if _, err := New(eng, rng, svc, workload.Uniform{QPS: 0}); err == nil {
-		t.Fatal("zero-rate arrival accepted")
+	g := newGenerator(t, eng, rng, svc, workload.Uniform{QPS: 10})
+	g.Start()
+	eng.Run(sim.Time(sim.Second))
+	before := *g
+	for name, init := range map[string]func() error{
+		"nil engine":        func() error { return g.Init(nil, rng, svc, workload.Uniform{QPS: 10}) },
+		"nil rng":           func() error { return g.Init(eng, nil, svc, workload.Uniform{QPS: 10}) },
+		"nil service":       func() error { return g.Init(eng, rng, nil, workload.Uniform{QPS: 10}) },
+		"nil arrival":       func() error { return g.Init(eng, rng, svc, nil) },
+		"zero-rate arrival": func() error { return g.Init(eng, rng, svc, workload.Uniform{QPS: 0}) },
+	} {
+		if err := init(); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		if *g != before {
+			t.Fatalf("%s: refused Init changed the generator to %+v, want %+v", name, *g, before)
+		}
 	}
 }
 
@@ -50,10 +65,7 @@ func TestGeneratorOffersConfiguredLoad(t *testing.T) {
 	eng := sim.NewEngine()
 	served := 0
 	svc := testService(eng, func(sim.Duration) { served++ })
-	gen, err := New(eng, sim.NewRNG(3), svc, workload.Uniform{QPS: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := newGenerator(t, eng, sim.NewRNG(3), svc, workload.Uniform{QPS: 1000})
 	gen.Start()
 	eng.Run(sim.Time(2 * sim.Second))
 	// Uniform 1000 QPS for 2 seconds: 2000 arrivals (±1 boundary effect).
@@ -72,7 +84,7 @@ func TestPoissonLoadApproximatesRate(t *testing.T) {
 	eng := sim.NewEngine()
 	svc := testService(eng, nil)
 	arr, _ := workload.NewPoisson(5000)
-	gen, _ := New(eng, sim.NewRNG(4), svc, arr)
+	gen := newGenerator(t, eng, sim.NewRNG(4), svc, arr)
 	gen.Start()
 	eng.Run(sim.Time(4 * sim.Second))
 	want := 20000.0
@@ -85,7 +97,7 @@ func TestPoissonLoadApproximatesRate(t *testing.T) {
 func TestStopHaltsArrivals(t *testing.T) {
 	eng := sim.NewEngine()
 	svc := testService(eng, nil)
-	gen, _ := New(eng, sim.NewRNG(5), svc, workload.Uniform{QPS: 1000})
+	gen := newGenerator(t, eng, sim.NewRNG(5), svc, workload.Uniform{QPS: 1000})
 	gen.Start()
 	eng.Schedule(sim.Time(sim.Second), func() { gen.Stop() })
 	eng.Run(sim.Time(5 * sim.Second))
@@ -97,7 +109,7 @@ func TestStopHaltsArrivals(t *testing.T) {
 func TestStartIsIdempotent(t *testing.T) {
 	eng := sim.NewEngine()
 	svc := testService(eng, nil)
-	gen, _ := New(eng, sim.NewRNG(6), svc, workload.Uniform{QPS: 100})
+	gen := newGenerator(t, eng, sim.NewRNG(6), svc, workload.Uniform{QPS: 100})
 	gen.Start()
 	gen.Start() // must not double the offered load
 	eng.Run(sim.Time(sim.Second))

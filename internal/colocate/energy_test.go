@@ -1,6 +1,7 @@
 package colocate
 
 import (
+	"math"
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/energy"
@@ -131,6 +132,11 @@ func TestEnergyConfigValidation(t *testing.T) {
 	cfg.FreqGHz = -1
 	if _, err := Run(cfg); err == nil {
 		t.Error("negative FreqGHz validated")
+	}
+	cfg, _ = energyScenario(1)
+	cfg.FreqGHz = math.NaN()
+	if _, err := Run(cfg); err == nil {
+		t.Error("NaN FreqGHz validated")
 	}
 	cfg, model := energyScenario(1)
 	cfg.FreqGHz = model.FreqAt(model.Nominal()) + 1

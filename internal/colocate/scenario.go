@@ -188,10 +188,13 @@ func (c Config) Validate() error {
 	switch {
 	case len(c.AppNames) == 0:
 		return fmt.Errorf("colocate: no approximate applications")
-	case c.LoadFraction <= 0 || c.LoadFraction > 1.5:
+	case !slices.Contains(service.Classes(), c.Service):
+		return fmt.Errorf("colocate: unknown service class %d", int(c.Service))
+	// The range checks are negated so NaN is refused too.
+	case !(c.LoadFraction > 0 && c.LoadFraction <= 1.5):
 		return fmt.Errorf("colocate: load fraction %v outside (0, 1.5]", c.LoadFraction)
-	case c.TimeScale <= 0:
-		return fmt.Errorf("colocate: time scale must be positive")
+	case !(c.TimeScale > 0):
+		return fmt.Errorf("colocate: time scale %v must be positive", c.TimeScale)
 	case c.DecisionInterval < 10*sim.Millisecond:
 		return fmt.Errorf("colocate: decision interval %v too small", c.DecisionInterval)
 	case c.AppWorkScale != nil && len(c.AppWorkScale) != len(c.AppNames):
@@ -220,7 +223,7 @@ func (c Config) Validate() error {
 			return err
 		}
 		if nominal := c.EnergyModel.FreqAt(c.EnergyModel.Nominal()); c.FreqGHz != 0 &&
-			(c.FreqGHz < 0 || c.FreqGHz > nominal) {
+			!(c.FreqGHz > 0 && c.FreqGHz <= nominal) {
 			// Above-nominal frequencies would extrapolate the power curve and
 			// speed the node beyond the calibrated timing model.
 			return fmt.Errorf("colocate: frequency %v outside (0, nominal %v]", c.FreqGHz, nominal)

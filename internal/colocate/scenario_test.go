@@ -1,6 +1,7 @@
 package colocate
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -38,6 +39,19 @@ func TestConfigValidation(t *testing.T) {
 	bad.DecisionInterval = sim.Millisecond
 	if _, err := Run(bad); err == nil {
 		t.Fatal("sub-10ms interval accepted")
+	}
+	bad = fastCfg(service.NGINX, "canneal")
+	bad.LoadFraction = math.NaN()
+	if _, err := Run(bad); err == nil {
+		t.Fatal("NaN load accepted")
+	}
+	bad = fastCfg(service.NGINX, "canneal")
+	bad.TimeScale = math.NaN()
+	if _, err := Run(bad); err == nil {
+		t.Fatal("NaN time scale accepted")
+	}
+	if _, err := Run(fastCfg(service.Class(7), "canneal")); err == nil {
+		t.Fatal("unknown service class accepted")
 	}
 }
 

@@ -76,13 +76,8 @@ func TestReinitDecidesAsFresh(t *testing.T) {
 	script = append(script, repeat(0.4, 9)...)
 
 	const seed = 11
-	fresh := map[Arbiter]func() Policy{
-		RoundRobin:  func() Policy { return NewPliantPolicy(sim.NewRNG(seed)) },
-		ImpactAware: NewImpactAwarePolicy,
-		Learner:     NewLearnerPolicy,
-	}
 	for _, arb := range []Arbiter{RoundRobin, ImpactAware, Learner} {
-		want := drive(fresh[arb](), script)
+		want := drive(newController(arb, sim.NewRNG(seed)), script)
 		kinds := map[ActionKind]bool{}
 		for _, acts := range want {
 			for _, a := range acts {
@@ -107,7 +102,7 @@ func TestReinitDecidesAsFresh(t *testing.T) {
 		// is checked directly: the active arbiter's state is a fresh one's.
 		// The learner's arm table is compared by length, since Init keeps
 		// its capacity.
-		f := fresh[arb]().(*Controller)
+		f := newController(arb, sim.NewRNG(seed))
 		cu, fu := c.ucb, f.ucb
 		cu.arms, fu.arms = nil, nil
 		if arb == RoundRobin && !reflect.DeepEqual(c.rr, f.rr) ||

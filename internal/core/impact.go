@@ -1,19 +1,6 @@
 package core
 
-// NewImpactAwarePolicy returns the extension the paper sketches in Sec. 6.5:
-// instead of arbitrating among colocated approximate applications
-// round-robin, it considers the relative impact of approximation on each,
-// and adjusts quality/resources from the applications that are hurt the
-// least. Concretely, when penalizing it steps the application with the
-// lowest output-quality cost per variant step one level (rather than
-// jumping), reclaims cores from the largest application, and when reverting
-// restores the application whose quality is suffering most.
-func NewImpactAwarePolicy() Policy {
-	c := &Controller{}
-	c.Init(ImpactAware, nil)
-	return c
-}
-
+// impactAware is the ImpactAware arbiter.
 type impactAware struct{}
 
 func (impactAware) observe(Snapshot) {}

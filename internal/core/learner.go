@@ -12,28 +12,7 @@ const (
 	learnerAlpha     = 0.4
 )
 
-// NewLearnerPolicy returns the runtime-learning extension the paper sketches
-// in Sec. 6.5 for public-cloud settings where offline profiling is
-// impossible: "the relative impact of approximate versions can be learned at
-// runtime". The policy knows only each application's variant count — not
-// the variants' measured time/traffic effects — and learns online how much
-// tail-latency relief each (app, variant) pair delivers, from the monitor
-// reports that follow its own actuations.
-//
-// Mechanics: after switching app a to variant v, the next report's
-// normalized p99 improvement is credited to the (a, v) arm with an
-// exponential moving average. On violation the policy steps up the app whose
-// next arm has the best optimistic estimate (mean + exploration bonus, a
-// UCB1-style rule); core reclamation, from the largest app, remains the
-// fallback once all apps are saturated. On sustained slack it steps back the
-// app whose current arm has the worst learned relief, so quality is
-// restored where approximation demonstrably buys the least.
-func NewLearnerPolicy() Policy {
-	c := &Controller{}
-	c.Init(Learner, nil)
-	return c
-}
-
+// ucbLearner is the Learner arbiter.
 type ucbLearner struct {
 	explore float64       // optimism scale; 0 disables exploration
 	arms    []armEstimate // estimates, indexed by arm(app, target variant)

@@ -33,7 +33,7 @@ type learnerUnderTest struct {
 }
 
 func learner() learnerUnderTest {
-	c := NewLearnerPolicy().(*Controller)
+	c := newController(Learner, nil)
 	c.patience = 1
 	return learnerUnderTest{c, c.arb.(*ucbLearner)}
 }

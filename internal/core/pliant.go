@@ -64,14 +64,37 @@ type Arbiter int
 
 // The arbiters: the paper's and the two Sec. 6.5 extensions.
 const (
-	// RoundRobin is the paper's arbiter (Sec. 4.4), starting from a
-	// position drawn from the Init RNG.
+	// RoundRobin is the paper's arbiter (Sec. 4.3–4.4): on a violation it
+	// jumps one app straight to its most approximate variant, "to avoid
+	// prolonged degraded performance", and both that choice and core
+	// reclaims go round-robin from a position drawn from the Init RNG
+	// ("selected randomly").
 	RoundRobin Arbiter = iota
-	// ImpactAware acts on the app whose quality suffers least
-	// (NewImpactAwarePolicy).
+	// ImpactAware is the extension the paper sketches in Sec. 6.5: instead
+	// of arbitrating among colocated approximate applications round-robin,
+	// it considers the relative impact of approximation on each, and
+	// adjusts quality/resources from the applications that are hurt the
+	// least. Concretely, when penalizing it steps the application with the
+	// lowest output-quality cost per variant step one level (rather than
+	// jumping), reclaims cores from the largest application, and when
+	// reverting restores the application whose quality is suffering most.
 	ImpactAware
-	// Learner learns each variant's tail-latency relief online
-	// (NewLearnerPolicy).
+	// Learner is the runtime-learning extension the paper sketches in
+	// Sec. 6.5 for public-cloud settings where offline profiling is
+	// impossible: "the relative impact of approximate versions can be
+	// learned at runtime". It knows only each application's variant count —
+	// not the variants' measured time/traffic effects — and learns online
+	// how much tail-latency relief each (app, variant) pair delivers, from
+	// the monitor reports that follow its own actuations.
+	//
+	// Mechanics: after switching app a to variant v, the next report's
+	// normalized p99 improvement is credited to the (a, v) arm with an
+	// exponential moving average. On violation it steps up the app whose
+	// next arm has the best optimistic estimate (mean + exploration bonus, a
+	// UCB1-style rule); core reclamation, from the largest app, remains the
+	// fallback once all apps are saturated. On sustained slack it steps back
+	// the app whose current arm has the worst learned relief, so quality is
+	// restored where approximation demonstrably buys the least.
 	Learner
 )
 
@@ -98,16 +121,6 @@ func (c *Controller) Init(arb Arbiter, rng *sim.RNG) {
 	default:
 		panic(fmt.Sprintf("core: unknown arbiter %d", arb))
 	}
-}
-
-// NewPliantPolicy returns the paper's policy (Sec. 4.3–4.4): on a violation
-// it jumps one app straight to its most approximate variant, "to avoid
-// prolonged degraded performance", and both that choice and core reclaims
-// go round-robin from a position the RNG draws ("selected randomly").
-func NewPliantPolicy(rng *sim.RNG) Policy {
-	c := &Controller{}
-	c.Init(RoundRobin, rng)
-	return c
 }
 
 // Name identifies the policy in traces and reports.

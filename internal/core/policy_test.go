@@ -28,11 +28,18 @@ func appView(variant, most, cores, yielded int) AppView {
 	}
 }
 
+// newController returns a fresh controller running arb.
+func newController(arb Arbiter, rng *sim.RNG) *Controller {
+	c := &Controller{}
+	c.Init(arb, rng)
+	return c
+}
+
 // pliant returns the policy with the paper's literal revert rule (a single
 // high-slack interval triggers reversion) so the Fig. 3 transitions can be
 // asserted step by step. The hysteresis default is tested separately.
 func pliant() *Controller {
-	p := NewPliantPolicy(sim.NewRNG(1)).(*Controller)
+	p := newController(RoundRobin, sim.NewRNG(1))
 	p.patience = 1
 	return p
 }
@@ -232,7 +239,7 @@ func TestStaticApproxPinsMostApproximate(t *testing.T) {
 }
 
 func TestImpactAwarePicksCheapestApp(t *testing.T) {
-	p := NewImpactAwarePolicy()
+	p := newController(ImpactAware, nil)
 	cheap := appView(0, 4, 4, 0)
 	cheap.QualityPerStep = 0.1
 	dear := appView(0, 4, 4, 0)
@@ -248,7 +255,7 @@ func TestImpactAwarePicksCheapestApp(t *testing.T) {
 }
 
 func TestImpactAwareRevertsDearestFirst(t *testing.T) {
-	p := NewImpactAwarePolicy().(*Controller)
+	p := newController(ImpactAware, nil)
 	p.patience = 1
 	cheap := appView(2, 4, 4, 0)
 	cheap.QualityPerStep = 0.1
@@ -261,7 +268,7 @@ func TestImpactAwareRevertsDearestFirst(t *testing.T) {
 }
 
 func TestImpactAwareReclaimsFromLargestApp(t *testing.T) {
-	p := NewImpactAwarePolicy()
+	p := newController(ImpactAware, nil)
 	small := appView(4, 4, 2, 0)
 	big := appView(4, 4, 6, 0)
 	acts := p.Decide(snap(true, -0.5, small, big))
@@ -273,7 +280,7 @@ func TestImpactAwareReclaimsFromLargestApp(t *testing.T) {
 func TestSlackPatienceDelaysReverts(t *testing.T) {
 	// With the default hysteresis, reverts require SlackPatience consecutive
 	// high-slack intervals; any violation resets the count.
-	p := NewPliantPolicy(sim.NewRNG(1)).(*Controller)
+	p := newController(RoundRobin, sim.NewRNG(1))
 	p.patience = 3
 	a := appView(4, 4, 7, 1)
 	// Two high-slack intervals: no action yet.
@@ -297,7 +304,7 @@ func TestSlackPatienceDelaysReverts(t *testing.T) {
 		t.Fatal("revert did not fire after patience elapsed")
 	}
 	// In-band slack (≤ threshold) also resets the streak.
-	p2 := NewPliantPolicy(sim.NewRNG(1)).(*Controller)
+	p2 := newController(RoundRobin, sim.NewRNG(1))
 	p2.patience = 2
 	_ = p2.Decide(snap(false, 0.5, a))
 	_ = p2.Decide(snap(false, 0.05, a)) // hold: resets
@@ -327,7 +334,7 @@ func TestActionStrings(t *testing.T) {
 // the snapshot it was derived from.
 func TestPliantOneActionProperty(t *testing.T) {
 	f := func(seed uint64, steps []uint8) bool {
-		p := NewPliantPolicy(sim.NewRNG(seed)).(*Controller)
+		p := newController(RoundRobin, sim.NewRNG(seed))
 		p.patience = 1
 		apps := []AppView{appView(0, 4, 4, 0), appView(0, 6, 4, 0), appView(0, 2, 4, 0)}
 		svc := 4

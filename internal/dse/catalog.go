@@ -36,7 +36,7 @@ func VariantsFor(prof app.Profile) ([]approx.Effect, error) {
 // VariantTable is VariantsFor without the copy: for a catalog application it
 // returns the memoized table itself, shared by every caller and goroutine,
 // so callers must only read it. It serves the per-episode path, which hands
-// the table to app.NewInstance and reads it through Instance.Effect.
+// the table to app.Instance.Init and reads it through Instance.Effect.
 func VariantTable(prof app.Profile) ([]approx.Effect, error) {
 	if !app.IsCatalog(prof) {
 		return exploreVariants(prof)

@@ -77,7 +77,7 @@ type Result struct {
 
 // Variants returns the runtime effect table: precise first, then the
 // selected variants from least to most approximate — the ordering
-// app.NewInstance requires.
+// app.Instance.Init requires.
 func (r Result) Variants() []approx.Effect {
 	out := make([]approx.Effect, 0, len(r.Selected)+1)
 	out = append(out, approx.Precise())

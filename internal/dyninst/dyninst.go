@@ -34,26 +34,17 @@ type Process struct {
 	pending sim.EventID // the in-flight swap, superseded by a newer signal
 }
 
-// Launch places an application under the instrumentation substrate with the
-// given execution-time overhead (a fraction; the profile's DynOverhead for
-// the paper's figure) and returns the controllable process. The application
-// starts in precise mode.
-func Launch(eng *sim.Engine, a *app.Instance, overhead float64) (*Process, error) {
-	p := &Process{}
-	if err := p.Init(eng, a, overhead); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Init (re)initialises p in place as the process Launch returns, with no
-// swap pending; a swap p scheduled earlier must not be pending either (run
+// Init (re)initialises p in place as the controllable process of a, placing
+// the application under the instrumentation substrate with the given
+// execution-time overhead (a fraction; the profile's DynOverhead for the
+// paper's figure). The application starts in precise mode and no swap of p
+// is pending; a swap p scheduled earlier must not be pending either (run
 // Init on a fresh or reset engine). On error p and a are unchanged.
 func (p *Process) Init(eng *sim.Engine, a *app.Instance, overhead float64) error {
 	if eng == nil || a == nil {
 		return fmt.Errorf("dyninst: nil engine or app")
 	}
-	if n := a.VariantCount() + 1; n > maxVariants {
+	if n := a.MostApproximate() + 1; n > maxVariants {
 		return fmt.Errorf("dyninst: %s has %d variants, exceeding the real-time signal range",
 			a.Profile().Name, n)
 	}
@@ -70,7 +61,7 @@ func (p *Process) App() *app.Instance { return p.app }
 // before a pending swap lands supersedes it. Signals to finished
 // applications are ignored, as the process has exited.
 func (p *Process) SwitchTo(variant int) error {
-	if variant < 0 || variant > p.app.VariantCount() {
+	if variant < 0 || variant > p.app.MostApproximate() {
 		return fmt.Errorf("dyninst: %s has no variant %d", p.app.Profile().Name, variant)
 	}
 	if p.app.Done() {

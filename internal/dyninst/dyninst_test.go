@@ -1,6 +1,7 @@
 package dyninst
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/app"
@@ -19,24 +20,39 @@ func launchCanneal(t *testing.T, eng *sim.Engine) *Process {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := app.NewInstance(eng, sim.NewRNG(42), prof, variants, 8, nil)
-	if err != nil {
+	inst := &app.Instance{}
+	if err := inst.Init(eng, sim.NewRNG(42), prof, variants, 8, nil); err != nil {
 		t.Fatal(err)
 	}
-	p, err := Launch(eng, inst, inst.Profile().DynOverhead)
-	if err != nil {
+	p := &Process{}
+	if err := p.Init(eng, inst, prof.DynOverhead); err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-func TestLaunchValidation(t *testing.T) {
+// TestInitValidation re-initialises a process with a signal in flight with
+// each bad input: every one is refused and leaves the process and its app
+// as they were.
+func TestInitValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	if _, err := Launch(nil, nil, 0); err == nil {
+	p := launchCanneal(t, eng)
+	if err := p.SwitchTo(2); err != nil {
+		t.Fatal(err)
+	}
+	before, appBefore := *p, fmt.Sprintf("%#v", *p.App())
+	if err := p.Init(nil, nil, 0); err == nil {
 		t.Fatal("nil deps accepted")
 	}
-	if _, err := Launch(eng, nil, 0); err == nil {
+	if err := p.Init(eng, nil, 0); err == nil {
 		t.Fatal("nil app accepted")
+	}
+	if *p != before || fmt.Sprintf("%#v", *p.App()) != appBefore {
+		t.Fatalf("refused Init changed the process to %+v", *p)
+	}
+	eng.Run(sim.Time(sim.Second))
+	if p.Variant() != 2 {
+		t.Fatalf("variant = %d after refused Inits, want the in-flight swap to 2", p.Variant())
 	}
 }
 
@@ -44,9 +60,10 @@ func TestLaunchAppliesProfileOverhead(t *testing.T) {
 	eng := sim.NewEngine()
 	p := launchCanneal(t, eng)
 	// canneal's catalog overhead is 4.5%: nominal 38s becomes ~39.71s.
-	stop := eng.Ticker(sim.Second, func(now sim.Time) { p.App().Advance(now) })
+	var tick sim.Ticker
+	tick.Start(eng, sim.Second, func(now sim.Time) { p.App().Advance(now) })
 	eng.Run(sim.Time(60 * sim.Second))
-	stop()
+	tick.Stop()
 	if !p.App().Done() {
 		t.Fatal("app did not finish")
 	}
@@ -80,7 +97,7 @@ func TestDeliverSwitchesAfterLatency(t *testing.T) {
 	if p.App().Switches() != 1 {
 		t.Fatalf("switches=%d", p.App().Switches())
 	}
-	if err := p.SwitchTo(p.App().VariantCount() + 1); err == nil {
+	if err := p.SwitchTo(p.App().MostApproximate() + 1); err == nil {
 		t.Fatal("out-of-range variant accepted")
 	}
 	if err := p.SwitchTo(-1); err == nil {
@@ -129,16 +146,18 @@ func TestOverheadOverride(t *testing.T) {
 			QualityCoef: 0.05, QualityExp: 1}},
 	}
 	variants := []approx.Effect{approx.Precise(), {TimeScale: 0.8, TrafficScale: 0.8, Inaccuracy: 1}}
-	inst, err := app.NewInstance(eng, sim.NewRNG(1), prof, variants, 8, nil)
-	if err != nil {
+	inst := &app.Instance{}
+	if err := inst.Init(eng, sim.NewRNG(1), prof, variants, 8, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Launch(eng, inst, 0); err != nil {
+	var p Process
+	if err := p.Init(eng, inst, 0); err != nil {
 		t.Fatal(err)
 	}
-	stop := eng.Ticker(sim.Second, func(now sim.Time) { inst.Advance(now) })
+	var tick sim.Ticker
+	tick.Start(eng, sim.Second, func(now sim.Time) { inst.Advance(now) })
 	eng.Run(sim.Time(15 * sim.Second))
-	stop()
+	tick.Stop()
 	got := inst.ExecTime().Seconds()
 	if got < 9.99 || got > 10.01 {
 		t.Fatalf("zero-overhead exec time %.3fs, want 10s", got)
@@ -159,12 +178,17 @@ func TestTooManyVariantsRejected(t *testing.T) {
 			TimeScale: 0.99 - float64(i)*0.001, TrafficScale: 1, Inaccuracy: float64(i),
 		})
 	}
-	inst, err := app.NewInstance(eng, sim.NewRNG(1), prof, variants, 8, nil)
-	if err != nil {
+	inst := &app.Instance{}
+	if err := inst.Init(eng, sim.NewRNG(1), prof, variants, 8, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Launch(eng, inst, 0); err == nil {
+	before := fmt.Sprintf("%#v", *inst)
+	var p Process
+	if err := p.Init(eng, inst, 0.5); err == nil {
 		t.Fatal("variant count exceeding signal range accepted")
+	}
+	if p != (Process{}) || fmt.Sprintf("%#v", *inst) != before {
+		t.Fatal("refused Init instrumented the app or changed the process")
 	}
 }
 

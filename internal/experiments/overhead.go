@@ -45,18 +45,20 @@ func Overhead(p Profile) (OverheadResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			inst, err := app.NewInstance(eng, rng, prof, variants, app.ReferenceCores, nil)
-			if err != nil {
+			var inst app.Instance
+			if err := inst.Init(eng, rng, prof, variants, app.ReferenceCores, nil); err != nil {
 				return 0, err
 			}
 			if instrument {
-				if _, err := dyninst.Launch(eng, inst, prof.DynOverhead); err != nil {
+				var proc dyninst.Process
+				if err := proc.Init(eng, &inst, prof.DynOverhead); err != nil {
 					return 0, err
 				}
 			}
-			stop := eng.Ticker(100*sim.Millisecond, func(now sim.Time) { inst.Advance(now) })
+			var tick sim.Ticker
+			tick.Start(eng, 100*sim.Millisecond, inst.Advance)
 			eng.Run(sim.Time(sim.Duration(prof.NominalExecSec*3) * sim.Second))
-			stop()
+			tick.Stop()
 			if !inst.Done() {
 				return 0, fmt.Errorf("overhead: %s did not finish", prof.Name)
 			}

@@ -1,10 +1,6 @@
 package interference
 
-import (
-	"testing"
-
-	"github.com/approx-sched/pliant/internal/platform"
-)
+import "testing"
 
 func contended() []Demand {
 	return []Demand{
@@ -21,10 +17,7 @@ func contended() []Demand {
 // as zero and whose negative sensitivity is clamped to no slowdown, so
 // every branch runs. The contended mix must slow the service at slot 0.
 func TestEvaluateIntoAllocFree(t *testing.T) {
-	m, err := New(platform.TablePlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(t, DefaultKnee)
 	demands := contended()
 	odd := append(contended(), Demand{LLCMB: 5, MemBWGBs: -1, Sensitivity: Sensitivity{LLC: -1, MemBW: -1}})
 	slow := make([]float64, len(odd))

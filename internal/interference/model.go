@@ -59,25 +59,11 @@ type Model struct {
 	knee float64
 }
 
-// New returns a contention model for the given server with the default
-// contention knee.
-func New(spec platform.Spec) (*Model, error) {
-	return NewWithKnee(spec, DefaultKnee)
-}
-
-// NewWithKnee returns a contention model whose contention onset begins at
-// the given fraction of nominal capacity (knee=1 means contention begins
-// exactly at capacity — the idealized proportional-sharing model).
-func NewWithKnee(spec platform.Spec, knee float64) (*Model, error) {
-	m := &Model{}
-	if err := m.Init(spec, knee); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Init (re)initialises m in place to the model NewWithKnee builds. On error
-// m is unchanged.
+// Init (re)initialises m in place as the contention model of the given
+// server, whose contention onset begins at the given fraction of nominal
+// capacity (DefaultKnee for the paper's figures; knee=1 means contention
+// begins exactly at capacity — the idealized proportional-sharing model).
+// On error m is unchanged.
 func (m *Model) Init(spec platform.Spec, knee float64) error {
 	if err := spec.Validate(); err != nil {
 		return err

@@ -12,8 +12,14 @@ import (
 // which shortfall arithmetic is exact and easy to assert.
 func model(t *testing.T) *Model {
 	t.Helper()
-	m, err := NewWithKnee(platform.TablePlatform(), 1.0)
-	if err != nil {
+	return newModel(t, 1.0)
+}
+
+// newModel returns a model of the table platform with the given knee.
+func newModel(t *testing.T, knee float64) *Model {
+	t.Helper()
+	m := &Model{}
+	if err := m.Init(platform.TablePlatform(), knee); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -25,27 +31,38 @@ func eval(m *Model, demands ...Demand) (Pressure, []float64) {
 	return m.EvaluateInto(demands, slow), slow
 }
 
+// TestNewRejectsInvalidSpec re-initialises a model with an invalid spec:
+// Init refuses it and leaves the model as it was.
 func TestNewRejectsInvalidSpec(t *testing.T) {
+	m := newModel(t, DefaultKnee)
+	before := *m
 	bad := platform.TablePlatform()
 	bad.LLCMB = 0
-	if _, err := New(bad); err == nil {
-		t.Fatal("New accepted invalid spec")
+	if err := m.Init(bad, DefaultKnee); err == nil {
+		t.Fatal("Init accepted invalid spec")
+	}
+	if *m != before {
+		t.Fatalf("refused spec changed the model to %+v", *m)
 	}
 }
 
+// TestNewRejectsBadKnee re-initialises a model with each knee outside
+// (0,1]: every one is refused and leaves the model as it was.
 func TestNewRejectsBadKnee(t *testing.T) {
+	m := newModel(t, DefaultKnee)
+	before := *m
 	for _, knee := range []float64{0, -0.5, 1.5} {
-		if _, err := NewWithKnee(platform.TablePlatform(), knee); err == nil {
+		if err := m.Init(platform.TablePlatform(), knee); err == nil {
 			t.Errorf("knee %v accepted", knee)
+		}
+		if *m != before {
+			t.Fatalf("refused knee %v changed the model to %+v", knee, *m)
 		}
 	}
 }
 
 func TestKneeStartsContentionEarly(t *testing.T) {
-	m, err := New(platform.TablePlatform()) // default knee 0.75
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(t, DefaultKnee) // 0.75
 	cap := m.Spec().LLCMB
 	// Demand at 90% of capacity: under proportional sharing there is no
 	// shortfall, but past the knee there is.

@@ -107,21 +107,11 @@ type Monitor struct {
 	reports  uint64
 }
 
-// New creates a monitor and starts its interval ticker. The onReport
-// callback fires at the end of every interval.
-func New(eng *sim.Engine, cfg Config, onReport func(Report)) (*Monitor, error) {
-	m := &Monitor{}
-	if err := m.Init(eng, cfg, onReport); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Init (re)initialises m in place to the state New builds and starts its
-// interval ticker. It keeps the latency histogram an earlier run used,
-// cleared, so an episode runner recycling one Monitor allocates none. No
-// tick of m may still be pending: run Init on a fresh or reset engine. On
-// error m is unchanged.
+// Init (re)initialises m in place and starts its interval ticker; the
+// onReport callback fires at the end of every interval. It keeps the
+// latency histogram an earlier run used, cleared, so an episode runner
+// recycling one Monitor allocates none. No tick of m may still be pending:
+// run Init on a fresh or reset engine. On error m is unchanged.
 func (m *Monitor) Init(eng *sim.Engine, cfg Config, onReport func(Report)) error {
 	if err := cfg.Validate(); err != nil {
 		return err

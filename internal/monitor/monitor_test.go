@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/approx-sched/pliant/internal/sim"
@@ -26,25 +27,50 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestNewValidates(t *testing.T) {
-	if _, err := New(nil, DefaultConfig(sim.Millisecond), nil); err == nil {
-		t.Fatal("nil engine accepted")
+// newMonitor returns a monitor initialised on eng.
+func newMonitor(t *testing.T, eng *sim.Engine, cfg Config, onReport func(Report)) *Monitor {
+	t.Helper()
+	m := &Monitor{}
+	if err := m.Init(eng, cfg, onReport); err != nil {
+		t.Fatal(err)
 	}
+	return m
+}
+
+// TestInitValidation re-initialises a running monitor with each bad input:
+// every one is refused and leaves the monitor as it was, still sampling into
+// the same histogram and reporting to the same callback on the same ticker.
+func TestInitValidation(t *testing.T) {
 	eng := sim.NewEngine()
+	var reports []Report
+	m := newMonitor(t, eng, DefaultConfig(sim.Millisecond), func(r Report) { reports = append(reports, r) })
+	for i := 0; i < 5; i++ {
+		m.Observe(500 * sim.Microsecond)
+	}
+	before, pending := fmt.Sprintf("%#v", *m), eng.Pending()
 	bad := DefaultConfig(sim.Millisecond)
 	bad.QoS = 0
-	if _, err := New(eng, bad, nil); err == nil {
-		t.Fatal("bad config accepted")
+	for name, init := range map[string]func() error{
+		"nil engine": func() error { return m.Init(nil, DefaultConfig(sim.Millisecond), nil) },
+		"bad config": func() error { return m.Init(eng, bad, nil) },
+	} {
+		if err := init(); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		if after := fmt.Sprintf("%#v", *m); after != before || eng.Pending() != pending {
+			t.Fatalf("%s: refused Init changed the monitor\n%s\nwant\n%s", name, after, before)
+		}
+	}
+	eng.Run(sim.Time(sim.Second))
+	if len(reports) != 1 || reports[0].Samples != 5 {
+		t.Fatalf("after refused Inits: reports %+v, want one with the 5 samples", reports)
 	}
 }
 
 func TestReportsFireEveryInterval(t *testing.T) {
 	eng := sim.NewEngine()
 	var reports []Report
-	m, err := New(eng, DefaultConfig(sim.Millisecond), func(r Report) { reports = append(reports, r) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMonitor(t, eng, DefaultConfig(sim.Millisecond), func(r Report) { reports = append(reports, r) })
 	eng.Run(sim.Time(3500 * sim.Millisecond))
 	if len(reports) != 3 {
 		t.Fatalf("%d reports in 3.5s with 1s interval, want 3", len(reports))
@@ -63,13 +89,7 @@ func TestViolationAndSlack(t *testing.T) {
 	eng := sim.NewEngine()
 	qos := sim.Millisecond
 	var last Report
-	_, err := New(eng, DefaultConfig(qos), func(r Report) { last = r })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var m *Monitor
-	m, _ = New(eng, DefaultConfig(qos), func(r Report) { last = r })
+	m := newMonitor(t, eng, DefaultConfig(qos), func(r Report) { last = r })
 	// Feed latencies all at 500µs: p99 ≈ 500µs, slack ≈ 0.5.
 	eng.Schedule(sim.Time(100*sim.Millisecond), func() {
 		for i := 0; i < 1000; i++ {
@@ -102,10 +122,7 @@ func TestViolationAndSlack(t *testing.T) {
 func TestEmptyIntervalIsNotViolation(t *testing.T) {
 	eng := sim.NewEngine()
 	var last Report
-	_, err := New(eng, DefaultConfig(sim.Millisecond), func(r Report) { last = r })
-	if err != nil {
-		t.Fatal(err)
-	}
+	newMonitor(t, eng, DefaultConfig(sim.Millisecond), func(r Report) { last = r })
 	eng.Run(sim.Time(sim.Second))
 	if last.Violation {
 		t.Fatal("idle interval flagged as violation")
@@ -123,14 +140,12 @@ func TestAdaptiveStrideConvergesToTarget(t *testing.T) {
 	cfg := DefaultConfig(100 * sim.Millisecond) // QoS far away: no densification
 	cfg.TargetSamples = 100
 	var reports []Report
-	m, err := New(eng, cfg, func(r Report) { reports = append(reports, r) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMonitor(t, eng, cfg, func(r Report) { reports = append(reports, r) })
 	// 10k completions per interval at 1µs latency for 4 intervals.
-	stop := eng.Ticker(100*sim.Microsecond, func(sim.Time) { m.Observe(sim.Microsecond) })
+	var tick sim.Ticker
+	tick.Start(eng, 100*sim.Microsecond, func(sim.Time) { m.Observe(sim.Microsecond) })
 	eng.Run(sim.Time(4 * sim.Second))
-	stop()
+	tick.Stop()
 	if len(reports) != 4 {
 		t.Fatalf("%d reports", len(reports))
 	}
@@ -153,15 +168,13 @@ func TestDensificationNearBoundary(t *testing.T) {
 	cfg := DefaultConfig(sim.Millisecond)
 	cfg.TargetSamples = 50
 	cfg.DenseFactor = 8
-	m, err := New(eng, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMonitor(t, eng, cfg, nil)
 	// Heavy load with p99 right at QoS: stride should use the densified
 	// target (400) rather than 50.
-	stop := eng.Ticker(100*sim.Microsecond, func(sim.Time) { m.Observe(sim.Millisecond) })
+	var tick sim.Ticker
+	tick.Start(eng, 100*sim.Microsecond, func(sim.Time) { m.Observe(sim.Millisecond) })
 	eng.Run(sim.Time(3 * sim.Second))
-	stop()
+	tick.Stop()
 	// 10k/interval over target 400 → stride ~25; without densification it
 	// would be ~200.
 	if m.Stride() > 50 {
@@ -175,10 +188,7 @@ func TestDensificationNearBoundary(t *testing.T) {
 func TestStopHaltsReports(t *testing.T) {
 	eng := sim.NewEngine()
 	count := 0
-	m, err := New(eng, DefaultConfig(sim.Millisecond), func(Report) { count++ })
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMonitor(t, eng, DefaultConfig(sim.Millisecond), func(Report) { count++ })
 	eng.Schedule(sim.Time(2500*sim.Millisecond), func() { m.Stop() })
 	eng.Run(sim.Time(10 * sim.Second))
 	if count != 2 {
@@ -191,10 +201,11 @@ func TestSeenCountsUnsampled(t *testing.T) {
 	cfg := DefaultConfig(100 * sim.Millisecond)
 	cfg.TargetSamples = 10
 	var reports []Report
-	m, _ := New(eng, cfg, func(r Report) { reports = append(reports, r) })
-	stop := eng.Ticker(sim.Millisecond, func(sim.Time) { m.Observe(sim.Microsecond) })
+	m := newMonitor(t, eng, cfg, func(r Report) { reports = append(reports, r) })
+	var tick sim.Ticker
+	tick.Start(eng, sim.Millisecond, func(sim.Time) { m.Observe(sim.Microsecond) })
 	eng.Run(sim.Time(3 * sim.Second))
-	stop()
+	tick.Stop()
 	last := reports[len(reports)-1]
 	if last.Seen < 900 {
 		t.Fatalf("seen = %d, want ~1000", last.Seen)

@@ -115,18 +115,9 @@ type Allocation struct {
 	counts []int // counts[slot] is the tenant's core count
 }
 
-// NewAllocation returns an allocation over spec's usable cores with no
-// tenants.
-func NewAllocation(spec Spec) (*Allocation, error) {
-	a := &Allocation{}
-	if err := a.Init(spec); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Init (re)initialises a in place to the allocation NewAllocation builds,
-// keeping its count storage for reuse. On error a is unchanged.
+// Init (re)initialises a in place as an allocation over spec's usable cores
+// with no tenants, keeping its count storage for reuse. On error a is
+// unchanged.
 func (a *Allocation) Init(spec Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err

@@ -73,8 +73,18 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// newAllocation returns an allocation over spec with no tenants.
+func newAllocation(t *testing.T, spec Spec) *Allocation {
+	t.Helper()
+	a := &Allocation{}
+	if err := a.Init(spec); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestAllocationMove(t *testing.T) {
-	a, _ := NewAllocation(TablePlatform())
+	a := newAllocation(t, TablePlatform())
 	if err := a.FairShare(2); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +110,7 @@ func TestAllocationMove(t *testing.T) {
 }
 
 func TestFairShare(t *testing.T) {
-	a, _ := NewAllocation(TablePlatform())
+	a := newAllocation(t, TablePlatform())
 	if err := a.FairShare(3); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,7 @@ func TestFairShare(t *testing.T) {
 // usable cores, and a refused Move changes nothing.
 func TestAllocationInvariantProperty(t *testing.T) {
 	f := func(tenants uint8, ops []uint16) bool {
-		a, _ := NewAllocation(SmallPlatform())
+		a := newAllocation(t, SmallPlatform())
 		k := int(tenants)%6 + 1
 		if err := a.FairShare(k); err != nil {
 			return false

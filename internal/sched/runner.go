@@ -26,11 +26,11 @@ import (
 // that share one across goroutines (the serve session manager) must
 // serialize access themselves.
 type Runner struct {
-	s        *run
-	stopTick func()
-	windows  int // total scheduling windows over the horizon
-	stepped  int // windows advanced so far
-	closed   bool
+	s       *run
+	tick    sim.Ticker // the window boundary
+	windows int        // total scheduling windows over the horizon
+	stepped int        // windows advanced so far
+	closed  bool
 }
 
 // NewRunner validates the config and builds the run in its pre-horizon
@@ -105,7 +105,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		s:       s,
 		windows: int(cfg.Horizon / cfg.Epoch),
 	}
-	r.stopTick = s.eng.Ticker(cfg.Epoch, s.boundary)
+	r.tick.Start(s.eng, cfg.Epoch, s.boundary)
 	return r, nil
 }
 
@@ -260,6 +260,6 @@ func (r *Runner) Close() {
 		return
 	}
 	r.closed = true
-	r.stopTick()
+	r.tick.Stop()
 	r.s.shards.close()
 }

@@ -21,7 +21,9 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 
 	"github.com/approx-sched/pliant/internal/app"
 	"github.com/approx-sched/pliant/internal/autoscale"
@@ -30,6 +32,7 @@ import (
 	"github.com/approx-sched/pliant/internal/energy"
 	"github.com/approx-sched/pliant/internal/fault"
 	"github.com/approx-sched/pliant/internal/obs"
+	"github.com/approx-sched/pliant/internal/service"
 	"github.com/approx-sched/pliant/internal/sim"
 	"github.com/approx-sched/pliant/internal/stats"
 	"github.com/approx-sched/pliant/internal/trace"
@@ -260,12 +263,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sched: epoch %v below 1s", c.Epoch)
 	case c.Horizon < c.Epoch:
 		return fmt.Errorf("sched: horizon %v shorter than one epoch %v", c.Horizon, c.Epoch)
-	case c.BaseLoad <= 0 || c.BaseLoad > 1.5:
+	// The range checks are negated so NaN is refused too.
+	case !(c.BaseLoad > 0 && c.BaseLoad <= 1.5):
 		return fmt.Errorf("sched: base load %v outside (0, 1.5]", c.BaseLoad)
-	case c.TimeScale <= 0:
-		return fmt.Errorf("sched: time scale must be positive")
-	case c.Trace == nil && c.Arrivals == nil && c.JobsPerSec <= 0:
-		return fmt.Errorf("sched: job arrival rate must be positive")
+	case !(c.TimeScale > 0):
+		return fmt.Errorf("sched: time scale %v must be positive", c.TimeScale)
+	case c.Trace == nil && c.Arrivals == nil && !(c.JobsPerSec > 0 && !math.IsInf(c.JobsPerSec, 1)):
+		return fmt.Errorf("sched: job arrival rate %v must be positive and finite", c.JobsPerSec)
 	case c.Trace != nil && c.Arrivals != nil:
 		return fmt.Errorf("sched: Trace and Arrivals are mutually exclusive job streams")
 	case c.Trace != nil && len(c.Trace.Jobs) == 0:
@@ -286,6 +290,9 @@ func (c Config) Validate() error {
 	for i, n := range c.Nodes {
 		if n.MaxApps < 1 {
 			return fmt.Errorf("sched: node %d (%s) needs MaxApps ≥ 1", i, n.Name)
+		}
+		if !slices.Contains(service.Classes(), n.Service) {
+			return fmt.Errorf("sched: node %d (%s) has unknown service class %d", i, n.Name, int(n.Service))
 		}
 	}
 	for _, name := range c.JobNames {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,6 +65,32 @@ func TestConfigValidation(t *testing.T) {
 	bad.BaseLoad = 2
 	if _, err := Run(bad); err == nil {
 		t.Fatal("overload base accepted")
+	}
+	for name, mutate := range map[string]func(*Config){
+		"NaN base load":  func(c *Config) { c.BaseLoad = math.NaN() },
+		"NaN time scale": func(c *Config) { c.TimeScale = math.NaN() },
+		"NaN job rate":   func(c *Config) { c.JobsPerSec = math.NaN() },
+		"infinite rate":  func(c *Config) { c.JobsPerSec = math.Inf(1) },
+	} {
+		bad = fastConfig(FirstFit{})
+		mutate(&bad)
+		if err := bad.withDefaults().Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestUnknownServiceClassRejected puts a node of an unknown service class
+// after a good one: the run must return an error at every shard count, not
+// panic in the first episode on a shard goroutine.
+func TestUnknownServiceClassRejected(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := fastConfig(FirstFit{})
+		cfg.Nodes[1].Service = service.Class(7)
+		cfg.Shards = shards
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "service class") {
+			t.Errorf("shards %d: error %v, want one naming the service class", shards, err)
+		}
 	}
 }
 

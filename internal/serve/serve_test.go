@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -551,6 +552,8 @@ func TestSpecBoundsRejected(t *testing.T) {
 		{"epoch", `{"epoch_sec": 1e10}`, "epoch_sec"},
 		{"nodes", `{"nodes": [` + strings.Repeat(`"nginx",`, maxNodes) + `"nginx"]}`, "nodes"},
 		{"faults", `{"mttf_sec": 1e-9, "horizon_sec": 1e9}`, "mttf_sec"},
+		{"rate", `{"rate": 1e12}`, "rate"},
+		{"max_apps", `{"max_apps": 1000000000}`, "max_apps"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(c.body))
@@ -562,6 +565,23 @@ func TestSpecBoundsRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.want) {
 			t.Errorf("%s: status %d %q, want 400 naming %s", c.name, resp.StatusCode, msg, c.want)
 		}
+	}
+}
+
+// TestResolveBoundsSyntheticStream: a rate that no finite arrival count
+// bounds is refused, while trace and submit-only sessions, which draw no
+// synthetic stream, are not held to the bound.
+func TestResolveBoundsSyntheticStream(t *testing.T) {
+	for _, rate := range []float64{math.Inf(1), math.NaN()} {
+		if _, err := (Spec{Rate: rate}).Resolve(); err == nil || !strings.Contains(err.Error(), "rate") {
+			t.Errorf("rate %g: Resolve error %v, want one naming rate", rate, err)
+		}
+	}
+	if _, err := (Spec{Rate: 1e12, MaxApps: 1_000_000_000, SubmitOnly: true}).Resolve(); err != nil {
+		t.Errorf("submit-only session: %v", err)
+	}
+	if _, err := (Spec{Rate: 1e12, Trace: &TraceSpec{Synthesize: &SynthSpec{Jobs: 10}}}).Resolve(); err != nil {
+		t.Errorf("trace session: %v", err)
 	}
 }
 

@@ -375,15 +375,7 @@ func (s *Session) publishWindow() {
 	}
 	v := WindowVerdict{Window: snaps[0].Window, NowSec: snaps[0].NowSec}
 	for i, snap := range snaps {
-		pv := PolicyVerdict{
-			Policy:     s.res.Policies[i].Name(),
-			QoSMetFrac: snap.QoSMetFrac,
-			Joules:     snap.Joules,
-			Placed:     snap.Placed,
-			Pending:    snap.Pending,
-			Completed:  snap.Completed,
-			Running:    snap.Running,
-		}
+		pv := s.verdictOf(i, snap)
 		if i > 0 {
 			base := snaps[0].JobNodes
 			for id, node := range snap.JobNodes {
@@ -474,17 +466,23 @@ func (s *Session) Status() SessionStatus {
 	}
 	for i, snap := range s.snaps {
 		st.Window, st.Windows, st.NowSec = snap.Window, snap.Windows, snap.NowSec
-		st.Snapshots = append(st.Snapshots, PolicyVerdict{
-			Policy:     s.res.Policies[i].Name(),
-			QoSMetFrac: snap.QoSMetFrac,
-			Joules:     snap.Joules,
-			Placed:     snap.Placed,
-			Pending:    snap.Pending,
-			Completed:  snap.Completed,
-			Running:    snap.Running,
-		})
+		st.Snapshots = append(st.Snapshots, s.verdictOf(i, snap))
 	}
 	return st
+}
+
+// verdictOf reports engine i's snapshot as a policy verdict, with no
+// placement diff counted.
+func (s *Session) verdictOf(i int, snap sched.Snapshot) PolicyVerdict {
+	return PolicyVerdict{
+		Policy:     s.res.Policies[i].Name(),
+		QoSMetFrac: snap.QoSMetFrac,
+		Joules:     snap.Joules,
+		Placed:     snap.Placed,
+		Pending:    snap.Pending,
+		Completed:  snap.Completed,
+		Running:    snap.Running,
+	}
 }
 
 // Verdicts returns the per-window shadow verdicts published so far.

@@ -194,7 +194,7 @@ func (sp Spec) Resolve() (Resolved, error) {
 	if maxApps == 0 {
 		maxApps = 3
 	}
-	nodes, err := NodesFor(nodeNames, maxApps)
+	nodes, err := nodesFor(nodeNames, maxApps)
 	if err != nil {
 		return Resolved{}, err
 	}
@@ -216,17 +216,29 @@ func (sp Spec) Resolve() (Resolved, error) {
 	}
 
 	var tr *trace.Trace
-	if sp.Trace != nil {
+	switch {
+	case sp.Trace != nil:
 		if sp.SubmitOnly {
 			return Resolved{}, fmt.Errorf("serve: submit_only and trace are mutually exclusive")
 		}
-		slots := 0
-		for _, n := range nodes {
-			slots += n.MaxApps
-		}
-		tr, err = sp.Trace.load(horizon, slots)
+		tr, err = sp.Trace.load(horizon, len(nodes)*maxApps)
 		if err != nil {
 			return Resolved{}, err
+		}
+	case sp.SubmitOnly:
+		// No synthetic stream: every job enters through the submission API.
+	case sp.Rate == 0:
+		// sched sizes the default rate so that twice the slots arrive over
+		// the horizon; counted in float64 so a huge max_apps cannot wrap.
+		if n := 2 * float64(len(nodes)) * float64(maxApps); n > maxSynthJobs {
+			return Resolved{}, fmt.Errorf("serve: max_apps %d on %d nodes sizes the default rate at about %.3g arrivals, more than %d",
+				maxApps, len(nodes), n, maxSynthJobs)
+		}
+	default:
+		// Negated so NaN is refused too.
+		if n := sp.Rate * horizon; !(n <= maxSynthJobs) {
+			return Resolved{}, fmt.Errorf("serve: rate %g expects about %.3g arrivals over %g s, more than %d",
+				sp.Rate, n, horizon, maxSynthJobs)
 		}
 	}
 
@@ -242,7 +254,7 @@ func (sp Spec) Resolve() (Resolved, error) {
 	if peak == 0 {
 		peak = 1.6
 	}
-	ls, err := ShapeFor(shapeKind, amp, sp.PeriodSec, peak, horizon, tr)
+	ls, err := shapeFor(shapeKind, amp, sp.PeriodSec, peak, horizon, tr)
 	if err != nil {
 		return Resolved{}, err
 	}
@@ -302,11 +314,7 @@ func (sp Spec) Resolve() (Resolved, error) {
 		return Resolved{}, fmt.Errorf("unknown autoscaler %q (none, consolidate, approx-for-watts, degrade-under-loss)", auto)
 	}
 
-	var outages []fault.Outage
-	for _, o := range sp.Outages {
-		outages = append(outages, fault.Outage{AtSec: o.AtSec, Domain: o.Domain, DurationSec: o.DurationSec})
-	}
-	plan, err := FaultPlanFor(sp.TraceFaults, tr, horizon, sp.MTTFSec, sp.MTTRSec, sp.FaultDomain, outages, sp.Retries)
+	plan, err := sp.faultPlan(tr, horizon)
 	if err != nil {
 		return Resolved{}, err
 	}
@@ -323,7 +331,7 @@ func (sp Spec) Resolve() (Resolved, error) {
 	if len(polNames) == 0 {
 		polNames = []string{"telemetry"}
 	}
-	policies, err := PoliciesFor(polNames)
+	policies, err := policiesFor(polNames)
 	if err != nil {
 		return Resolved{}, err
 	}
@@ -358,9 +366,9 @@ type silentArrivals struct{}
 func (silentArrivals) Next(*sim.RNG, sim.Time) sim.Duration { return sim.Duration(1) << 62 }
 func (silentArrivals) Rate() float64                        { return 0 }
 
-// NodesFor expands service names into named cluster nodes exactly as the
-// -nodes flag does: cache-N / web-N / db-N per service class.
-func NodesFor(names []string, maxApps int) ([]cluster.Node, error) {
+// nodesFor expands service names into named cluster nodes, cache-N / web-N /
+// db-N per service class.
+func nodesFor(names []string, maxApps int) ([]cluster.Node, error) {
 	counts := map[string]int{}
 	var nodes []cluster.Node
 	for _, name := range names {
@@ -386,8 +394,8 @@ func NodesFor(names []string, maxApps int) ([]cluster.Node, error) {
 	return nodes, nil
 }
 
-// ShapeFor builds the load shape exactly as the -shape flag does.
-func ShapeFor(kind string, amp, periodSec, peak, horizonSec float64, tr *trace.Trace) (workload.Shape, error) {
+// shapeFor builds the service-load shape of the given kind.
+func shapeFor(kind string, amp, periodSec, peak, horizonSec float64, tr *trace.Trace) (workload.Shape, error) {
 	switch kind {
 	case "steady":
 		return workload.Steady{}, nil
@@ -413,10 +421,10 @@ func ShapeFor(kind string, amp, periodSec, peak, horizonSec float64, tr *trace.T
 	}
 }
 
-// PoliciesFor resolves policy names exactly as the -policy flag does, with
-// "all" expanding to the full set. Duplicates are rejected: a shadow
-// session's verdicts are keyed by policy name.
-func PoliciesFor(names []string) ([]sched.Policy, error) {
+// policiesFor resolves policy names, with "all" expanding to the full set.
+// Duplicates are rejected: a shadow session's verdicts are keyed by policy
+// name.
+func policiesFor(names []string) ([]sched.Policy, error) {
 	var out []sched.Policy
 	seen := map[string]bool{}
 	add := func(p sched.Policy) error {
@@ -458,17 +466,17 @@ func PoliciesFor(names []string) ([]sched.Policy, error) {
 	return out, nil
 }
 
-// FaultPlanFor assembles a fault plan exactly as the fault flags do: nil when
-// no knob was touched, a trace-derived MTTF/MTTR base for trace faults, with
-// the explicit knobs layered on top either way.
-func FaultPlanFor(fromTrace bool, tr *trace.Trace, horizonSec, mttf, mttr float64,
-	domain int, outages []fault.Outage, retries int) (*fault.Plan, error) {
+// faultPlan assembles the spec's fault plan over the replayed trace tr (nil
+// without one): nil when no fault knob was touched, a trace-derived
+// MTTF/MTTR base for trace faults, with the explicit knobs layered on top
+// either way.
+func (sp Spec) faultPlan(tr *trace.Trace, horizonSec float64) (*fault.Plan, error) {
 	var plan fault.Plan
 	armed := false
-	if mttf < 0 || mttr < 0 {
+	if sp.MTTFSec < 0 || sp.MTTRSec < 0 {
 		return nil, fmt.Errorf("mttf/mttr must be non-negative virtual seconds (0 = off/default)")
 	}
-	if fromTrace {
+	if sp.TraceFaults {
 		if tr == nil {
 			return nil, fmt.Errorf("trace faults need a trace")
 		}
@@ -479,21 +487,24 @@ func FaultPlanFor(fromTrace bool, tr *trace.Trace, horizonSec, mttf, mttr float6
 		plan = derived
 		armed = true
 	}
-	if mttf > 0 {
-		plan.MTTFSec = mttf
+	if sp.MTTFSec > 0 {
+		plan.MTTFSec = sp.MTTFSec
 		armed = true
 	}
-	if mttr > 0 {
-		plan.MTTRSec = mttr
+	if sp.MTTRSec > 0 {
+		plan.MTTRSec = sp.MTTRSec
 	}
-	if domain > 0 {
-		plan.DomainSize = domain
+	if sp.FaultDomain > 0 {
+		plan.DomainSize = sp.FaultDomain
 	}
-	if retries != 0 {
-		plan.RetryBudget = retries
+	if sp.Retries != 0 {
+		plan.RetryBudget = sp.Retries
 	}
-	if len(outages) > 0 {
-		plan.Outages = outages
+	if len(sp.Outages) > 0 {
+		plan.Outages = make([]fault.Outage, len(sp.Outages))
+		for i, o := range sp.Outages {
+			plan.Outages[i] = fault.Outage{AtSec: o.AtSec, Domain: o.Domain, DurationSec: o.DurationSec}
+		}
 		armed = true
 	}
 	if !armed {
@@ -531,6 +542,10 @@ func faultEvents(plan *fault.Plan, nodes int, horizonSec float64) float64 {
 // maxSynthJobs caps TraceSpec.Synthesize.Jobs at the largest trace an inline
 // CSV upload can carry (maxSpecBytes at about 150 bytes per job), so a
 // synthesize config cannot make a session build more than an upload could.
+// Resolve caps the synthetic job stream's expected arrivals (rate × horizon,
+// or the 2 × slots the default rate is sized for) at the same figure, for
+// the same reason: every arrival is a job the session keeps, so a few JSON
+// numbers must not admit more jobs than an upload could bring in.
 const maxSynthJobs = 200_000
 
 // load parses and normalizes the trace spec for replay over the horizon,

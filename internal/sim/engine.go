@@ -368,11 +368,3 @@ func (t *Ticker) OnEvent(now Time, _ uint64) {
 		t.pending = t.e.AfterTyped(t.period, t, 0)
 	}
 }
-
-// Ticker invokes fn every period, starting one period from now, until the
-// returned stop function is called. fn receives the tick time.
-func (e *Engine) Ticker(period Duration, fn func(Time)) (stop func()) {
-	t := &Ticker{}
-	t.Start(e, period, fn)
-	return t.Stop
-}

@@ -95,9 +95,10 @@ func TestEngineReset(t *testing.T) {
 	run := func(e *Engine) (uint64, Time) {
 		h := &countingHandler{e: e, limit: 50}
 		e.ScheduleTyped(1, h, 0)
-		stop := e.Ticker(10, func(Time) {})
+		var tk Ticker
+		tk.Start(e, 10, func(Time) {})
 		e.Run(200)
-		stop()
+		tk.Stop()
 		return h.fired, e.Now()
 	}
 	fresh := NewEngine()
@@ -301,8 +302,9 @@ func TestTypedSteadyStateAllocFree(t *testing.T) {
 func TestTickerAllocFree(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
-	stop := e.Ticker(5, func(Time) { ticks++ })
-	defer stop()
+	var tk Ticker
+	tk.Start(e, 5, func(Time) { ticks++ })
+	defer tk.Stop()
 	e.Run(100)
 	avg := testing.AllocsPerRun(100, func() {
 		e.Run(e.Now() + 100)

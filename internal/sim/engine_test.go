@@ -188,8 +188,9 @@ func TestStep(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	stop := e.Ticker(100, func(now Time) { ticks = append(ticks, now) })
-	e.Schedule(350, func() { stop() })
+	var tk Ticker
+	tk.Start(e, 100, func(now Time) { ticks = append(ticks, now) })
+	e.Schedule(350, tk.Stop)
 	e.Run(Forever)
 	if len(ticks) != 3 {
 		t.Fatalf("got %d ticks %v, want 3", len(ticks), ticks)
@@ -204,11 +205,11 @@ func TestTicker(t *testing.T) {
 func TestTickerStopInsideCallback(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var stop func()
-	stop = e.Ticker(10, func(Time) {
+	var tk Ticker
+	tk.Start(e, 10, func(Time) {
 		count++
 		if count == 2 {
-			stop()
+			tk.Stop()
 		}
 	})
 	e.Run(Forever)
@@ -261,7 +262,8 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 			t.Fatal("zero-period ticker did not panic")
 		}
 	}()
-	e.Ticker(0, func(Time) {})
+	var tk Ticker
+	tk.Start(e, 0, func(Time) {})
 }
 
 func TestFiredCounter(t *testing.T) {

@@ -204,16 +204,6 @@ func (t *Trace) SpanSec() float64 {
 	return t.Jobs[len(t.Jobs)-1].ArrivalSec - t.Jobs[0].ArrivalSec
 }
 
-// MeanRate is the mean arrival rate in jobs/second over the span (the job
-// count if the span is degenerate).
-func (t *Trace) MeanRate() float64 {
-	span := t.SpanSec()
-	if span <= 0 {
-		return float64(len(t.Jobs))
-	}
-	return float64(len(t.Jobs)) / span
-}
-
 // ArrivalTimes returns the arrival instants in order — the input to
 // workload.NewTraceStream.
 func (t *Trace) ArrivalTimes() []float64 {

@@ -58,7 +58,7 @@ type Poisson struct {
 
 // NewPoisson returns a Poisson process at the given queries per second.
 func NewPoisson(qps float64) (Poisson, error) {
-	if qps <= 0 {
+	if !(qps > 0) { // negated so NaN is refused too
 		return Poisson{}, fmt.Errorf("workload: poisson needs positive qps, got %v", qps)
 	}
 	return Poisson{QPS: qps}, nil

@@ -59,10 +59,11 @@ type Diurnal struct {
 
 // NewDiurnal validates and returns a diurnal shape.
 func NewDiurnal(amp, periodSec float64) (Diurnal, error) {
-	if amp < 0 || amp >= 1 {
+	// Negated so NaN is refused too.
+	if !(amp >= 0 && amp < 1) {
 		return Diurnal{}, fmt.Errorf("workload: diurnal amplitude %v outside [0,1)", amp)
 	}
-	if periodSec <= 0 {
+	if !(periodSec > 0) {
 		return Diurnal{}, fmt.Errorf("workload: diurnal period must be positive, got %v", periodSec)
 	}
 	return Diurnal{Amp: amp, PeriodSec: periodSec}, nil
@@ -98,11 +99,12 @@ type Flash struct {
 // unconfigurable-zero ambiguity autoscale.Consolidate's reserve had; callers
 // who want the unit base pass 1.
 func NewFlash(base, peak, startSec, durationSec float64) (Flash, error) {
-	if base <= 0 || peak <= 0 {
+	// Negated so NaN is refused too.
+	if !(base > 0 && peak > 0) {
 		return Flash{}, fmt.Errorf("workload: flash needs positive peak (got %v) and positive base (got %v; pass 1 for the unit base)",
 			peak, base)
 	}
-	if startSec < 0 || durationSec < 0 {
+	if !(startSec >= 0 && durationSec >= 0) {
 		return Flash{}, fmt.Errorf("workload: flash start %v / duration %v must be non-negative", startSec, durationSec)
 	}
 	return Flash{Base: base, Peak: peak, StartSec: startSec, DurationSec: durationSec}, nil
@@ -208,7 +210,7 @@ type ShapedPoisson struct {
 
 // NewShapedPoisson validates and returns a shaped Poisson process.
 func NewShapedPoisson(baseQPS float64, shape Shape) (ShapedPoisson, error) {
-	if baseQPS <= 0 {
+	if !(baseQPS > 0) { // negated so NaN is refused too
 		return ShapedPoisson{}, fmt.Errorf("workload: shaped poisson needs positive base qps, got %v", baseQPS)
 	}
 	if shape == nil {

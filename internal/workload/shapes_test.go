@@ -41,6 +41,12 @@ func TestDiurnalPhasePoints(t *testing.T) {
 	if _, err := NewDiurnal(0.2, 0); err == nil {
 		t.Fatal("zero period accepted")
 	}
+	if _, err := NewDiurnal(math.NaN(), 100); err == nil {
+		t.Fatal("NaN amplitude accepted")
+	}
+	if _, err := NewDiurnal(0.2, math.NaN()); err == nil {
+		t.Fatal("NaN period accepted")
+	}
 }
 
 func TestFlashShape(t *testing.T) {
@@ -72,6 +78,13 @@ func TestFlashShape(t *testing.T) {
 	}
 	if _, err := NewFlash(1, 2, -1, 5); err == nil {
 		t.Fatal("negative start accepted")
+	}
+	for _, args := range [][4]float64{
+		{math.NaN(), 2, 10, 5}, {1, math.NaN(), 10, 5}, {1, 2, math.NaN(), 5}, {1, 2, 10, math.NaN()},
+	} {
+		if _, err := NewFlash(args[0], args[1], args[2], args[3]); err == nil {
+			t.Fatalf("NewFlash%v accepted", args)
+		}
 	}
 	if g, err := NewFlash(1, 2, 10, 5); err != nil || g.Multiplier(12) != 2 {
 		t.Fatalf("valid flash rejected: %v %v", g, err)
@@ -241,6 +254,9 @@ func TestShapedPoissonDeterministic(t *testing.T) {
 func TestShapedPoissonValidation(t *testing.T) {
 	if _, err := NewShapedPoisson(0, Steady{}); err == nil {
 		t.Fatal("zero rate accepted")
+	}
+	if _, err := NewShapedPoisson(math.NaN(), Steady{}); err == nil {
+		t.Fatal("NaN rate accepted")
 	}
 	if _, err := NewShapedPoisson(10, nil); err == nil {
 		t.Fatal("nil shape accepted")

@@ -133,6 +133,9 @@ func TestPoissonValidation(t *testing.T) {
 	if _, err := NewPoisson(-5); err == nil {
 		t.Fatal("NewPoisson(-5) succeeded")
 	}
+	if _, err := NewPoisson(math.NaN()); err == nil {
+		t.Fatal("NewPoisson(NaN) succeeded")
+	}
 }
 
 func TestUniformArrivals(t *testing.T) {
